@@ -7,11 +7,20 @@
 Suites: moebius, jordan, fell, toeplitz, groupoid, fibers, homotopy, all.
 The default tolerance comes from the WHLAB_TOL environment variable when set.
 
+Cases that take --tol: moebius.action_law, moebius.cayley_equivariance,
+moebius.qset_a2, fibers.kernel_identity and fibers.usc_infinity.  Every other
+case judges against a named constant of whlab.suites (MARGIN_FLOOR,
+CONTRACTION_TOL, PAIR_TOL, ALGEBRA_TOL, SEMINORM_TOL, INTERIOR_TOL,
+ROUNDING_TOL, ZERO_TOL and the three mutation gaps); the README maps each case
+to its constant.  --N is a floor: the Toeplitz and groupoid cases truncate at
+max(N, 16) or max(N, 24), and groupoid.lambda_bound always at 12.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (unknown suite,
-unreadable input, malformed JSON), 3 report write failure.  Reports are
-emitted as canonical JSON (sorted keys, 17-significant-digit floats), so a
-fixed (config, seed) pair produces byte-identical files; wall time is printed
-to the console only.
+unreadable input, malformed JSON, a --tol, WHLAB_TOL or --grid-step that is not
+a positive finite number, --dim, --trials or --N below 1), 3 report write
+failure.  Reports are emitted as canonical JSON (sorted keys, floats with 17
+significant digits), so a fixed (config, seed) pair produces byte-identical
+files; wall time is printed to the console only.
 """
 
 from __future__ import annotations
@@ -88,14 +97,13 @@ def _emit(report_obj: dict, path: str | None) -> int:
 
 
 def _run_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
     try:
         cfg = suites.SuiteConfig(
             suite=args.suite,
             dim=args.dim,
             trials=args.trials,
             seed=args.seed,
-            tol=tol,
+            tol=args.tol if args.tol is not None else _default_tol(),
             n=args.n,
             grid_step=args.grid_step,
             model=args.model,

@@ -1,19 +1,24 @@
 """Named verification suites behind the command-line driver.
 
-Each suite is a list of cases; a case draws its own generator seeded from
-(config seed, case name), so cases are order-independent and a report is a
-pure function of its configuration.  Every suite ships at least one
-deliberately broken variant (wrong sign, dropped normalizer, wrong shift
-direction, missing reflection) and the corresponding case passes exactly
-when the break is flagged.
+Every case is one row of the `CASES` table: a name, a kind, a tolerance, a
+detail line and a draw function.  One runner, `run_case`, seeds the case's
+generator from (config seed, case name), sweeps the dimensions and trials,
+reduces the drawn values and gives the verdict, so cases are
+order-independent and a report is a pure function of its configuration.
+Every suite ships at least one deliberately broken variant (wrong sign,
+dropped normalizer, wrong shift direction, missing reflection) and the
+corresponding case passes exactly when the break is flagged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,6 +32,20 @@ from .sampling import (
     random_positive_definite,
     random_unitary,
 )
+
+# Tolerances of the cases that do not take --tol.
+MARGIN_FLOOR = 1e-6  # smallest singular value of BU+2i-B must stay above this
+CONTRACTION_TOL = 1e-8  # contraction-map identities, which pass through a matrix inverse
+PAIR_TOL = 1e-8  # (E, A) pair encode/decode round trips; also what counts as one point
+ALGEBRA_TOL = 1e-9  # groupoid algebra laws, I-norm bounds, fiber-action isometry
+SEMINORM_TOL = 1e-10  # C*-seminorm inequalities of the quotient norm
+INTERIOR_TOL = 1e-10  # Toeplitz and groupoid products compared on interior blocks
+ROUNDING_TOL = 1e-12  # identities exact in exact arithmetic: only rounding separates the sides
+ZERO_TOL = 0.0  # the hat involution only relabels, so both sides are the same numbers
+# A mutation case passes when its broken variant misses by more than its gap.
+SIGN_FLIP_GAP = 1e-3
+SHIFT_DIRECTION_GAP = 1e-6
+UNREFLECTED_GAP = 0.5
 
 
 @dataclass
@@ -44,10 +63,16 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InputValidationError("trials must be >= 1")
-        if self.tol <= 0:
-            raise InputValidationError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InputValidationError("tol must be positive and finite")
         if self.dim < 1:
             raise InputValidationError("dim must be >= 1")
+        if self.n < 1:
+            raise InputValidationError("N must be >= 1")
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0):
+            raise InputValidationError("grid_step must be positive and finite")
+        if self.model not in (None, "halfline", "unitary"):
+            raise InputValidationError(f"unknown homotopy model {self.model!r}")
 
 
 @dataclass
@@ -57,6 +82,7 @@ class CaseResult:
     max_error: float | None
     tolerance: float | None
     details: str = ""
+    draws: int = 0  # draws that reached the check; not part of the report
 
     def as_dict(self) -> dict:
         err = self.max_error
@@ -71,334 +97,289 @@ class CaseResult:
         }
 
 
+def _no_dim(cfg):
+    return (None,)
+
+
+@dataclass(frozen=True)
+class Case:
+    """One verification case.
+
+    draw -- decorated with @_sweep, called as draw(rng, dim, env) once per
+        trial at every dim of the sweep; otherwise a generator draw(rng, cfg)
+        that yields every value itself.  A value is a number, a list of
+        violation messages (count kind), or a tuple of one of those followed
+        by violation tallies; None is a skipped draw.
+    details -- a str.format template (literal braces doubled) given the
+        reduced value, the violation tallies and `draws=`, or a callable
+        given the same arguments plus `messages=`.
+    kind -- "bounded": the worst residual must be <= tol;
+            "margin": the smallest value must be >= tol;
+            "mutant": a broken variant's worst residual must be > tol;
+            "count": no violations.
+    tol -- the verdict tolerance; None takes --tol.
+    seed_label -- the name the case's generator is seeded from, when it is
+        not the case name.
+    """
+
+    name: str
+    draw: Callable
+    details: str | Callable[..., str]
+    kind: str = "count"
+    tol: float | None = None
+    seed_label: str | None = None
+
+
+# kind -> (reduction, its start, verdict on (reduced value, tol))
+_KINDS = {
+    "bounded": (max, 0.0, operator.le),
+    "margin": (min, math.inf, operator.ge),
+    "mutant": (max, 0.0, operator.gt),
+    "count": (operator.add, 0, lambda bad, tol: bad == 0),
+}
+
+
 def case_rng(cfg: SuiteConfig, name: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{cfg.seed}:{name}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def _bounded(name, err, tol, details="") -> CaseResult:
-    status = "pass" if err <= tol else "fail"
-    return CaseResult(name, status, float(err), float(tol), details)
+def _sweep(dims=lambda cfg: range(1, cfg.dim + 1), trials=lambda t: t, setup=lambda cfg, dim: cfg):
+    """Mark a per-trial draw: the dims it runs at, its number of trials per
+    dim as a function of --trials, and the per-dim setup it gets as env."""
+
+    def mark(draw):
+        draw.sweep = (dims, trials, setup)
+        return draw
+
+    return mark
 
 
-def _flagged(name, detected: bool, details="") -> CaseResult:
-    status = "pass" if detected else "fail"
-    return CaseResult(name, status, None, None, details)
+def _draws(case: Case, cfg: SuiteConfig, rng):
+    if not hasattr(case.draw, "sweep"):
+        yield from case.draw(rng, cfg)
+        return
+    dims, trials, setup = case.draw.sweep
+    for dim in dims(cfg):
+        env = setup(cfg, dim)
+        for _ in range(trials(cfg.trials)):
+            yield case.draw(rng, dim, env)
 
 
-def _dims(cfg: SuiteConfig):
-    return range(1, cfg.dim + 1)
+def run_case(case: Case, cfg: SuiteConfig) -> CaseResult:
+    """Draw, reduce and judge one case.  A NaN survives the reduction, and a
+    non-finite value, a nonzero violation tally or an empty run fails it."""
+    rng = case_rng(cfg, case.seed_label or case.name)
+    reduce, acc, holds = _KINDS[case.kind]
+    tallies, messages, draws = [], [], 0
+    for value in _draws(case, cfg, rng):
+        if value is None:
+            continue
+        head, *more = value if isinstance(value, tuple) else (value,)
+        if isinstance(head, list):
+            messages += head
+            head = len(head)
+        acc = head if head != head else reduce(acc, head)
+        tallies = [t + m for t, m in zip_longest(tallies, more, fillvalue=0)]
+        draws += 1
+    if not draws:
+        return CaseResult(case.name, "fail", None, None, "no draw reached the check")
+
+    tol = cfg.tol if case.tol is None else case.tol
+    violated = any(tallies)
+    ok = math.isfinite(acc) and not violated and holds(acc, tol)
+    if isinstance(case.details, str):
+        details = case.details.format(acc, *tallies, draws=draws)
+    else:
+        details = case.details(acc, *tallies, draws=draws, messages=messages)
+    status = "pass" if ok else "fail"
+    if case.kind in ("bounded", "margin"):
+        err = math.inf if violated else float(acc)
+        return CaseResult(case.name, status, err, float(tol), details, draws)
+    return CaseResult(case.name, status, None, None, details, draws)
+
+
+def _worst(residuals) -> float:
+    """The largest residual, 0 for none; a NaN among them makes the result NaN."""
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+
+
+def _listed(fallback, pick=lambda messages: messages):
+    """Details that join the violation messages, or `fallback` when none."""
+    return lambda *_, messages, **__: "; ".join(pick(messages)) or fallback
 
 
 # ---------------------------------------------------------------------------
 # moebius
 
 
-def _case_action_law(cfg):
-    rng = case_rng(cfg, "moebius.action_law")
-    worst = 0.0
-    for dim in _dims(cfg):
-        for _ in range(cfg.trials):
-            u = random_unitary(rng, dim)
-            a = random_hermitian(rng, dim)
-            b = random_hermitian(rng, dim)
-            lhs = moebius.boxplus(moebius.boxplus(u, a), b)
-            rhs = moebius.boxplus(u, a + b)
-            worst = max(worst, spectra.operator_norm(lhs - rhs))
-    return _bounded("moebius.action_law", worst, cfg.tol, "(U[+]A)[+]B = U[+](A+B)")
+@_sweep()
+def _action_law(rng, dim, _):
+    u = random_unitary(rng, dim)
+    a = random_hermitian(rng, dim)
+    b = random_hermitian(rng, dim)
+    lhs = moebius.boxplus(moebius.boxplus(u, a), b)
+    return spectra.operator_norm(lhs - moebius.boxplus(u, a + b))
 
 
-def _case_cayley_equivariance(cfg):
-    rng = case_rng(cfg, "moebius.cayley_equivariance")
-    worst = 0.0
-    for dim in _dims(cfg):
-        for _ in range(cfg.trials):
-            a = random_hermitian(rng, dim)
-            b = random_hermitian(rng, dim)
-            lhs = moebius.boxplus(spectra.cayley(a), b)
-            rhs = spectra.cayley(a + b)
-            worst = max(worst, spectra.operator_norm(lhs - rhs))
-    return _bounded("moebius.cayley_equivariance", worst, cfg.tol, "cayley(A)[+]B = cayley(A+B)")
+@_sweep()
+def _cayley_equivariance(rng, dim, _):
+    a = random_hermitian(rng, dim)
+    b = random_hermitian(rng, dim)
+    return spectra.operator_norm(moebius.boxplus(spectra.cayley(a), b) - spectra.cayley(a + b))
 
 
-def _case_invertibility_margin(cfg):
-    rng = case_rng(cfg, "moebius.invertibility_margin")
-    floor = math.inf
-    per_dim = max(cfg.trials * 5, 100)
-    for dim in range(1, max(cfg.dim, 6) + 1):
-        eye = np.eye(dim)
-        for _ in range(per_dim):
-            u = random_unitary(rng, dim)
-            b = random_hermitian(rng, dim)
-            smin = np.linalg.svd(b @ u + 2j * eye - b, compute_uv=False)[-1]
-            floor = min(floor, float(smin))
-    result = CaseResult(
-        "moebius.invertibility_margin",
-        "pass" if floor >= 1e-6 else "fail",
-        float(floor),
-        1e-6,
-        "smallest singular value of BU+2i-B (must stay above tolerance)",
-    )
-    return result
+@_sweep(
+    dims=lambda cfg: range(1, max(cfg.dim, 6) + 1), trials=lambda t: max(t * 5, 100), setup=lambda cfg, dim: np.eye(dim)
+)
+def _invertibility_margin(rng, dim, eye):
+    u = random_unitary(rng, dim)
+    b = random_hermitian(rng, dim)
+    return float(np.linalg.svd(b @ u + 2j * eye - b, compute_uv=False)[-1])
 
 
-def _case_z_stability(cfg):
-    rng = case_rng(cfg, "moebius.z_stability")
-    bad = 0
-    for dim in _dims(cfg):
-        for _ in range(cfg.trials):
-            z = moebius.random_zpoint(rng, dim)
-            b = random_positive(rng, dim)
-            if moebius.classify_zpoint(moebius.boxplus(z.u, b)) == moebius.ZClass.OUTSIDE:
-                bad += 1
-    return _flagged("moebius.z_stability", bad == 0, f"{bad} translated Z points left Z")
+@_sweep()
+def _z_stability(rng, dim, _):
+    z = moebius.random_zpoint(rng, dim)
+    b = random_positive(rng, dim)
+    return moebius.classify_zpoint(moebius.boxplus(z.u, b)) == moebius.ZClass.OUTSIDE
 
 
-def _case_contraction_range(cfg):
-    rng = case_rng(cfg, "moebius.contraction_range")
-    worst = 0.0
-    order_failures = 0
-    for dim in _dims(cfg):
-        for _ in range(cfg.trials):
-            b = random_positive_definite(rng, dim)
-            b_inv = np.linalg.inv(b)
-            a = random_positive(rng, dim)
-            c = moebius.moebius_contraction(a, b)
-            if jordan.order_compare(c, 0.5 * (b_inv + b_inv.conj().T)) != jordan.OrderRelation.LT:
-                order_failures += 1
-            recovered = moebius.contraction_inverse(c, b)
-            worst = max(worst, spectra.operator_norm(moebius.moebius_contraction(recovered, b) - c))
-            worst = max(worst, spectra.operator_norm(recovered - a))
-    err = worst if order_failures == 0 else math.inf
-    return _bounded(
-        "moebius.contraction_range",
-        err,
-        1e-8,
-        f"round-trip error; {order_failures} images violated C < B^-1",
-    )
+@_sweep()
+def _contraction_range(rng, dim, _):
+    b = random_positive_definite(rng, dim)
+    b_inv = np.linalg.inv(b)
+    a = random_positive(rng, dim)
+    c = moebius.moebius_contraction(a, b)
+    outside = jordan.order_compare(c, 0.5 * (b_inv + b_inv.conj().T)) != jordan.OrderRelation.LT
+    recovered = moebius.contraction_inverse(c, b)
+    gaps = (moebius.moebius_contraction(recovered, b) - c, recovered - a)
+    return _worst(spectra.operator_norm(gap) for gap in gaps), outside
 
 
-def _case_contraction_chart(cfg):
-    rng = case_rng(cfg, "moebius.contraction_chart")
-    worst = 0.0
-    for dim in _dims(cfg):
-        for _ in range(max(cfg.trials // 2, 5)):
-            a = random_positive(rng, dim)
-            b = random_positive(rng, dim)
-            via_chart = moebius.moebius_contraction(a, b)
-            composite = moebius.psi_inv(moebius.boxplus(moebius.psi(a), b))
-            worst = max(worst, spectra.operator_norm(via_chart - composite))
-    return _bounded(
-        "moebius.contraction_chart", worst, 1e-8, "A(BA+1)^-1 matches psi^-1(psi(A)[+]B)"
-    )
+@_sweep(trials=lambda t: max(t // 2, 5))
+def _contraction_chart(rng, dim, _):
+    a = random_positive(rng, dim)
+    b = random_positive(rng, dim)
+    via_chart = moebius.moebius_contraction(a, b)
+    return spectra.operator_norm(via_chart - moebius.psi_inv(moebius.boxplus(moebius.psi(a), b)))
 
 
-def _case_pair_roundtrip(cfg):
-    rng = case_rng(cfg, "moebius.pair_roundtrip")
-    worst = 0.0
-    for dim in _dims(cfg):
-        for _ in range(cfg.trials):
-            z = moebius.random_zpoint(rng, dim)
-            pair = moebius.pair_encode(z)
-            worst = max(worst, spectra.operator_norm(moebius.pair_decode(pair).u - z.u))
-    return _bounded("moebius.pair_roundtrip", worst, 1e-8, "decode(encode(U)) = U")
+@_sweep()
+def _pair_roundtrip(rng, dim, _):
+    z = moebius.random_zpoint(rng, dim)
+    return spectra.operator_norm(moebius.pair_decode(moebius.pair_encode(z)).u - z.u)
 
 
-def _case_pair_translation(cfg):
-    rng = case_rng(cfg, "moebius.pair_translation")
-    worst = 0.0
-    for dim in _dims(cfg):
-        for _ in range(cfg.trials):
-            z = moebius.random_zpoint(rng, dim)
-            pair = moebius.pair_encode(z)
-            b = random_positive(rng, dim)
-            comp = np.eye(dim) - pair.e
-            shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp, tol=pair.tol)
-            lhs = moebius.boxplus(moebius.pair_decode(pair).u, b)
-            worst = max(worst, spectra.operator_norm(lhs - moebius.pair_decode(shifted).u))
-    return _bounded(
-        "moebius.pair_translation", worst, 1e-8, "U_(E,A)[+]B = U_(E, A+(1-E)B(1-E))"
-    )
+@_sweep()
+def _pair_translation(rng, dim, _):
+    z = moebius.random_zpoint(rng, dim)
+    pair = moebius.pair_encode(z)
+    b = random_positive(rng, dim)
+    comp = np.eye(dim) - pair.e
+    shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp, tol=pair.tol)
+    lhs = moebius.boxplus(moebius.pair_decode(pair).u, b)
+    return spectra.operator_norm(lhs - moebius.pair_decode(shifted).u)
 
 
-def _case_qset_a2(cfg):
-    rng = case_rng(cfg, "moebius.qset_a2")
-    origin = None
-    mismatches = 0
-    probes = 0
-    for dim in _dims(cfg):
-        origin = moebius.PairRep(e=np.zeros((dim, dim)), a=np.zeros((dim, dim)))
-        for _ in range(cfg.trials * 4):
-            kind = rng.integers(3)
-            if kind == 0:
-                b = random_positive(rng, dim)
-            elif kind == 1:
-                b = random_hermitian(rng, dim)
-            else:
-                b = random_positive(rng, dim)
-                b = b - spectra.lambda_min(b) * np.eye(dim)  # plant a zero eigenvalue
-            in_qset = moebius.qset_contains(origin, b, tol=cfg.tol)
-            in_cone = spectra.lambda_min(0.5 * (b + b.conj().T)) >= -cfg.tol
-            probes += 1
-            if in_qset != in_cone:
-                mismatches += 1
-    return _flagged(
-        "moebius.qset_a2", mismatches == 0, f"{mismatches}/{probes} probes disagreed with Q"
-    )
+def _zero_pair(cfg, dim):
+    return moebius.PairRep(e=np.zeros((dim, dim)), a=np.zeros((dim, dim))), cfg.tol
 
 
-def _case_separate_points(cfg):
-    rng = case_rng(cfg, "moebius.separate_points")
-    false_equal = 0
-    not_found = 0
-    total = 0
-    for dim in _dims(cfg):
-        for _ in range(cfg.trials):
-            p1 = moebius.pair_encode(moebius.random_zpoint(rng, dim))
-            p2 = moebius.pair_encode(moebius.random_zpoint(rng, dim))
-            if p1.close_to(p2, tol=1e-8):
-                continue
-            total += 1
-            try:
-                witness = moebius.separate_points(p1, p2)
-            except WitnessNotFoundError:
-                not_found += 1
-                continue
-            if witness is None:
-                false_equal += 1
-    detected = false_equal == 0 and not_found == 0 and total > 0
-    return _flagged(
-        "moebius.separate_points",
-        detected,
-        f"{total} distinct pairs, {false_equal} false equal, {not_found} without witness",
-    )
+@_sweep(trials=lambda t: t * 4, setup=_zero_pair)
+def _qset_a2(rng, dim, env):
+    origin, tol = env
+    kind = rng.integers(3)
+    b = random_hermitian(rng, dim) if kind == 1 else random_positive(rng, dim)
+    if kind == 2:
+        b = b - spectra.lambda_min(b) * np.eye(dim)  # plant a zero eigenvalue
+    in_qset = moebius.qset_contains(origin, b, tol=tol)
+    return in_qset != (spectra.lambda_min(0.5 * (b + b.conj().T)) >= -tol)
 
 
-def _case_moebius_mutation(cfg):
-    rng = case_rng(cfg, "moebius.mutation_sign_flip")
-
-    def broken_boxplus(u, b):
-        eye = np.eye(u.shape[0])
-        numer = (2j * eye + b) @ u + b  # wrong sign on the affine term
-        denom = b @ u + 2j * eye - b
-        return np.linalg.solve(denom.T, numer.T).T
-
-    worst = 0.0
-    for _ in range(cfg.trials):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 3)
-        lhs = broken_boxplus(spectra.cayley(a), b)
-        worst = max(worst, spectra.operator_norm(lhs - spectra.cayley(a + b)))
-    return _flagged(
-        "moebius.mutation_sign_flip",
-        worst > 1e-3,
-        f"sign-flipped action reached equivariance error {worst:.3e} (must be flagged)",
-    )
+@_sweep()
+def _separate_points(rng, dim, _):
+    p1 = moebius.pair_encode(moebius.random_zpoint(rng, dim))
+    p2 = moebius.pair_encode(moebius.random_zpoint(rng, dim))
+    if p1.close_to(p2, tol=PAIR_TOL):
+        return None  # one point: nothing to separate
+    try:
+        return moebius.separate_points(p1, p2) is None, False
+    except WitnessNotFoundError:
+        return False, True
 
 
-def suite_moebius(cfg: SuiteConfig):
-    return [
-        _case_action_law(cfg),
-        _case_cayley_equivariance(cfg),
-        _case_invertibility_margin(cfg),
-        _case_z_stability(cfg),
-        _case_contraction_range(cfg),
-        _case_contraction_chart(cfg),
-        _case_pair_roundtrip(cfg),
-        _case_pair_translation(cfg),
-        _case_qset_a2(cfg),
-        _case_separate_points(cfg),
-        _case_moebius_mutation(cfg),
-    ]
+def _sign_flipped_boxplus(u, b):
+    eye = np.eye(u.shape[0])
+    numer = (2j * eye + b) @ u + b  # wrong sign on the affine term
+    denom = b @ u + 2j * eye - b
+    return np.linalg.solve(denom.T, numer.T).T
+
+
+@_sweep(dims=lambda cfg: (3,))
+def _moebius_mutation(rng, dim, _):
+    a = random_hermitian(rng, dim)
+    b = random_hermitian(rng, dim)
+    return spectra.operator_norm(_sign_flipped_boxplus(spectra.cayley(a), b) - spectra.cayley(a + b))
 
 
 # ---------------------------------------------------------------------------
 # jordan
 
 
-def _case_jordan_idempotent(cfg):
-    rng = case_rng(cfg, "jordan.closure_idempotent")
-    ok = True
-    details = []
-    for dim in range(2, max(cfg.dim, 2) + 1):
-        gens = [random_hermitian(rng, dim) for _ in range(2)]
-        alg = jordan.generate_algebra(gens, dim=dim)
-        again = jordan.generate_algebra(alg.basis, dim=dim)
-        if alg.rank != again.rank:
-            ok = False
-            details.append(f"dim {dim}: rank {alg.rank} -> {again.rank}")
-        if any(not again.contains(b) for b in alg.basis):
-            ok = False
-            details.append(f"dim {dim}: containment broken")
-    return _flagged("jordan.closure_idempotent", ok, "; ".join(details) or "stable closure")
+@_sweep(dims=lambda cfg: range(2, max(cfg.dim, 2) + 1), trials=lambda t: 1)
+def _closure_idempotent(rng, dim, _):
+    gens = [random_hermitian(rng, dim) for _ in range(2)]
+    alg = jordan.generate_algebra(gens, dim=dim)
+    again = jordan.generate_algebra(alg.basis, dim=dim)
+    broken = []
+    if alg.rank != again.rank:
+        broken.append(f"dim {dim}: rank {alg.rank} -> {again.rank}")
+    if any(not again.contains(b) for b in alg.basis):
+        broken.append(f"dim {dim}: containment broken")
+    return broken
 
 
-def _case_jordan_cone(cfg):
-    rng = case_rng(cfg, "jordan.cone_axioms")
-    bad = 0
-    for dim in _dims(cfg):
-        alg = jordan.hermitian_algebra(dim)
-        for _ in range(cfg.trials):
-            a = random_positive(rng, dim) + 0.1 * np.eye(dim)
-            b = random_positive(rng, dim) + 0.1 * np.eye(dim)
-            t = float(rng.uniform(0.1, 5.0))
-            if jordan.classify(alg, a) != jordan.ConeClass.INTERIOR:
-                bad += 1
-            if jordan.classify(alg, a + b) != jordan.ConeClass.INTERIOR:
-                bad += 1
-            if jordan.classify(alg, t * a) != jordan.ConeClass.INTERIOR:
-                bad += 1
-            lam = spectra.lambda_min(a)
-            eps = 0.5 * lam
-            if jordan.classify(alg, a - eps * np.eye(dim)) != jordan.ConeClass.INTERIOR:
-                bad += 1
-    return _flagged("jordan.cone_axioms", bad == 0, f"{bad} cone-axiom violations")
+@_sweep(setup=lambda cfg, dim: jordan.hermitian_algebra(dim))
+def _cone_axioms(rng, dim, alg):
+    a = random_positive(rng, dim) + 0.1 * np.eye(dim)
+    b = random_positive(rng, dim) + 0.1 * np.eye(dim)
+    t = float(rng.uniform(0.1, 5.0))
+    bad = sum(jordan.classify(alg, p) != jordan.ConeClass.INTERIOR for p in (a, a + b, t * a))
+    eps = 0.5 * spectra.lambda_min(a)
+    return bad + (jordan.classify(alg, a - eps * np.eye(dim)) != jordan.ConeClass.INTERIOR)
 
 
-def _case_jordan_mutation(cfg):
+def _broken_order(a, b, tol=1e-9):
+    lam = spectra.lambda_min(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
+    if lam > tol:
+        return jordan.OrderRelation.LT
+    if lam >= -tol:
+        return jordan.OrderRelation.LEQ
+    return jordan.OrderRelation.INCOMPARABLE_OR_GT
+
+
+def _jordan_mutation(rng, cfg):
     # wrong-sign order comparison must disagree with the contract on (0, I)
-    def broken_order(a, b, tol=1e-9):
-        lam = spectra.lambda_min(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
-        if lam > tol:
-            return jordan.OrderRelation.LT
-        if lam >= -tol:
-            return jordan.OrderRelation.LEQ
-        return jordan.OrderRelation.INCOMPARABLE_OR_GT
-
     eye = np.eye(2)
     zero = np.zeros((2, 2))
-    detected = broken_order(zero, eye) != jordan.order_compare(zero, eye)
-    return _flagged("jordan.mutation_order_sign", detected, "flipped order comparison flagged")
-
-
-def suite_jordan(cfg: SuiteConfig):
-    return [
-        _case_jordan_idempotent(cfg),
-        _case_jordan_cone(cfg),
-        _case_jordan_mutation(cfg),
-    ]
+    yield _broken_order(zero, eye) == jordan.order_compare(zero, eye)
 
 
 # ---------------------------------------------------------------------------
 # fell
 
 
-def _case_fell_qset(cfg):
-    mismatches = 0
+def _fell_qset(rng, cfg):
     for n in list(range(0, 12)) + [INF]:
         x = fell.discrete(n)
-        for g in range(-12, 13):
-            if fell.omega_qset(x, g) != fell.point_contains(x, -g):
-                mismatches += 1
+        yield sum(fell.omega_qset(x, g) != fell.point_contains(x, -g) for g in range(-12, 13))
     for xv in [0.0, 0.5, 1.0, 2.5, 7.0, INF]:
         x = fell.halfline(xv)
-        for g in np.linspace(-8, 8, 65):
-            if fell.omega_qset(x, float(g)) != fell.point_contains(x, -float(g)):
-                mismatches += 1
-    return _flagged("fell.qset_vs_membership", mismatches == 0, f"{mismatches} mismatches")
+        yield sum(fell.omega_qset(x, float(g)) != fell.point_contains(x, -float(g)) for g in np.linspace(-8, 8, 65))
 
 
-def _case_fell_limits(cfg):
+def _fell_limits(rng, cfg):
     window = (-5.0, 5.0)
     step = cfg.grid_step
     constant = [fell.ray(1.0, "R", window, step) for _ in range(8)]
@@ -414,14 +395,10 @@ def _case_fell_limits(cfg):
         expected = np.array([constant[0].near(p) for p in res_const.grid])
         ok = bool(np.array_equal(res_const.liminf_mask, expected))
         ok = ok and bool(np.all(res_esc.liminf_mask))
-    return _flagged(
-        "fell.canonical_limits",
-        ok,
-        "constant -> itself, escaping -> window, alternating -> diverges",
-    )
+    yield not ok
 
 
-def _case_fell_orbit_continuity(cfg):
+def _fell_orbit_continuity(rng, cfg):
     window = (-4.0, 4.0)
     step = cfg.grid_step
     target = 1.5
@@ -432,181 +409,116 @@ def _case_fell_orbit_continuity(cfg):
         expected_set = fell.ray(target, "R", window, step)
         expected = np.array([expected_set.near(p) for p in res.grid])
         ok = bool(np.array_equal(res.liminf_mask, expected))
-    return _flagged("fell.orbit_continuity", ok, "translates converge to the translate limit")
+    yield not ok
 
 
-def _case_fell_p_invariance(cfg):
-    bad = 0
+def _fell_p_invariance(rng, cfg):
     for n in list(range(0, 8)) + [INF]:
-        for a in range(0, 6):
-            image = fell.translate(fell.discrete(n), a)
-            if not fell.in_omega(image):
-                bad += 1
+        yield sum(not fell.in_omega(fell.translate(fell.discrete(n), a)) for a in range(0, 6))
     for xv in [0.0, 0.25, 3.0, INF]:
-        for a in np.linspace(0, 5, 11):
-            if not fell.in_omega(fell.translate(fell.halfline(xv), float(a))):
-                bad += 1
-    return _flagged("fell.p_invariance", bad == 0, f"{bad} translations left the compactification")
+        yield sum(not fell.in_omega(fell.translate(fell.halfline(xv), float(a))) for a in np.linspace(0, 5, 11))
 
 
-def _case_fell_mutation(cfg):
+def _fell_mutation(rng, cfg):
     def broken_qset(x, g):
         return True if x.is_infinite else x.value + g > 0  # strict: drops the boundary case
 
     x = fell.discrete(0)
-    detected = broken_qset(x, 0) != fell.omega_qset(x, 0)
-    return _flagged("fell.mutation_strict_inequality", detected, "boundary case distinguishes")
-
-
-def suite_fell(cfg: SuiteConfig):
-    return [
-        _case_fell_qset(cfg),
-        _case_fell_limits(cfg),
-        _case_fell_orbit_continuity(cfg),
-        _case_fell_p_invariance(cfg),
-        _case_fell_mutation(cfg),
-    ]
+    yield broken_qset(x, 0) == fell.omega_qset(x, 0)
 
 
 # ---------------------------------------------------------------------------
 # toeplitz
 
 
-def _toeplitz_actions(rng, k_values=(1, 2)):
-    acts = []
-    for k in k_values:
-        if k == 1:
-            acts.append(toeplitz.trivial_action(1))
-        else:
-            acts.append(toeplitz.conjugation_action(random_unitary(rng, k)))
-    return acts
+def _toeplitz_actions(rng):
+    return [toeplitz.trivial_action(1), toeplitz.conjugation_action(random_unitary(rng, 2))]
 
 
-def _case_covariance(cfg):
-    rng = case_rng(cfg, "toeplitz.covariance")
-    worst = 0.0
+def _covariance(rng, cfg):
     n = max(cfg.n, 16)
     for act in _toeplitz_actions(rng):
         for a in range(0, 9):
             for _ in range(max(cfg.trials // 8, 3)):
-                x = random_complex(rng, act.k)
-                worst = max(worst, toeplitz.covariance_residual(x, a, act, n))
-    return _bounded("toeplitz.covariance", worst, 1e-12, "V_a* pi(x) V_a = pi(alpha_a(x))")
+                yield toeplitz.covariance_residual(random_complex(rng, act.k), a, act, n)
 
 
-def _case_isometry_laws(cfg):
+def _isometry_laws(rng, cfg):
     n = max(cfg.n, 16)
     k = 1
-    worst = 0.0
-    for a in range(0, min(6, n)):
+    identity = toeplitz.TruncatedOperator.identity
+    for a in range(0, 6):
         wide = toeplitz.isometry_V(a, n + a, k)
-        prod = (wide.adjoint() @ wide).subwindow(n)
-        worst = max(worst, (prod - toeplitz.TruncatedOperator.identity(n, k)).norm())
+        yield ((wide.adjoint() @ wide).subwindow(n) - identity(n, k)).norm()
     v1 = toeplitz.isometry_V(1, n, k)
     proj0 = toeplitz.TruncatedOperator.zeros(n, k)
     proj0.blocks[0, 0] = np.eye(k)
-    worst = max(
-        worst,
-        ((v1 @ v1.adjoint()) - (toeplitz.TruncatedOperator.identity(n, k) - proj0)).norm(),
-    )
+    yield ((v1 @ v1.adjoint()) - (identity(n, k) - proj0)).norm()
     for a in range(0, 4):
         for b in range(0, 4):
-            if a + b > n:
-                continue
             lhs = toeplitz.isometry_V(b, n, k) @ toeplitz.isometry_V(a, n, k)
-            worst = max(worst, (lhs - toeplitz.isometry_V(a + b, n, k)).norm())
-    return _bounded("toeplitz.isometry_laws", worst, 1e-12, "shift semigroup laws on the truncation")
+            yield (lhs - toeplitz.isometry_V(a + b, n, k)).norm()
 
 
-def _case_intertwine(cfg):
-    rng = case_rng(cfg, "toeplitz.intertwine")
+def _intertwine(rng, cfg):
     n = max(cfg.n, 16)
-    worst = 0.0
     for act in _toeplitz_actions(rng):
         for a in range(0, 6):
             x = random_complex(rng, act.k)
             v = toeplitz.isometry_V(a, n, act.k)
             lhs = v.adjoint() @ toeplitz.rep_pi(x, act, n)
-            rhs = toeplitz.rep_pi(act.apply(a, x), act, n) @ v.adjoint()
-            worst = max(worst, (lhs - rhs).norm())
-    return _bounded("toeplitz.intertwine", worst, 1e-12, "V_a* x = alpha_a(x) V_a* exactly")
+            yield (lhs - toeplitz.rep_pi(act.apply(a, x), act, n) @ v.adjoint()).norm()
 
 
-def _random_symbol(rng, k, radius, scale=1.0):
+def _random_symbol(rng, k, radius):
     values = {}
     for g in range(-radius, radius + 1):
         if rng.uniform() < 0.7:
-            values[g] = scale * random_complex(rng, k)
+            values[g] = random_complex(rng, k)
     if not values:
-        values[0] = scale * random_complex(rng, k)
+        values[0] = random_complex(rng, k)
     return toeplitz.SymbolFunction(k=k, values=values)
 
 
-def _case_symbol_product_interior(cfg):
-    rng = case_rng(cfg, "toeplitz.symbol_product_interior")
-    n = max(cfg.n, 24)
-    act = toeplitz.trivial_action(1)
-    worst = 0.0
-    for _ in range(max(cfg.trials // 4, 5)):
-        f = _random_symbol(rng, 1, 3)
-        h = _random_symbol(rng, 1, 3)
-        margin = 6
-        lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
-        rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
-        diff = lhs.interior(margin) - rhs.interior(margin)
-        worst = max(worst, float(np.linalg.norm(diff, 2)))
-    return _bounded(
-        "toeplitz.symbol_product_interior", worst, 1e-10, "Toeplitz semi-multiplicativity away from the boundary"
-    )
+@_sweep(
+    dims=_no_dim, trials=lambda t: max(t // 4, 5), setup=lambda cfg, _: (toeplitz.trivial_action(1), max(cfg.n, 24))
+)
+def _symbol_product_interior(rng, _, env):
+    act, n = env
+    f = _random_symbol(rng, 1, 3)
+    h = _random_symbol(rng, 1, 3)
+    margin = 6
+    lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
+    rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
+    return float(np.linalg.norm(lhs.interior(margin) - rhs.interior(margin), 2))
 
 
-def _case_adjoint_symbol(cfg):
-    rng = case_rng(cfg, "toeplitz.adjoint_symbol")
+def _adjoint_symbol(rng, cfg):
     n = max(cfg.n, 24)
-    worst = 0.0
+    margin = 3
     for act in _toeplitz_actions(rng):
         for _ in range(max(cfg.trials // 8, 3)):
             f = _random_symbol(rng, act.k, 3)
-            margin = 3
             lhs = toeplitz.wiener_hopf(f, act, n).adjoint().interior(margin)
             rhs = toeplitz.wiener_hopf(f.twisted_reflection(act), act, n).interior(margin)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return _bounded("toeplitz.adjoint_symbol", worst, 1e-10, "W_f* = W_{f reflected} on interior blocks")
+            yield float(np.linalg.norm(lhs - rhs, 2))
 
 
-def _case_toeplitz_mutation(cfg):
-    rng = case_rng(cfg, "toeplitz.mutation_shift_direction")
+def _toeplitz_mutation(rng, cfg):
     n = 16
     act = toeplitz.conjugation_action(random_unitary(rng, 2))
     x = random_complex(rng, 2)
     a = 3
-    wide_v = toeplitz.isometry_V(a, n + a, 2)
-    wrong_v = wide_v.adjoint()  # transposed shift: wrong direction
+    wrong_v = toeplitz.isometry_V(a, n + a, 2).adjoint()  # transposed shift: wrong direction
     pix = toeplitz.rep_pi(x, act, n + a)
-    residual = ((wrong_v.adjoint() @ pix @ wrong_v).subwindow(n) - toeplitz.rep_pi(act.apply(a, x), act, n)).norm()
-    return _flagged(
-        "toeplitz.mutation_shift_direction",
-        residual > 1e-6,
-        f"wrong-direction shift covariance residual {residual:.3e} (must be flagged)",
-    )
-
-
-def suite_toeplitz(cfg: SuiteConfig):
-    return [
-        _case_covariance(cfg),
-        _case_isometry_laws(cfg),
-        _case_intertwine(cfg),
-        _case_symbol_product_interior(cfg),
-        _case_adjoint_symbol(cfg),
-        _case_toeplitz_mutation(cfg),
-    ]
+    yield ((wrong_v.adjoint() @ pix @ wrong_v).subwindow(n) - toeplitz.rep_pi(act.apply(a, x), act, n)).norm()
 
 
 # ---------------------------------------------------------------------------
 # groupoid
 
 
-def _random_section(rng, bundle, window, points=6, scale=1.0, x_bound=None, g_bound=None):
+def _random_section(rng, bundle, window, points=6, x_bound=None, g_bound=None):
     """Random finitely supported section; x_bound/g_bound keep the support
     small enough that iterated products stay inside the window."""
     s = groupoid.GroupoidSection(bundle, window)
@@ -620,144 +532,102 @@ def _random_section(rng, bundle, window, points=6, scale=1.0, x_bound=None, g_bo
         if lo > hi:
             continue
         g = int(rng.integers(lo, hi + 1))
-        s.set((x, g), scale * random_complex(rng, bundle.k))
+        s.set((x, g), random_complex(rng, bundle.k))
     if not s.values:
-        s.set((0, 0), scale * random_complex(rng, bundle.k))
+        s.set((0, 0), random_complex(rng, bundle.k))
     return s
 
 
-def _case_groupoid_algebra(cfg):
-    rng = case_rng(cfg, "groupoid.algebra")
+def _random_bundles(rng):
+    yield groupoid.trivial_bundle(1)
+    yield groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
+
+
+def _section_gap(bundle, s, t) -> float:
+    return _worst(bundle.norm(e.x, s(e) - t(e)) for e in set(s.values) | set(t.values))
+
+
+def _groupoid_algebra(rng, cfg):
     window = groupoid.Window(max_x=20, max_g=14)
-    worst = 0.0
-    banach_bad = 0
-    iso_bad = 0
-    for k in (1, 2):
-        bundle = (
-            groupoid.trivial_bundle(1)
-            if k == 1
-            else groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
-        )
+    for bundle in _random_bundles(rng):
         for _ in range(max(cfg.trials // 2, 10)):
             phi = _random_section(rng, bundle, window, points=4, x_bound=8, g_bound=4)
             psi = _random_section(rng, bundle, window, points=4, x_bound=8, g_bound=4)
             chi = _random_section(rng, bundle, window, points=3, x_bound=8, g_bound=4)
             lhs = groupoid.convolve(groupoid.convolve(phi, psi), chi)
             rhs = groupoid.convolve(phi, groupoid.convolve(psi, chi))
-            keys = set(lhs.values) | set(rhs.values)
-            for e in keys:
-                worst = max(worst, bundle.norm(e.x, lhs(e) - rhs(e)))
-            if groupoid.i_norm(groupoid.convolve(phi, psi)) > groupoid.i_norm(phi) * groupoid.i_norm(psi) + 1e-9:
-                banach_bad += 1
-            if abs(groupoid.i_norm(groupoid.involute(phi)) - groupoid.i_norm(phi)) > 1e-9:
-                iso_bad += 1
-            inv2 = groupoid.involute(groupoid.involute(phi))
-            for e in set(phi.values) | set(inv2.values):
-                worst = max(worst, bundle.norm(e.x, phi(e) - inv2(e)))
-    err = worst if banach_bad == 0 and iso_bad == 0 else math.inf
-    return _bounded(
-        "groupoid.algebra",
-        err,
-        1e-9,
-        f"associativity/involution; {banach_bad} Banach violations, {iso_bad} isometry violations",
-    )
+            associativity = _section_gap(bundle, lhs, rhs)
+            bound = groupoid.i_norm(phi) * groupoid.i_norm(psi) + ALGEBRA_TOL
+            banach = groupoid.i_norm(groupoid.convolve(phi, psi)) > bound
+            isometry = abs(groupoid.i_norm(groupoid.involute(phi)) - groupoid.i_norm(phi)) > ALGEBRA_TOL
+            involution = _section_gap(bundle, phi, groupoid.involute(groupoid.involute(phi)))
+            yield _worst((associativity, involution)), banach, isometry
 
 
-def _case_lambda_bound(cfg):
-    rng = case_rng(cfg, "groupoid.lambda_bound")
+def _lambda_bound(rng, cfg):
     n = 12
     window = groupoid.Window(max_x=n, max_g=n)
-    violations = 0
-    for k in (1, 2):
-        bundle = (
-            groupoid.trivial_bundle(1)
-            if k == 1
-            else groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
-        )
+    for bundle in _random_bundles(rng):
         for _ in range(max(cfg.trials, 20)):
             phi = _random_section(rng, bundle, window, points=5)
-            if groupoid.lambda_rep(phi, n).norm() > groupoid.i_norm(phi) + 1e-9:
-                violations += 1
-    return _flagged("groupoid.lambda_bound", violations == 0, f"{violations} norm-bound violations")
+            yield groupoid.lambda_rep(phi, n).norm() > groupoid.i_norm(phi) + ALGEBRA_TOL
 
 
-def _case_central_identity(cfg):
-    rng = case_rng(cfg, "groupoid.central_identity")
+def _central_identity(rng, cfg):
     n = max(cfg.n, 16)
     window = groupoid.Window(max_x=n, max_g=n)
-    worst = 0.0
     for act in _toeplitz_actions(rng):
         for _ in range(max(cfg.trials // 2, 10)):
-            f = _random_symbol(rng, act.k, min(8, n // 2))
+            f = _random_symbol(rng, act.k, 8)
             lifted, hat = groupoid.lift_and_hat(f, window, act=act)
             lhs = groupoid.lambda_rep(lifted, n)
             rhs = toeplitz.wiener_hopf(hat, act, n)
-            worst = max(worst, float(np.max(np.abs(lhs.blocks - rhs.blocks))))
-    return _bounded("groupoid.central_identity", worst, 1e-12, "Lambda(f~) = W_{f^} entrywise")
+            yield float(np.max(np.abs(lhs.blocks - rhs.blocks)))
 
 
-def _case_star_hom_interior(cfg):
-    rng = case_rng(cfg, "groupoid.star_hom_interior")
+def _star_hom_setup(cfg, _):
     n = max(cfg.n, 16)
-    window = groupoid.Window(max_x=2 * n, max_g=2 * n)
-    bundle = groupoid.trivial_bundle(1)
-    worst = 0.0
-    for _ in range(max(cfg.trials // 4, 5)):
-        phi = _random_section(rng, bundle, window, points=4, x_bound=n, g_bound=4)
-        psi = _random_section(rng, bundle, window, points=4, x_bound=n, g_bound=4)
-        margin = max(abs(e.g) for s in (phi, psi) for e in s.values)
-        conv = groupoid.convolve(phi, psi)
-        lhs = groupoid.lambda_rep(conv, n)
-        rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
-        if 2 * margin >= n:
-            continue
-        diff = lhs.interior(margin) - rhs.interior(margin)
-        worst = max(worst, float(np.linalg.norm(diff, 2)))
-    return _bounded(
-        "groupoid.star_hom_interior", worst, 1e-10, "Lambda(phi*psi) = Lambda(phi)Lambda(psi) inside the margin"
-    )
+    return n, groupoid.Window(max_x=2 * n, max_g=2 * n), groupoid.trivial_bundle(1)
 
 
-def _case_units_agree(cfg):
-    mismatches = 0
+@_sweep(dims=_no_dim, trials=lambda t: max(t // 4, 5), setup=_star_hom_setup)
+def _star_hom_interior(rng, _, env):
+    n, window, bundle = env
+    phi = _random_section(rng, bundle, window, points=4, x_bound=n, g_bound=4)
+    psi = _random_section(rng, bundle, window, points=4, x_bound=n, g_bound=4)
+    margin = max(abs(e.g) for s in (phi, psi) for e in s.values)  # <= 4 < n / 2
+    lhs = groupoid.lambda_rep(groupoid.convolve(phi, psi), n)
+    rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
+    return float(np.linalg.norm(lhs.interior(margin) - rhs.interior(margin), 2))
+
+
+def _units_agree(rng, cfg):
     for x in list(range(0, 15)) + [INF]:
-        for g in range(-15, 16):
-            if groupoid.in_groupoid(x, g) != fell.omega_qset(fell.discrete(x), g):
-                mismatches += 1
-    return _flagged("groupoid.units_agree", mismatches == 0, f"{mismatches} membership mismatches")
+        yield sum(groupoid.in_groupoid(x, g) != fell.omega_qset(fell.discrete(x), g) for g in range(-15, 16))
 
 
-def _case_shift_laws(cfg):
-    rng = case_rng(cfg, "groupoid.shift_laws")
-    window = groupoid.Window(max_x=14, max_g=14)
-    bundle = groupoid.trivial_bundle(1)
-    worst = 0.0
-    for _ in range(max(cfg.trials // 2, 10)):
-        # support kept small enough that composed shifts stay in-window
-        psi = _random_section(rng, bundle, window, points=4, x_bound=6, g_bound=4)
-        r0 = groupoid.shift_R(0, psi)
-        for e in set(psi.values) | set(r0.values):
-            worst = max(worst, bundle.norm(e.x, psi(e) - r0(e)))
-        a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        lhs = groupoid.shift_R(a, groupoid.shift_R(b, psi))
-        rhs = groupoid.shift_R(a + b, psi)
-        for e in set(lhs.values) | set(rhs.values):
-            worst = max(worst, bundle.norm(e.x, lhs(e) - rhs(e)))
-    return _bounded("groupoid.shift_laws", worst, 1e-12, "R_0 = id and R_a R_b = R_{a+b}")
+def _shift_setup(cfg, _):
+    return groupoid.Window(max_x=14, max_g=14), groupoid.trivial_bundle(1)
 
 
-def _case_hat_laws(cfg):
-    rng = case_rng(cfg, "groupoid.hat_laws")
+@_sweep(dims=_no_dim, trials=lambda t: max(t // 2, 10), setup=_shift_setup)
+def _shift_laws(rng, _, env):
+    window, bundle = env
+    # support kept small enough that composed shifts stay in-window
+    psi = _random_section(rng, bundle, window, points=4, x_bound=6, g_bound=4)
+    identity = _section_gap(bundle, psi, groupoid.shift_R(0, psi))
+    a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+    lhs = groupoid.shift_R(a, groupoid.shift_R(b, psi))
+    return _worst((identity, _section_gap(bundle, lhs, groupoid.shift_R(a + b, psi))))
+
+
+def _hat_laws(rng, cfg):
     f = _random_symbol(rng, 2, 5)
     double = groupoid.hat_symbol(groupoid.hat_symbol(f))
-    worst = 0.0
-    for g in set(f.values) | set(double.values):
-        worst = max(worst, float(np.max(np.abs(f(g) - double(g)))))
-    return _bounded("groupoid.hat_laws", worst, 0.0, "hat is an involution")
+    yield _worst(np.max(np.abs(f(g) - double(g))) for g in set(f.values) | set(double.values))
 
 
-def _case_groupoid_mutation(cfg):
-    rng = case_rng(cfg, "groupoid.mutation_unreflected_hat")
+def _groupoid_mutation(rng, cfg):
     n = 12
     window = groupoid.Window(max_x=n, max_g=n)
     act = toeplitz.trivial_action(1)
@@ -765,25 +635,7 @@ def _case_groupoid_mutation(cfg):
     lifted = groupoid.lift_symbol(f, window, act=act)
     lhs = groupoid.lambda_rep(lifted, n)
     rhs = toeplitz.wiener_hopf(f, act, n)  # hat skipped: no reflection
-    err = float(np.max(np.abs(lhs.blocks - rhs.blocks)))
-    return _flagged(
-        "groupoid.mutation_unreflected_hat",
-        err > 0.5,
-        f"skipping the reflection breaks the representation identity by {err:.3e}",
-    )
-
-
-def suite_groupoid(cfg: SuiteConfig):
-    return [
-        _case_groupoid_algebra(cfg),
-        _case_lambda_bound(cfg),
-        _case_central_identity(cfg),
-        _case_star_hom_interior(cfg),
-        _case_units_agree(cfg),
-        _case_shift_laws(cfg),
-        _case_hat_laws(cfg),
-        _case_groupoid_mutation(cfg),
-    ]
+    yield float(np.max(np.abs(lhs.blocks - rhs.blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -797,218 +649,301 @@ def kernel_member(f: "fibers.PiecewisePoly", cut: float) -> "fibers.PiecewisePol
     return fibers.PiecewisePoly.from_breakpoints(breaks, vals)
 
 
-def _case_kernel_identity(cfg):
-    rng = case_rng(cfg, "fibers.kernel_identity")
+@_sweep(dims=_no_dim, trials=lambda t: max(t * 2, 40))
+def _kernel_identity(rng, _, cfg):
+    n = int(rng.integers(0, 11))
+    f = fibers.random_dyadic_pl(rng, level=4)
+    cut = 2.0 ** (-n)
+    member = kernel_member(f, cut)
+    # Ker(alpha_n) -> ideal: the flattened function is in both
+    bad = (not fibers.ideal_contains(n, member, tol=cfg.tol)) + (member.sup_abs(0.0, cut) > cfg.tol)
+    # ideal -> Ker(alpha_n): production membership against the direct-sup oracle
+    return bad + (fibers.ideal_contains(n, f, tol=cfg.tol) != (f.sup_abs(0.0, cut) <= cfg.tol))
+
+
+@_sweep(dims=_no_dim, trials=lambda t: max(t, 30))
+def _quotient_oracle(rng, _, cfg):
+    f = fibers.random_dyadic_pl(rng, level=4)
+    gaps = [abs(fibers.quotient_norm(n, f) - f.sup_abs(0.0, 2.0 ** (-n))) for n in range(0, 11)]
+    return _worst(gaps + [abs(fibers.quotient_norm(INF, f) - abs(f(0.0)))])
+
+
+@_sweep(dims=_no_dim, trials=lambda t: max(t, 30))
+def _cstar_seminorm(rng, _, cfg):
+    x = fibers.random_dyadic_pl(rng, level=3)
+    y = fibers.random_dyadic_pl(rng, level=3)
     bad = 0
-    checked = 0
-    for _ in range(max(cfg.trials * 2, 40)):
-        n = int(rng.integers(0, 11))
-        f = fibers.random_dyadic_pl(rng, level=4)
-        cut = 2.0 ** (-n)
-        member = kernel_member(f, cut)
-        checked += 1
-        # Ker(alpha_n) -> ideal: the flattened function is in both
-        if not fibers.ideal_contains(n, member, tol=cfg.tol):
-            bad += 1
-        if member.sup_abs(0.0, cut) > cfg.tol:
-            bad += 1
-        # ideal -> Ker(alpha_n): production membership against the direct-sup oracle
-        in_ideal = fibers.ideal_contains(n, f, tol=cfg.tol)
-        killed = f.sup_abs(0.0, cut) <= cfg.tol
-        if in_ideal != killed:
-            bad += 1
-    return _flagged("fibers.kernel_identity", bad == 0, f"{bad} failures over {checked} draws")
+    for p in [0, 1, 3, 7, INF]:
+        qx = fibers.quotient_norm(p, x)
+        qy = fibers.quotient_norm(p, y)
+        bad += fibers.quotient_norm(p, x + y) > qx + qy + SEMINORM_TOL
+        bad += fibers.quotient_norm(p, x * y) > qx * qy + SEMINORM_TOL
+        bad += abs(fibers.quotient_norm(p, x.star() * x) - qx * qx) > SEMINORM_TOL
+    return bad
 
 
-def _case_quotient_oracle(cfg):
-    rng = case_rng(cfg, "fibers.quotient_oracle")
-    worst = 0.0
-    for _ in range(max(cfg.trials, 30)):
-        f = fibers.random_dyadic_pl(rng, level=4)
-        for n in range(0, 11):
-            production = fibers.quotient_norm(n, f)
-            oracle = f.sup_abs(0.0, 2.0 ** (-n))
-            worst = max(worst, abs(production - oracle))
-        worst = max(worst, abs(fibers.quotient_norm(INF, f) - abs(f(0.0))))
-    return _bounded("fibers.quotient_oracle", worst, 1e-12, "norm formula matches the direct sup")
+@_sweep(dims=_no_dim, trials=lambda t: max(t, 20))
+def _usc_infinity(rng, _, cfg):
+    f = fibers.random_dyadic_pl(rng, level=4)
+    limit = fibers.quotient_norm(INF, f)
+    values = [fibers.quotient_norm(n, f) for n in range(0, 41, 5)]
+    # the sequence must be nonincreasing for this action
+    rising = any(values[i] < values[i + 1] - ROUNDING_TOL for i in range(len(values) - 1))
+    return rising + (values[-1] > limit + cfg.tol)
 
 
-def _case_cstar_seminorm(cfg):
-    rng = case_rng(cfg, "fibers.cstar_seminorm")
-    bad = 0
-    points = [0, 1, 3, 7, INF]
-    for _ in range(max(cfg.trials, 30)):
-        x = fibers.random_dyadic_pl(rng, level=3)
-        y = fibers.random_dyadic_pl(rng, level=3)
-        for p in points:
-            qx = fibers.quotient_norm(p, x)
-            qy = fibers.quotient_norm(p, y)
-            if fibers.quotient_norm(p, x + y) > qx + qy + 1e-10:
-                bad += 1
-            if fibers.quotient_norm(p, x * y) > qx * qy + 1e-10:
-                bad += 1
-            if abs(fibers.quotient_norm(p, x.star() * x) - qx * qx) > 1e-10:
-                bad += 1
-    return _flagged("fibers.cstar_seminorm", bad == 0, f"{bad} seminorm violations")
+@_sweep(dims=_no_dim, trials=lambda t: max(t, 20))
+def _fiber_action(rng, _, cfg):
+    f = fibers.random_dyadic_pl(rng, level=3)
+    g = int(rng.integers(-5, 6))
+    xv = int(rng.integers(max(0, -g), 8))
+    q = fibers.QuotientElement(x=xv + g, rep=f)
+    base = fibers.fiber_action(xv, g, q)
+    gaps = []
+    for extra in (1, 2, 3):
+        a, b = max(g, 0) + extra, max(-g, 0) + extra
+        other = fibers.fiber_action(xv, g, q, decomposition=(a, b))
+        gaps.append(fibers.quotient_norm(xv, base.rep - other.rep))
+    return _worst(gaps), abs(base.seminorm - q.seminorm) > ALGEBRA_TOL
 
 
-def _case_usc_infinity(cfg):
-    rng = case_rng(cfg, "fibers.usc_infinity")
-    bad = 0
-    for _ in range(max(cfg.trials, 20)):
-        f = fibers.random_dyadic_pl(rng, level=4)
-        limit = fibers.quotient_norm(INF, f)
-        values = [fibers.quotient_norm(n, f) for n in range(0, 41, 5)]
-        if any(values[i] < values[i + 1] - 1e-12 for i in range(len(values) - 1)):
-            bad += 1  # the sequence must be nonincreasing for this action
-        if values[-1] > limit + cfg.tol:
-            bad += 1
-    return _flagged("fibers.usc_infinity", bad == 0, f"{bad} upper-semicontinuity violations")
+@_sweep(dims=_no_dim, trials=lambda t: max(t // 2, 10))
+def _dilation(rng, _, cfg):
+    broken = []
+    x = fibers.random_trig(rng, degree=3)
+    e0 = fibers.dilation_embed(0, x)
+    e1 = fibers.dilation_embed(1, x.dilate(1))
+    if not fibers.dilation_equal(e0, e1):
+        broken.append("defining identification broken")
+    y = fibers.random_trig(rng, degree=3)
+    if fibers.dilation_equal(fibers.dilation_embed(0, x), fibers.dilation_embed(0, x + y)) and y.coeffs:
+        broken.append("distinct payloads compared equal")
+    if abs(fibers.dilation_norm(fibers.dilation_embed(5, x)) - x.norm()) > ALGEBRA_TOL:
+        broken.append("level promotion changed the norm")
+    # fibers over finite points collapse to a single payload at that level
+    supp = {g: complex(rng.standard_normal(), rng.standard_normal()) for g in range(-3, 4)}
+    cert = fibers.fiber_section_F(x, supp, 3)
+    if cert.element.level > 3 or not cert.check():
+        broken.append("certificate failed")
+    cert_inf = fibers.fiber_section_F(x, supp, INF)
+    if not cert_inf.check():
+        broken.append("infinite-fiber certificate failed")
+    if not all(g <= 5 for g, _ in cert.witnesses):  # monotone into larger fibers
+        broken.append("monotonicity broken")
+    return broken
 
 
-def _case_fiber_action(cfg):
-    rng = case_rng(cfg, "fibers.action_welldefined")
-    worst = 0.0
-    iso_bad = 0
-    for _ in range(max(cfg.trials, 20)):
-        f = fibers.random_dyadic_pl(rng, level=3)
-        g = int(rng.integers(-5, 6))
-        xv = int(rng.integers(max(0, -g), 8))
-        src = xv + g
-        q = fibers.QuotientElement(x=src, rep=f)
-        base = fibers.fiber_action(xv, g, q)
-        for extra in (1, 2, 3):
-            a, b = max(g, 0) + extra, max(-g, 0) + extra
-            other = fibers.fiber_action(xv, g, q, decomposition=(a, b))
-            worst = max(worst, fibers.quotient_norm(xv, base.rep - other.rep))
-        if abs(base.seminorm - q.seminorm) > 1e-9:
-            iso_bad += 1
-    err = worst if iso_bad == 0 else math.inf
-    return _bounded(
-        "fibers.action_welldefined", err, 1e-9, f"decomposition independence; {iso_bad} isometry failures"
-    )
-
-
-def _case_dilation(cfg):
-    rng = case_rng(cfg, "fibers.dilation")
-    ok = True
-    details = []
-    for _ in range(max(cfg.trials // 2, 10)):
-        x = fibers.random_trig(rng, degree=3)
-        e0 = fibers.dilation_embed(0, x)
-        e1 = fibers.dilation_embed(1, x.dilate(1))
-        if not fibers.dilation_equal(e0, e1):
-            ok = False
-            details.append("defining identification broken")
-        y = fibers.random_trig(rng, degree=3)
-        if fibers.dilation_equal(fibers.dilation_embed(0, x), fibers.dilation_embed(0, x + y)) and y.coeffs:
-            ok = False
-            details.append("distinct payloads compared equal")
-        if abs(fibers.dilation_norm(fibers.dilation_embed(5, x)) - x.norm()) > 1e-9:
-            ok = False
-            details.append("level promotion changed the norm")
-        # fibers over finite points collapse to a single payload at that level
-        supp = {g: complex(rng.standard_normal(), rng.standard_normal()) for g in range(-3, 4)}
-        cert = fibers.fiber_section_F(x, supp, 3)
-        if cert.element.level > 3 or not cert.check():
-            ok = False
-            details.append("certificate failed")
-        cert_inf = fibers.fiber_section_F(x, supp, INF)
-        if not cert_inf.check():
-            ok = False
-            details.append("infinite-fiber certificate failed")
-        if not all(g <= 5 for g, _ in cert.witnesses):  # monotone into larger fibers
-            ok = False
-            details.append("monotonicity broken")
-    return _flagged("fibers.dilation", ok, "; ".join(sorted(set(details))) or "dilation laws hold")
-
-
-def _case_fibers_mutation(cfg):
-    rng = case_rng(cfg, "fibers.mutation_wrong_window")
-
+def _fibers_mutation(rng, cfg):
     def broken_quotient_norm(n, f):
         return f.sup_abs(0.0, 2.0 ** (-max(n - 1, 0)))  # sups over twice the window
 
     f = fibers.random_dyadic_pl(rng, level=3)
     breaks = np.asarray(f.breaks)
-    member = fibers.PiecewisePoly.from_breakpoints(
-        breaks, [0.0 if b <= 0.25 + 1e-15 else 1.0 + abs(f(b)) for b in breaks]
-    )
+    vals = [0.0 if b <= 0.25 + 1e-15 else 1.0 + abs(f(b)) for b in breaks]
+    member = fibers.PiecewisePoly.from_breakpoints(breaks, vals)
     n = 2
-    true_zero = fibers.quotient_norm(n, member) <= 1e-9
-    broken_zero = broken_quotient_norm(n, member) <= 1e-9
-    return _flagged(
-        "fibers.mutation_wrong_window",
-        true_zero and not broken_zero,
-        "kernel member separates the correct window from the doubled one",
-    )
-
-
-def suite_fibers(cfg: SuiteConfig):
-    return [
-        _case_kernel_identity(cfg),
-        _case_quotient_oracle(cfg),
-        _case_cstar_seminorm(cfg),
-        _case_usc_infinity(cfg),
-        _case_fiber_action(cfg),
-        _case_dilation(cfg),
-        _case_fibers_mutation(cfg),
-    ]
+    true_zero = fibers.quotient_norm(n, member) <= ALGEBRA_TOL
+    broken_zero = broken_quotient_norm(n, member) <= ALGEBRA_TOL
+    yield not (true_zero and not broken_zero)
 
 
 # ---------------------------------------------------------------------------
 # homotopy
 
 
-def unitary_samples(rng, count=50, dim=3, tol=1e-9):
-    samples = []
-    samples.append(moebius.zpoint(-np.eye(dim)))
-    samples.append(moebius.zpoint(np.eye(dim)))
+def unitary_samples(rng, count=50, dim=3):
+    samples = [moebius.zpoint(-np.eye(dim)), moebius.zpoint(np.eye(dim))]
     while len(samples) < count:
-        force_boundary = len(samples) % 3 == 0
-        samples.append(moebius.random_zpoint(rng, dim, force_boundary=force_boundary))
+        samples.append(moebius.random_zpoint(rng, dim, force_boundary=len(samples) % 3 == 0))
     return samples
 
 
-def _case_homotopy_halfline(cfg):
-    rng = case_rng(cfg, "homotopy.halfline")
+def _homotopy_halfline(rng, cfg):
     spec = homotopy.make_halfline_homotopy()
-    report = homotopy.verify_condition_h(spec, samples=homotopy.halfline_samples(rng, max(cfg.trials, 50)))
-    return _flagged("homotopy.halfline", report["passed"], "; ".join(report["failures"][:3]) or "all clauses pass")
+    yield homotopy.verify_condition_h(spec, samples=homotopy.halfline_samples(rng, max(cfg.trials, 50)))["failures"]
 
 
-def _case_homotopy_unitary(cfg):
-    rng = case_rng(cfg, "homotopy.unitary")
+def _homotopy_unitary(rng, cfg):
     spec = homotopy.make_unitary_homotopy()
-    samples = unitary_samples(rng, count=max(cfg.trials, 50), dim=min(cfg.dim, 3) if cfg.dim >= 2 else 2)
-    report = homotopy.verify_condition_h(spec, samples=samples)
-    return _flagged("homotopy.unitary", report["passed"], "; ".join(report["failures"][:3]) or "all clauses pass")
+    samples = unitary_samples(rng, count=max(cfg.trials, 50), dim=min(max(cfg.dim, 2), 3))
+    yield homotopy.verify_condition_h(spec, samples=samples)["failures"]
 
 
-def _case_homotopy_mutants(cfg):
-    rng = case_rng(cfg, "homotopy.mutants")
-    half = homotopy.verify_condition_h(
-        homotopy.make_halfline_mutant(), samples=homotopy.halfline_samples(rng, 20)
-    )
-    unit = homotopy.verify_condition_h(
-        homotopy.make_unitary_mutant(), samples=unitary_samples(rng, count=10, dim=2)
-    )
-    detected = (not half["passed"]) and (not unit["passed"])
-    return _flagged(
-        "homotopy.mutants_flagged",
-        detected,
-        f"halfline mutant passed={half['passed']}, unitary mutant passed={unit['passed']}",
-    )
+def _homotopy_mutants(rng, cfg):
+    half = homotopy.verify_condition_h(homotopy.make_halfline_mutant(), samples=homotopy.halfline_samples(rng, 20))
+    unit = homotopy.verify_condition_h(homotopy.make_unitary_mutant(), samples=unitary_samples(rng, count=10, dim=2))
+    yield half["passed"], unit["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the case table
+
+
+CASES = {
+    case.name: case
+    for case in [
+        Case("moebius.action_law", _action_law, "(U[+]A)[+]B = U[+](A+B)", "bounded"),
+        Case("moebius.cayley_equivariance", _cayley_equivariance, "cayley(A)[+]B = cayley(A+B)", "bounded"),
+        Case(
+            "moebius.invertibility_margin",
+            _invertibility_margin,
+            "smallest singular value of BU+2i-B (must stay above tolerance)",
+            "margin",
+            MARGIN_FLOOR,
+        ),
+        Case("moebius.z_stability", _z_stability, "{0} translated Z points left Z"),
+        Case(
+            "moebius.contraction_range",
+            _contraction_range,
+            "round-trip error; {1} images violated C < B^-1",
+            "bounded",
+            CONTRACTION_TOL,
+        ),
+        Case(
+            "moebius.contraction_chart",
+            _contraction_chart,
+            "A(BA+1)^-1 matches psi^-1(psi(A)[+]B)",
+            "bounded",
+            CONTRACTION_TOL,
+        ),
+        Case("moebius.pair_roundtrip", _pair_roundtrip, "decode(encode(U)) = U", "bounded", PAIR_TOL),
+        Case("moebius.pair_translation", _pair_translation, "U_(E,A)[+]B = U_(E, A+(1-E)B(1-E))", "bounded", PAIR_TOL),
+        Case("moebius.qset_a2", _qset_a2, "{0}/{draws} probes disagreed with Q"),
+        Case(
+            "moebius.separate_points", _separate_points, "{draws} distinct pairs, {0} false equal, {1} without witness"
+        ),
+        Case(
+            "moebius.mutation_sign_flip",
+            _moebius_mutation,
+            "sign-flipped action reached equivariance error {0:.3e} (must be flagged)",
+            "mutant",
+            SIGN_FLIP_GAP,
+        ),
+        Case("jordan.closure_idempotent", _closure_idempotent, _listed("stable closure")),
+        Case("jordan.cone_axioms", _cone_axioms, "{0} cone-axiom violations"),
+        Case("jordan.mutation_order_sign", _jordan_mutation, "flipped order comparison flagged"),
+        Case("fell.qset_vs_membership", _fell_qset, "{0} mismatches"),
+        Case("fell.canonical_limits", _fell_limits, "constant -> itself, escaping -> window, alternating -> diverges"),
+        Case("fell.orbit_continuity", _fell_orbit_continuity, "translates converge to the translate limit"),
+        Case("fell.p_invariance", _fell_p_invariance, "{0} translations left the compactification"),
+        Case("fell.mutation_strict_inequality", _fell_mutation, "boundary case distinguishes"),
+        Case("toeplitz.covariance", _covariance, "V_a* pi(x) V_a = pi(alpha_a(x))", "bounded", ROUNDING_TOL),
+        Case(
+            "toeplitz.isometry_laws", _isometry_laws, "shift semigroup laws on the truncation", "bounded", ROUNDING_TOL
+        ),
+        Case("toeplitz.intertwine", _intertwine, "V_a* x = alpha_a(x) V_a* exactly", "bounded", ROUNDING_TOL),
+        Case(
+            "toeplitz.symbol_product_interior",
+            _symbol_product_interior,
+            "Toeplitz semi-multiplicativity away from the boundary",
+            "bounded",
+            INTERIOR_TOL,
+        ),
+        Case(
+            "toeplitz.adjoint_symbol",
+            _adjoint_symbol,
+            "W_f* = W_{{f reflected}} on interior blocks",
+            "bounded",
+            INTERIOR_TOL,
+        ),
+        Case(
+            "toeplitz.mutation_shift_direction",
+            _toeplitz_mutation,
+            "wrong-direction shift covariance residual {0:.3e} (must be flagged)",
+            "mutant",
+            SHIFT_DIRECTION_GAP,
+        ),
+        Case(
+            "groupoid.algebra",
+            _groupoid_algebra,
+            "associativity/involution; {1} Banach violations, {2} isometry violations",
+            "bounded",
+            ALGEBRA_TOL,
+        ),
+        Case("groupoid.lambda_bound", _lambda_bound, "{0} norm-bound violations"),
+        Case(
+            "groupoid.central_identity", _central_identity, "Lambda(f~) = W_{{f^}} entrywise", "bounded", ROUNDING_TOL
+        ),
+        Case(
+            "groupoid.star_hom_interior",
+            _star_hom_interior,
+            "Lambda(phi*psi) = Lambda(phi)Lambda(psi) inside the margin",
+            "bounded",
+            INTERIOR_TOL,
+        ),
+        Case("groupoid.units_agree", _units_agree, "{0} membership mismatches"),
+        Case("groupoid.shift_laws", _shift_laws, "R_0 = id and R_a R_b = R_{{a+b}}", "bounded", ROUNDING_TOL),
+        Case("groupoid.hat_laws", _hat_laws, "hat is an involution", "bounded", ZERO_TOL),
+        Case(
+            "groupoid.mutation_unreflected_hat",
+            _groupoid_mutation,
+            "skipping the reflection breaks the representation identity by {0:.3e}",
+            "mutant",
+            UNREFLECTED_GAP,
+        ),
+        Case("fibers.kernel_identity", _kernel_identity, "{0} failures over {draws} draws"),
+        Case(
+            "fibers.quotient_oracle", _quotient_oracle, "norm formula matches the direct sup", "bounded", ROUNDING_TOL
+        ),
+        Case("fibers.cstar_seminorm", _cstar_seminorm, "{0} seminorm violations"),
+        Case("fibers.usc_infinity", _usc_infinity, "{0} upper-semicontinuity violations"),
+        Case(
+            "fibers.action_welldefined",
+            _fiber_action,
+            "decomposition independence; {1} isometry failures",
+            "bounded",
+            ALGEBRA_TOL,
+        ),
+        Case("fibers.dilation", _dilation, _listed("dilation laws hold", lambda ms: sorted(set(ms)))),
+        Case(
+            "fibers.mutation_wrong_window",
+            _fibers_mutation,
+            "kernel member separates the correct window from the doubled one",
+        ),
+        Case("homotopy.halfline", _homotopy_halfline, _listed("all clauses pass", lambda ms: ms[:3])),
+        Case("homotopy.unitary", _homotopy_unitary, _listed("all clauses pass", lambda ms: ms[:3])),
+        Case(
+            "homotopy.mutants_flagged",
+            _homotopy_mutants,
+            lambda half, unit, **_: f"halfline mutant passed={bool(half)}, unitary mutant passed={bool(unit)}",
+            seed_label="homotopy.mutants",
+        ),
+    ]
+}
+
+
+def _run_suite(name: str, cfg: SuiteConfig, skip: str | None = None) -> list[CaseResult]:
+    prefix = name + "."
+    return [run_case(case, cfg) for key, case in CASES.items() if key.startswith(prefix) and key != skip]
+
+
+def suite_moebius(cfg: SuiteConfig):
+    return _run_suite("moebius", cfg)
+
+
+def suite_jordan(cfg: SuiteConfig):
+    return _run_suite("jordan", cfg)
+
+
+def suite_fell(cfg: SuiteConfig):
+    return _run_suite("fell", cfg)
+
+
+def suite_toeplitz(cfg: SuiteConfig):
+    return _run_suite("toeplitz", cfg)
+
+
+def suite_groupoid(cfg: SuiteConfig):
+    return _run_suite("groupoid", cfg)
+
+
+def suite_fibers(cfg: SuiteConfig):
+    return _run_suite("fibers", cfg)
 
 
 def suite_homotopy(cfg: SuiteConfig):
-    cases = []
-    if cfg.model in (None, "halfline"):
-        cases.append(_case_homotopy_halfline(cfg))
-    if cfg.model in (None, "unitary"):
-        cases.append(_case_homotopy_unitary(cfg))
-    cases.append(_case_homotopy_mutants(cfg))
-    return cases
+    skip = {"halfline": "homotopy.unitary", "unitary": "homotopy.halfline"}.get(cfg.model)
+    return _run_suite("homotopy", cfg, skip)
 
 
 # ---------------------------------------------------------------------------

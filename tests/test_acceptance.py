@@ -23,17 +23,11 @@ import time
 
 import numpy as np
 
-from whlab import fell, fibers, groupoid, homotopy, jordan, moebius, spectra, toeplitz
+from whlab import fell, fibers, groupoid, homotopy, jordan, moebius, spectra, suites, toeplitz
 from whlab.fell import INF
 from whlab.jordan import OrderRelation
-from whlab.sampling import (
-    random_complex,
-    random_hermitian,
-    random_positive,
-    random_positive_definite,
-    random_unitary,
-)
-from whlab.suites import unitary_samples
+from whlab.sampling import random_complex, random_positive, random_positive_definite, random_unitary
+from whlab.suites import kernel_member, unitary_samples
 
 SEED = 1729
 
@@ -47,37 +41,28 @@ def _finish(num, name, start, limit, max_err, tol, ok):
     assert elapsed < limit, f"criterion {num:02d} overran its {limit}s budget ({elapsed:.1f}s)"
 
 
-def test_criterion_01_moebius_action_laws():
+def _pinned(num, name, limit, min_draws, case_tol, **config):
+    """Run suite cases at a pinned config: each of `min_draws` (case name ->
+    least number of draws) must pass at tolerance `case_tol` (None: a count)."""
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    for dim in range(1, 5):
-        for _ in range(200):
-            u = random_unitary(rng, dim)
-            a = random_hermitian(rng, dim)
-            b = random_hermitian(rng, dim)
-            lhs = moebius.boxplus(moebius.boxplus(u, a), b)
-            worst = max(worst, spectra.operator_norm(lhs - moebius.boxplus(u, a + b)))
-            lhs2 = moebius.boxplus(spectra.cayley(a), b)
-            worst = max(worst, spectra.operator_norm(lhs2 - spectra.cayley(a + b)))
-    _finish(1, "moebius action laws", start, 5.0, worst, 1e-9, worst <= 1e-9)
+    cfg = suites.SuiteConfig(suite="pinned", seed=SEED + num, **config)
+    results = [suites.run_case(suites.CASES[case], cfg) for case in min_draws]
+    for result in results:
+        assert result.draws >= min_draws[result.name], (result.name, result.draws)
+        assert result.tolerance == case_tol, (result.name, result.tolerance)
+    errors = [r.max_error for r in results if r.max_error is not None]
+    ok = all(r.status == "pass" for r in results)
+    _finish(num, name, start, limit, max(errors, default=None), case_tol, ok)
+
+
+def test_criterion_01_moebius_action_laws():
+    draws = {"moebius.action_law": 800, "moebius.cayley_equivariance": 800}
+    _pinned(1, "moebius action laws", 5.0, draws, 1e-9, dim=4, trials=200, tol=1e-9)
 
 
 def test_criterion_02_invertibility_margin():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 2)
-    floor = math.inf
-    samples = 0
-    for dim in range(1, 7):
-        eye = np.eye(dim)
-        for _ in range(1700):
-            u = random_unitary(rng, dim)
-            b = random_hermitian(rng, dim)
-            smin = float(np.linalg.svd(b @ u + 2j * eye - b, compute_uv=False)[-1])
-            floor = min(floor, smin)
-            samples += 1
-    assert samples >= 10_000
-    _finish(2, "invertibility margin", start, 30.0, floor, 1e-6, floor >= 1e-6)
+    draws = {"moebius.invertibility_margin": 10_000}
+    _pinned(2, "invertibility margin", 30.0, draws, 1e-6, dim=6, trials=340)
 
 
 def _inverse_sqrt(b):
@@ -117,60 +102,13 @@ def test_criterion_03_contraction_range():
 
 
 def test_criterion_04_pair_representation():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 4)
-    worst = 0.0
-    for dim in range(1, 5):
-        for _ in range(100):
-            z = moebius.random_zpoint(rng, dim)
-            pair = moebius.pair_encode(z)
-            worst = max(worst, spectra.operator_norm(moebius.pair_decode(pair).u - z.u))
-            b = random_positive(rng, dim)
-            comp = np.eye(dim) - pair.e
-            shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp)
-            lhs = moebius.boxplus(z.u, b)
-            worst = max(worst, spectra.operator_norm(lhs - moebius.pair_decode(shifted).u))
-    _finish(4, "pair representation", start, 10.0, worst, 1e-8, worst <= 1e-8)
+    draws = {"moebius.pair_roundtrip": 400, "moebius.pair_translation": 400}
+    _pinned(4, "pair representation", 10.0, draws, 1e-8, dim=4, trials=100)
 
 
 def test_criterion_05_membership_sets():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 5)
-    ok = True
-    probes = 0
-    for dim in range(1, 5):
-        origin = moebius.PairRep(e=np.zeros((dim, dim)), a=np.zeros((dim, dim)))
-        for _ in range(130):
-            kind = rng.integers(3)
-            if kind == 0:
-                b = random_positive(rng, dim)
-            elif kind == 1:
-                b = random_hermitian(rng, dim)
-            else:
-                b = random_positive(rng, dim)
-                b = b - spectra.lambda_min(b) * np.eye(dim)
-            probes += 1
-            in_cone = spectra.lambda_min(0.5 * (b + b.conj().T)) >= -1e-10
-            if moebius.qset_contains(origin, b) != in_cone:
-                ok = False
-    assert probes >= 500
-
-    separated = 0
-    attempts = 0
-    while separated < 100 and attempts < 400:
-        attempts += 1
-        dim = 2 + attempts % 3
-        p1 = moebius.pair_encode(moebius.random_zpoint(rng, dim))
-        p2 = moebius.pair_encode(moebius.random_zpoint(rng, dim))
-        if p1.close_to(p2, tol=1e-8):
-            continue
-        witness = moebius.separate_points(p1, p2)  # raises if the sweep fails
-        if witness is None:
-            ok = False  # a false "equal" verdict
-            break
-        separated += 1
-    ok = ok and separated >= 100
-    _finish(5, "membership sets (A2)/(A3)", start, 10.0, None, None, ok)
+    draws = {"moebius.qset_a2": 500, "moebius.separate_points": 100}
+    _pinned(5, "membership sets (A2)/(A3)", 10.0, draws, None, dim=4, trials=33, tol=1e-10)
 
 
 def test_criterion_06_contracting_homotopies():
@@ -200,39 +138,13 @@ def test_criterion_06_contracting_homotopies():
 
 
 def test_criterion_07_induced_representation_is_toeplitz():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 7)
-    n = 32
-    window = groupoid.Window(max_x=n, max_g=n)
-    worst = 0.0
-    count = 0
-    actions = [toeplitz.trivial_action(1), toeplitz.conjugation_action(random_unitary(rng, 2))]
-    for act in actions:
-        for _ in range(50):
-            values = {g: random_complex(rng, act.k) for g in range(-8, 9) if rng.uniform() < 0.7}
-            values.setdefault(0, random_complex(rng, act.k))
-            f = toeplitz.SymbolFunction(k=act.k, values=values)
-            lifted, hat = groupoid.lift_and_hat(f, window, act=act)
-            lhs = groupoid.lambda_rep(lifted, n)
-            rhs = toeplitz.wiener_hopf(hat, act, n)
-            worst = max(worst, float(np.max(np.abs(lhs.blocks - rhs.blocks))))
-            count += 1
-    assert count >= 100
-    _finish(7, "induced representation = Toeplitz", start, 10.0, worst, 1e-12, worst <= 1e-12)
+    draws = {"groupoid.central_identity": 100}
+    _pinned(7, "induced representation = Toeplitz", 10.0, draws, 1e-12, n=32, trials=100)
 
 
 def test_criterion_08_covariance():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED + 8)
-    n = 32
-    worst = 0.0
-    actions = [toeplitz.trivial_action(1), toeplitz.conjugation_action(random_unitary(rng, 2))]
-    for act in actions:
-        for a in range(0, 9):
-            for _ in range(5):
-                x = random_complex(rng, act.k)
-                worst = max(worst, toeplitz.covariance_residual(x, a, act, n))
-    _finish(8, "covariance on the truncation", start, 5.0, worst, 1e-12, worst <= 1e-12)
+    draws = {"toeplitz.covariance": 90}
+    _pinned(8, "covariance on the truncation", 5.0, draws, 1e-12, n=32, trials=40)
 
 
 def test_criterion_09_groupoid_algebra():
@@ -298,10 +210,7 @@ def test_criterion_10_surjective_fibers():
             worst = max(worst, abs(fibers.quotient_norm(m, f) - f.sup_abs(0.0, 2.0 ** (-m))))
         worst = max(worst, abs(fibers.quotient_norm(INF, f) - abs(f(0.0))))
         # kernel identity, both inclusions
-        breaks = np.union1d(np.asarray(f.breaks), [min(cut, 1.0)])
-        member = fibers.PiecewisePoly.from_breakpoints(
-            breaks, [0.0 if b <= cut + 1e-15 else f(b) for b in breaks]
-        )
+        member = kernel_member(f, cut)
         if not fibers.ideal_contains(n, member, tol=1e-9):
             ok = False
         if member.sup_abs(0.0, cut) > 1e-9:

@@ -17,6 +17,24 @@ def test_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "args, env_tol",
+    [
+        (["--tol", "nan"], None),
+        (["--tol", "inf"], None),
+        ([], "nan"),
+        ([], "abc"),
+        (["--grid-step", "nan"], None),
+        (["--N", "-1"], None),
+    ],
+)
+def test_bad_input_is_usage_error(args, env_tol, monkeypatch, capsys):
+    if env_tol is not None:
+        monkeypatch.setenv("WHLAB_TOL", env_tol)
+    assert run_cli(["verify", "fell"] + args) == cli.EXIT_USAGE
+    assert "usage error:" in capsys.readouterr().err
+
+
 def test_jordan_suite_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_cli(["verify", "jordan", "--seed", "3", "--out", str(out)])

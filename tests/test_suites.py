@@ -1,5 +1,7 @@
 """Suite driver smoke tests: every named suite runs green and deterministically."""
 
+import math
+
 import pytest
 
 from whlab import suites
@@ -37,7 +39,48 @@ def test_unknown_suite_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(InputValidationError):
-        suites.SuiteConfig(suite="moebius", trials=0)
-    with pytest.raises(InputValidationError):
-        suites.SuiteConfig(suite="moebius", tol=-1.0)
+    bad = [
+        {"trials": 0},
+        {"tol": -1.0},
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"grid_step": math.nan},
+        {"n": -1},
+        {"n": 0},
+        {"model": "bogus"},
+    ]
+    for fields in bad:
+        with pytest.raises(InputValidationError):
+            suites.SuiteConfig(suite="moebius", **fields)
+    assert suites.SuiteConfig(suite="moebius", n=4).n == 4
+
+
+def test_sweep_case_records_dim_times_trials_draws():
+    cfg = suites.SuiteConfig(suite="moebius", dim=3, trials=7)
+    result = suites.run_case(suites.CASES["moebius.action_law"], cfg)
+    assert result.status == "pass"
+    assert result.draws == 3 * 7
+
+
+@pytest.mark.parametrize("kind, good", [("bounded", 0.0), ("margin", 1.0), ("mutant", 1.0), ("count", 0)])
+def test_nan_draw_fails_its_case(kind, good):
+    def case(nan_dim):
+        @suites._sweep()
+        def draw(rng, dim, env):
+            return math.nan if dim == nan_dim else good
+
+        return suites.Case("demo.nan", draw, "", kind, 0.5)
+
+    cfg = suites.SuiteConfig(suite="demo", dim=3, trials=2)
+    assert suites.run_case(case(None), cfg).status == "pass"
+    for nan_dim in (1, 2, 3):
+        result = suites.run_case(case(nan_dim), cfg)
+        assert (result.status, result.draws) == ("fail", 6)
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_every_suite_has_a_passing_mutation_case(name):
+    cfg = suites.SuiteConfig(suite=name)
+    mutants = [c for key, c in suites.CASES.items() if key.startswith((f"{name}.mutant", f"{name}.mutation"))]
+    assert mutants
+    assert all(suites.run_case(case, cfg).status == "pass" for case in mutants)
