@@ -258,7 +258,7 @@ def order_containment_unitary(u1: ZPoint, u2: ZPoint, tol: float = 1e-9) -> bool
         if trace < 0.5:
             continue
         lam1 = complex(np.trace(proj @ u1.u)) / trace
-        residual = spectra.operator_norm(u1.u @ proj - lam1 * proj)
+        residual = np.linalg.norm(u1.u @ proj - lam1 * proj)
         if residual > math.sqrt(tol):
             raise DomainError("not comparable via a shared spectral frame")
         if lam1.real > lam2.real + tol:

@@ -90,10 +90,7 @@ def generate_algebra(generators, dim: int | None = None, tol: float = DEFAULT_TO
     stabilizes; the round count is capped at dim^2, the real dimension bound
     for a subspace of Hermitians.
     """
-    generators = [spectra.as_matrix(g) for g in generators]
-    for g in generators:
-        if spectra.operator_norm(g - g.conj().T) > tol:
-            raise InputValidationError("generators must be Hermitian")
+    generators = [spectra.assert_hermitian(g, tol=tol) for g in generators]
     if dim is None:
         if not generators:
             raise InputValidationError("dimension required when no generators are given")

@@ -69,7 +69,8 @@ def zpoint(u, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
     that resolution and their Cayley images can dip the same amount below the
     equator of the circle.
     """
-    m = assert_unitary(u, tol=100 * tol)
+    m = as_matrix(u)
+    # unitary_eig runs the unitary guard on m at the same 100 * tol
     dec = spectra.unitary_eig(m, tol=100 * tol, seed=seed)
     worst = min(float(np.imag(lam)) for lam in dec.eigenvalues)
     if worst < -np.sqrt(tol):
@@ -91,15 +92,14 @@ class PairRep:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        self.e = as_matrix(self.e)
-        self.a = as_matrix(self.a)
         tol = max(self.tol, DEFAULT_TOL)
         check = np.sqrt(tol)
-        if operator_norm(self.e @ self.e - self.e) > check or operator_norm(self.e - self.e.conj().T) > check:
+        self.e = assert_hermitian(self.e, tol=check)
+        self.a = as_matrix(self.a)
+        if np.linalg.norm(self.e @ self.e - self.e) > check:
             raise InputValidationError("E is not an orthogonal projection")
-        assert_hermitian(self.a, tol=check)
         comp = np.eye(self.dim) - self.e
-        if operator_norm(comp @ self.a @ comp - self.a) > check:
+        if np.linalg.norm(comp @ self.a @ comp - self.a) > check:
             raise InputValidationError("(1-E) A (1-E) != A beyond tolerance")
         if spectra.lambda_min(self.a, tol=check) < -check:
             raise InputValidationError("A is not positive")
@@ -138,7 +138,7 @@ def boxplus(u, b, tol: float = DEFAULT_TOL) -> np.ndarray:
 def classify_zpoint(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL, seed: int = 0) -> ZClass:
     """Locate a unitary relative to Z: outside, on the -1 boundary, or in the
     dense -1-free part."""
-    dec = spectra.unitary_eig(assert_unitary(u, tol=100 * tol), tol=100 * tol, seed=seed)
+    dec = spectra.unitary_eig(u, tol=100 * tol, seed=seed)
     eigs = dec.eigenvalues
     if min(float(np.imag(lam)) for lam in eigs) < -np.sqrt(tol):
         return ZClass.OUTSIDE
@@ -185,13 +185,14 @@ def contraction_inverse(c, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     Returns (1 - CB)^{-1} C.  The strict order precondition C < B^{-1} is
     enforced; outside the range the formula leaves the cone.
     """
-    mc = assert_hermitian(c, tol=np.sqrt(tol))
-    mb = assert_hermitian(b, tol=np.sqrt(tol))
+    entry = np.sqrt(tol)
+    mc = assert_hermitian(c, tol=entry)
+    mb = assert_hermitian(b, tol=entry)
     eye = np.eye(mc.shape[0])
-    if spectra.lambda_min(mb) <= tol:
+    if spectra.lambda_min(mb, tol=entry) <= tol:
         raise DomainError("B is not interior (not positive definite)")
     b_inv = np.linalg.inv(mb)
-    if spectra.lambda_min(0.5 * (b_inv + b_inv.conj().T) - mc) <= tol:
+    if spectra.lambda_min(0.5 * (b_inv + b_inv.conj().T) - mc, tol=entry) <= tol:
         raise DomainError("C not strictly below B^{-1}")
     denom = eye - mc @ mb
     smin = np.linalg.svd(denom, compute_uv=False)[-1]

@@ -61,7 +61,7 @@ def test_boxplus_output_unitary(rng):
     for _ in range(50):
         u = random_unitary(rng, 3)
         b = random_hermitian(rng, 3)
-        assert spectra.is_unitary(moebius.boxplus(u, b), tol=1e-9)
+        spectra.assert_unitary(moebius.boxplus(u, b), tol=1e-9)
 
 
 def test_cayley_equivariance(rng):
@@ -164,6 +164,26 @@ def test_contraction_inverse_roundtrip_from_c_side(rng):
     a = moebius.contraction_inverse(c, b)
     assert spectra.lambda_min(a) >= -1e-10
     assert spectra.operator_norm(moebius.moebius_contraction(a, b) - c) <= 1e-8
+
+
+def test_contraction_inverse_accepts_b_at_entry_tolerance():
+    # B's skew part 1e-8 passes the sqrt(tol) entry guard of both maps
+    b = np.diag([2.0, 3.0]) + 1e-8 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    c = np.diag([0.1, 0.1])
+    a = moebius.contraction_inverse(c, b)
+    assert np.allclose(a, np.diag([0.1 / 0.8, 0.1 / 0.7]), atol=1e-7)
+    assert spectra.operator_norm(moebius.moebius_contraction(a, b) - c) <= 1e-7
+
+
+def test_lambda_min_is_smallest_eigenvalue_not_cluster_mean():
+    # -5e-9 and 4e-9 lie within CLUSTER_TOL of each other; their mean
+    # -5e-10 would put m inside every 1e-9 cone test
+    m = np.diag([-5e-9, 4e-9])
+    zero = np.zeros((2, 2))
+    assert spectra.lambda_min(m) == pytest.approx(-5e-9)
+    assert jordan.classify(jordan.hermitian_algebra(2), m) == jordan.ConeClass.OUTSIDE_CONE
+    assert jordan.order_compare(zero, m) == OrderRelation.INCOMPARABLE_OR_GT
+    assert moebius.qset_contains(PairRep(zero, zero), m, tol=1e-9) is False
 
 
 def test_contraction_inverse_rejects_out_of_range(rng):

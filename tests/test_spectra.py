@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whlab import spectra
+from whlab import jordan, moebius, spectra
 from whlab.errors import DomainError, EvaluationError, InputValidationError
 from whlab.sampling import random_hermitian, random_unitary
 
@@ -98,7 +98,7 @@ def test_cayley_roundtrip_many_dims(rng):
         for _ in range(100):
             a = random_hermitian(rng, dim)
             u = spectra.cayley(a)
-            assert spectra.is_unitary(u, tol=1e-9)
+            spectra.assert_unitary(u, tol=1e-9)
             back = spectra.inverse_cayley(u)
             assert spectra.operator_norm(back - a) <= 1e-9 * max(1.0, spectra.operator_norm(a))
 
@@ -153,9 +153,9 @@ def test_functional_calculus_value_types(rng):
     a = random_hermitian(rng, 3)
     dec = spectra.hermitian_eig(a)
     real_image = spectra.functional_calculus(dec, lambda x: np.tanh(x.real))
-    assert spectra.is_hermitian(real_image, tol=1e-10)
+    spectra.assert_hermitian(real_image, tol=1e-10)
     circle_image = spectra.functional_calculus(dec, lambda x: np.exp(1j * x.real))
-    assert spectra.is_unitary(circle_image, tol=1e-10)
+    spectra.assert_unitary(circle_image, tol=1e-10)
 
 
 def test_functional_calculus_rejects_bad_values():
@@ -194,3 +194,29 @@ def test_as_matrix_rejects_junk():
         spectra.as_matrix(np.zeros((2, 3)))
     with pytest.raises(InputValidationError):
         spectra.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InputValidationError):
+        spectra.as_matrix(np.array([[1.0, 0.0], [0.0, 1.0 + 1j * np.inf]]))
+
+
+SKEW = np.array([[1.0, 1.0], [0.0, 1.0]])  # neither Hermitian nor unitary
+
+
+@pytest.mark.parametrize(
+    "entry, m",
+    [
+        pytest.param(moebius.zpoint, SKEW, id="zpoint"),
+        pytest.param(moebius.classify_zpoint, SKEW, id="classify_zpoint"),
+        pytest.param(spectra.unitary_eig, SKEW, id="unitary_eig"),
+        pytest.param(lambda a: moebius.PairRep(np.zeros((2, 2)), a), SKEW, id="PairRep"),
+        pytest.param(spectra.hermitian_eig, SKEW, id="hermitian_eig"),
+        pytest.param(spectra.cayley, SKEW, id="cayley"),
+        pytest.param(spectra.lambda_min, SKEW, id="lambda_min"),
+        pytest.param(lambda g: jordan.generate_algebra([g]), SKEW, id="generate_algebra"),
+        # skew part 3e-11 i: the spectral defect 6e-11 passes a 1e-10
+        # spectral test, the Frobenius defect 1.2e-10 does not
+        pytest.param(spectra.hermitian_eig, np.eye(4) + 3e-11j * np.eye(4), id="hermitian_eig-frobenius"),
+    ],
+)
+def test_entry_points_guard_their_matrices(entry, m):
+    with pytest.raises(InputValidationError):
+        entry(m)
