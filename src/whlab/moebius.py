@@ -29,7 +29,7 @@ from .errors import (
     NumericalError,
     WitnessNotFoundError,
 )
-from .jordan import JordanAlgebra, ConeClass, classify
+from .jordan import JordanAlgebra
 from .sampling import random_hermitian, random_positive
 from .spectra import (
     CLUSTER_TOL,
@@ -228,11 +228,14 @@ def pair_decode(p: PairRep, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
 def qset_contains(p: PairRep, b, algebra: JordanAlgebra | None = None, tol: float = DEFAULT_TOL) -> bool:
     """Membership of B in Q_{(E,A)} = {B : A + (1-E) B (1-E) >= 0}."""
     mb = assert_hermitian(b, tol=np.sqrt(tol))
-    if algebra is not None and classify(algebra, mb) == ConeClass.OUTSIDE_ALGEBRA:
+    if mb.shape[0] != p.dim or (algebra is not None and algebra.dim != p.dim):
+        raise InputValidationError("dimension mismatch")
+    if algebra is not None and not algebra.contains(mb):
         raise DomainError("B lies outside the ambient Jordan algebra")
     comp = np.eye(p.dim) - p.e
     probe = p.a + comp @ mb @ comp
-    return spectra.lambda_min(0.5 * (probe + probe.conj().T)) >= -tol
+    # Hermitian by construction: read the eigenvalue without a second guard
+    return float(np.linalg.eigvalsh(0.5 * (probe + probe.conj().T))[0]) >= -tol
 
 
 PROBE_EXPONENTS = range(-8, 9)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from whlab import jordan, moebius, spectra
-from whlab.errors import DomainError
+from whlab.errors import DomainError, InputValidationError
 from whlab.jordan import OrderRelation
 from whlab.moebius import PairRep, ZClass
 from whlab.sampling import (
@@ -184,6 +184,20 @@ def test_lambda_min_is_smallest_eigenvalue_not_cluster_mean():
     assert jordan.classify(jordan.hermitian_algebra(2), m) == jordan.ConeClass.OUTSIDE_CONE
     assert jordan.order_compare(zero, m) == OrderRelation.INCOMPARABLE_OR_GT
     assert moebius.qset_contains(PairRep(zero, zero), m, tol=1e-9) is False
+
+
+def test_qset_contains_checks_dimensions_and_algebra():
+    one = PairRep(np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(InputValidationError):
+        moebius.qset_contains(one, np.diag([-5e-9, 4e-9]))
+    with pytest.raises(InputValidationError):
+        moebius.qset_contains(one, [[1.0]], algebra=jordan.hermitian_algebra(2))
+    zero = PairRep(np.zeros((2, 2)), np.zeros((2, 2)))
+    diagonal = jordan.generate_algebra([np.diag([1.0, 0.0])])
+    assert moebius.qset_contains(zero, np.diag([1.0, 2.0]), algebra=diagonal)
+    assert not moebius.qset_contains(zero, np.diag([1.0, -2.0]), algebra=diagonal)
+    with pytest.raises(DomainError):
+        moebius.qset_contains(zero, _m([[1, 1], [1, 1]]), algebra=diagonal)
 
 
 def test_contraction_inverse_rejects_out_of_range(rng):

@@ -55,6 +55,24 @@ def test_hermitian_eig_merges_near_degenerate():
     assert len(dec.eigenvalues) == 2
     assert np.trace(dec.projections[0]).real == pytest.approx(2.0)
 
+    # a chain of gaps below the threshold merges into one eigenvalue, and the
+    # averaging error adds up over the chain and over separate clusters
+    dec = spectra.hermitian_eig(np.diag([0.0, 9e-9, 1.8e-8]))
+    assert dec.eigenvalues == pytest.approx([9e-9])
+    dec = spectra.hermitian_eig(np.diag([0.0, 1e-8, 1.0, 1.0 + 1e-8, 2.0, 2.0 + 1e-8]))
+    assert len(dec.eigenvalues) == 3
+
+
+def test_unitary_eig_merges_near_degenerate():
+    dec = spectra.unitary_eig(np.diag(np.exp(1j * np.array([0.0, 9e-9, 1.8e-8]))))
+    assert len(dec.eigenvalues) == 1
+    assert dec.eigenvalues[0] == pytest.approx(np.exp(9e-9j))
+
+
+def test_validate_with_a_high_rank_projection():
+    spectra.unitary_eig(np.eye(16)).validate()
+    spectra.hermitian_eig(np.diag([1.0] * 15 + [2.0])).validate()
+
 
 def test_unitary_eig_identity_and_diagonal():
     dec = spectra.unitary_eig(np.eye(2))
