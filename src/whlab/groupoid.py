@@ -245,7 +245,8 @@ def lambda_rep(phi: GroupoidSection, n: int) -> TruncatedOperator:
     """Truncated matrix of the induced representation at the base point 0.
 
     Row b, column a carries alpha_b(phi(b, a - b)) for b, a in {0..N}; the
-    section's window must certify the whole sampled triangle.
+    section's window must certify the whole sampled triangle.  Only the
+    support is visited, and every alpha_b is read off one power table.
     """
     bundle = phi.bundle
     if not isinstance(bundle, MatrixBundle):
@@ -254,12 +255,12 @@ def lambda_rep(phi: GroupoidSection, n: int) -> TruncatedOperator:
         raise WindowOverflowError(
             f"window (max_x={phi.window.max_x}, max_g={phi.window.max_g}) cannot certify N={n}"
         )
+    cells = [(e.x, e.g, v) for e, v in phi.values.items() if e.x != INF and e.x <= n and 0 <= e.x + e.g <= n]
     out = TruncatedOperator.zeros(n, bundle.k)
-    for b in range(n + 1):
-        for a in range(n + 1):
-            v = phi((b, a - b))
-            if not bundle.is_zero(b, v):
-                out.blocks[b, a] = bundle.act(0, b, v)
+    if cells:
+        bs, gs, values = zip(*cells)
+        rows = np.array(bs, dtype=np.int64)
+        out.blocks[rows, rows + np.array(gs, dtype=np.int64)] = bundle.action.alpha(rows, values)
     return out
 
 

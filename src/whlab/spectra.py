@@ -13,12 +13,13 @@ eigensolver entirely.
 
 Validation: a public function guards each matrix it receives once; no caller
 repeats a guard its callee runs on the same matrix, though a matrix computed
-and handed on (``unitary_eig`` to ``inverse_cayley`` and ``hermitian_eig``)
-meets the callee's guard.  Guards measure Hermitian and unitary defects in
-the Frobenius norm, which bounds the spectral norm, so they are no looser
-than a spectral test.  Postconditions on computed decompositions scale
-their spectral bound by sqrt(dim), since ||X||_F <= sqrt(dim) ||X||_2, so
-they accept whatever a spectral check accepts.  Report residuals stay
+and handed on (``unitary_eig`` to ``inverse_cayley``) meets the callee's
+guard.  Guards measure Hermitian and unitary defects in the Frobenius norm,
+which bounds the spectral norm, so they are no looser than a spectral test.
+Postconditions on computed decompositions measure in Frobenius too: the
+backward-error part of a bound is scaled by sqrt(dim), since
+||X||_F <= sqrt(dim) ||X||_2, and a reconstruction check adds the exact
+Frobenius shift that merging eigenvalues makes.  Report residuals stay
 spectral norms; ``lambda_min`` is the smallest eigenvalue, not a cluster mean.
 """
 
@@ -154,6 +155,25 @@ def _cluster(values: np.ndarray, threshold: float) -> list:
     return groups
 
 
+def _merged_eigh(m: np.ndarray, cluster: float):
+    """eigh of a Hermitian matrix with eigenvalues closer than ``cluster``
+    averaged into one: the merged eigenvalues, their projections, the eigh
+    eigenvalues, and the index of the merged eigenvalue each one went into."""
+    try:
+        evals, evecs = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    eigenvalues = []
+    projections = []
+    owner = np.empty(len(evals), dtype=np.int64)
+    for index, group in enumerate(_cluster(evals, cluster)):
+        vecs = evecs[:, group]
+        projections.append(vecs @ vecs.conj().T)
+        eigenvalues.append(complex(np.mean(evals[group])))
+        owner[group] = index
+    return np.array(eigenvalues), projections, evals, owner
+
+
 def hermitian_eig(a, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
@@ -162,26 +182,15 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL) -> 
     projections well conditioned near degeneracies.
     """
     m = assert_hermitian(a, tol=tol)
-    try:
-        evals, evecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-
-    eigenvalues = []
-    projections = []
-    for group in _cluster(evals, cluster):
-        vecs = evecs[:, group]
-        proj = vecs @ vecs.conj().T
-        eigenvalues.append(complex(np.mean(evals[group])))
-        projections.append(proj)
-
-    dec = SpectralDecomposition(np.array(eigenvalues), projections, tol=tol)
+    eigenvalues, projections, evals, owner = _merged_eigh(m, cluster)
+    dec = SpectralDecomposition(eigenvalues, projections, tol=tol)
     defect = np.linalg.norm(dec.reconstruct() - m)
-    # half the cluster width is lost when merged eigenvalues are averaged;
-    # eigh itself is backward stable, hence the relative term.  Both bound
-    # each eigenvalue's error, so the Frobenius defect gets sqrt(dim) of them.
-    bound = 10 * tol * max(1.0, abs(evals[0]), abs(evals[-1])) + cluster
-    if defect > bound * np.sqrt(m.shape[0]):
+    # averaging moves each merged eigenvalue to its cluster mean, which costs
+    # exactly the 2-norm of those moves in Frobenius; eigh itself is backward
+    # stable, hence the relative term, sqrt(dim) times for Frobenius
+    shift = np.linalg.norm(evals - eigenvalues.real[owner])
+    scale = max(1.0, abs(evals[0]), abs(evals[-1]))
+    if defect > 10 * tol * scale * np.sqrt(m.shape[0]) + shift:
         raise NumericalError(f"reconstruction error {defect:.3e} exceeds tolerance")
     return dec
 
@@ -260,13 +269,11 @@ def unitary_eig(
 
     rotated = np.exp(1j * theta) * m
     herm = inverse_cayley(rotated, tol=tol, cluster=cluster)
-    dec = hermitian_eig(herm, tol=tol, cluster=cluster)
-    eigenvalues = np.array(
-        [np.exp(-1j * theta) * scalar_cayley(lam.real) for lam in dec.eigenvalues]
-    )
+    values, hermitian_projections, evals, owner = _merged_eigh(herm, cluster)
+    eigenvalues = np.array([np.exp(-1j * theta) * scalar_cayley(lam.real) for lam in values])
     order = np.argsort(np.mod(np.angle(eigenvalues), 2.0 * np.pi))
     eigenvalues = eigenvalues[order]
-    projections = [dec.projections[i] for i in order]
+    projections = [hermitian_projections[i] for i in order]
 
     # the Moebius pullback can spread circle-close eigenvalues far apart on
     # the Hermitian side, so re-cluster on the circle (wraparound included)
@@ -276,13 +283,20 @@ def unitary_eig(
         groups[0] = groups.pop() + groups[0]
     merged_vals = []
     merged_projs = []
+    target = [0j] * len(values)  # the merged value of each Hermitian cluster
     for group in groups:
         mean = np.mean(eigenvalues[group])
         merged_vals.append(mean / abs(mean))
         merged_projs.append(sum(projections[i] for i in group))
+        for i in group:
+            target[order[i]] = merged_vals[-1]
     out = SpectralDecomposition(np.array(merged_vals), merged_projs, tol=tol)
     defect = np.linalg.norm(out.reconstruct() - m)
-    if defect > (10 * tol + cluster) * np.sqrt(m.shape[0]):
+    # each eigh eigenvalue, pushed to the circle, moved to its merged value on
+    # either side of the pullback; a chord is no longer than its angle
+    pushed = np.exp(-1j * theta) * scalar_cayley(evals)
+    shift = np.linalg.norm(np.angle(pushed / np.array(target)[owner]))
+    if defect > 10 * tol * np.sqrt(m.shape[0]) + shift:
         raise NumericalError(f"unitary reconstruction error {defect:.3e} exceeds tolerance")
     return out
 

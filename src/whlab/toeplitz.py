@@ -8,6 +8,9 @@ arrays of k x k blocks.  The generators are
 * ``wiener_hopf(f)`` the twisted Toeplitz operator with block
                      alpha_m(f(g)) at row m, column m - g.
 
+Every alpha_m, here and in the groupoid module, is read off one power table:
+the stack G^0..G^n that ``EndomorphismAction.powers`` builds by n products.
+
 Truncation convention: a TruncatedOperator is the compression of the
 corresponding operator on l^2(N).  Identities about composites (covariance,
 isometry laws) are stated for the infinite-lattice product; compressing that
@@ -43,19 +46,11 @@ __all__ = [
 ]
 
 
-def _vec(x: np.ndarray) -> np.ndarray:
-    return x.reshape(-1)
-
-
-def _unvec(v: np.ndarray, k: int) -> np.ndarray:
-    return v.reshape(k, k)
-
-
 @dataclass
 class EndomorphismAction:
     """Semigroup action of N on M_k generated by a single endomorphism.
 
-    The generator is a k^2 x k^2 matrix acting on column-vectorized k x k
+    The generator is a k^2 x k^2 matrix acting on row-major vectorized k x k
     matrices.  Construction validates the *-homomorphism laws on the matrix
     units; the unital/injective/surjective flags are computed from the
     generator.  Negative powers exist exactly when the generator is
@@ -75,50 +70,60 @@ class EndomorphismAction:
         if self.generator.shape != (kk, kk):
             raise InputValidationError(f"generator must be {kk}x{kk}")
         self._validate_star_hom()
-        eye = np.eye(self.k, dtype=np.complex128)
-        self.unital = bool(np.allclose(self.apply_generator(eye), eye, atol=100 * self.tol))
+        eye = np.eye(self.k, dtype=np.complex128).reshape(-1)
+        self.unital = bool(np.allclose(self.generator @ eye, eye, atol=100 * self.tol))
         rank = np.linalg.matrix_rank(self.generator, tol=1e-9)
         self.injective = bool(rank == kk)
         self.surjective = bool(rank == kk)
         self._inverse = np.linalg.inv(self.generator) if self.injective else None
 
     def _validate_star_hom(self):
+        # the image of the matrix unit e_ij is column i*k + j of the generator
         k = self.k
-        units = []
-        for i in range(k):
-            for j in range(k):
-                e = np.zeros((k, k), dtype=np.complex128)
-                e[i, j] = 1.0
-                units.append(e)
-        images = [self.apply_generator(e) for e in units]
-        for e, img in zip(units, images):
-            star_img = self.apply_generator(e.conj().T)
-            if not np.allclose(star_img, img.conj().T, atol=1e-9):
-                raise InputValidationError("generator does not preserve the adjoint")
-        for a, ia in zip(units, images):
-            for b, ib in zip(units, images):
-                if not np.allclose(self.apply_generator(a @ b), ia @ ib, atol=1e-9):
-                    raise InputValidationError("generator is not multiplicative")
+        images = self.generator.T.reshape(k, k, k, k)
+        if not np.allclose(images.transpose(1, 0, 2, 3), images.conj().transpose(0, 1, 3, 2), atol=1e-9):
+            raise InputValidationError("generator does not preserve the adjoint")
+        # e_ij e_lm = delta_jl e_im
+        products = np.einsum("ijab,lmbc->ijlmac", images, images)
+        expected = np.einsum("jl,imac->ijlmac", np.eye(k), images)
+        if not np.allclose(expected, products, atol=1e-9):
+            raise InputValidationError("generator is not multiplicative")
 
     @property
     def automorphic(self) -> bool:
         return self.injective
 
-    def apply_generator(self, x: np.ndarray) -> np.ndarray:
-        return _unvec(self.generator @ _vec(np.asarray(x, dtype=np.complex128)), self.k)
+    def powers(self, n: int, inverse: bool = False) -> np.ndarray:
+        """G^0..G^n for the generator G (its inverse with ``inverse``), stacked by n products."""
+        if inverse and self._inverse is None:
+            raise InputValidationError("negative powers need an automorphic action")
+        base = self._inverse if inverse else self.generator
+        table = np.empty((n + 1,) + base.shape, dtype=np.complex128)
+        table[0] = np.eye(len(base))
+        for m in range(n):
+            np.matmul(base, table[m], out=table[m + 1])
+        return table
+
+    def alpha(self, ms, xs) -> np.ndarray:
+        """alpha_m(x) for a stack of exponents ms, all of one sign, and a matching
+        stack of k x k values xs (or one value for all), read off one power table."""
+        ms = np.asarray(ms, dtype=np.int64)
+        try:
+            xs = np.asarray(xs, dtype=np.complex128)
+        except ValueError as exc:  # values of different shapes
+            raise InputValidationError(f"expected {self.k}x{self.k} matrices") from exc
+        if xs.shape not in ((self.k, self.k), ms.shape + (self.k, self.k)):
+            raise InputValidationError(f"expected a {self.k}x{self.k} matrix")
+        negative = bool(np.any(ms < 0))
+        if negative and np.any(ms > 0):
+            raise InputValidationError("exponents of both signs need two tables")
+        table = self.powers(int(np.max(np.abs(ms), initial=0)), inverse=negative)
+        vecs = np.broadcast_to(xs, ms.shape + (self.k, self.k)).reshape(ms.shape + (self.k * self.k, 1))
+        return (table[np.abs(ms)] @ vecs).reshape(ms.shape + (self.k, self.k))
 
     def apply(self, a: int, x) -> np.ndarray:
         """alpha_a(x); negative a requires an automorphic action."""
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.k, self.k):
-            raise InputValidationError(f"expected a {self.k}x{self.k} matrix")
-        if a >= 0:
-            op = np.linalg.matrix_power(self.generator, a)
-        else:
-            if self._inverse is None:
-                raise InputValidationError("negative powers need an automorphic action")
-            op = np.linalg.matrix_power(self._inverse, -a)
-        return _unvec(op @ _vec(x), self.k)
+        return self.alpha(a, x)
 
 
 def trivial_action(k: int) -> EndomorphismAction:
@@ -251,14 +256,9 @@ class TruncatedOperator:
 
 def rep_pi(x, act: EndomorphismAction, n: int) -> TruncatedOperator:
     """Block-diagonal representation with alpha_m(x) at position m."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (act.k, act.k):
-        raise InputValidationError(f"expected a {act.k}x{act.k} matrix")
     out = TruncatedOperator.zeros(n, act.k)
-    current = x.copy()
-    for m in range(n + 1):
-        out.blocks[m, m] = current
-        current = act.apply_generator(current)
+    m = np.arange(n + 1)
+    out.blocks[m, m] = act.alpha(m, x)
     return out
 
 
@@ -280,13 +280,11 @@ def wiener_hopf(f: SymbolFunction, act: EndomorphismAction, n: int) -> Truncated
     if supp and (supp[0] < -n or supp[-1] > n):
         raise WindowOverflowError(f"symbol support {supp[0]}..{supp[-1]} exceeds window [-{n}, {n}]")
     out = TruncatedOperator.zeros(n, act.k)
-    twisted = {g: np.asarray(v) for g, v in f.values.items()}
-    for m in range(n + 1):
-        for g, v in twisted.items():
-            col = m - g
-            if 0 <= col <= n:
-                out.blocks[m, col] = v
-        twisted = {g: act.apply_generator(v) for g, v in twisted.items()}
+    gs = np.array(list(f.values), dtype=np.int64)
+    values = np.array(list(f.values.values())).reshape(-1, act.k, act.k)
+    m = np.arange(n + 1)[:, None]
+    rows, which = np.nonzero((m >= gs) & (m - gs <= n))
+    out.blocks[rows, rows - gs[which]] = act.alpha(rows, values[which])
     return out
 
 

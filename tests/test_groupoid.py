@@ -217,6 +217,34 @@ def test_lambda_rep_is_multiplicative_on_interior(rng):
         assert np.linalg.norm(lhs.interior(margin) - rhs.interior(margin), 2) <= 1e-10
 
 
+def _lambda_rep_by_cell_scan(phi, n):
+    """Reference: visit all (N+1)^2 cells and apply alpha_b one cell at a time."""
+    out = toeplitz.TruncatedOperator.zeros(n, phi.bundle.k)
+    for b in range(n + 1):
+        for a in range(n + 1):
+            v = phi((b, a - b))
+            if not phi.bundle.is_zero(b, v):
+                out.blocks[b, a] = phi.bundle.act(0, b, v)
+    return out
+
+
+def test_lambda_rep_matches_the_cell_scan(rng):
+    # windows wider than N, so the support reaches past the sampled square:
+    # elements at infinity, with x > N, with x + g > N, and explicit zeros
+    n = 7
+    window = Window(max_x=n + 5, max_g=n + 4)
+    twisted = groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
+    for bundle in (groupoid.trivial_bundle(1), twisted):
+        for _ in range(20):
+            phi = _random_section(rng, bundle, window, 12, x_bound=window.max_x, g_bound=window.max_g)
+            phi.set((INF, int(rng.integers(-n, n + 1))), random_complex(rng, bundle.k))
+            phi.set((n + 1, -2), random_complex(rng, bundle.k))
+            phi.set((n - 1, 3), random_complex(rng, bundle.k))
+            phi.set((2, 1), np.zeros((bundle.k, bundle.k)))
+            reference = _lambda_rep_by_cell_scan(phi, n).blocks
+            np.testing.assert_allclose(groupoid.lambda_rep(phi, n).blocks, reference, rtol=0, atol=1e-12)
+
+
 def test_lambda_rep_window_certification():
     window = Window(max_x=4, max_g=4)
     s = groupoid.delta_section(groupoid.trivial_bundle(1), window, (0, 0), np.eye(1))

@@ -61,12 +61,18 @@ def test_hermitian_eig_merges_near_degenerate():
     assert dec.eigenvalues == pytest.approx([9e-9])
     dec = spectra.hermitian_eig(np.diag([0.0, 1e-8, 1.0, 1.0 + 1e-8, 2.0, 2.0 + 1e-8]))
     assert len(dec.eigenvalues) == 3
+    # however long the chain: five eigenvalues 9e-9 apart span 3.6e-8
+    dec = spectra.hermitian_eig(np.diag(np.arange(5) * 9e-9))
+    assert dec.eigenvalues == pytest.approx([1.8e-8])
 
 
 def test_unitary_eig_merges_near_degenerate():
     dec = spectra.unitary_eig(np.diag(np.exp(1j * np.array([0.0, 9e-9, 1.8e-8]))))
     assert len(dec.eigenvalues) == 1
     assert dec.eigenvalues[0] == pytest.approx(np.exp(9e-9j))
+    dec = spectra.unitary_eig(np.diag(np.exp(1j * np.arange(6) * 9e-9)))
+    assert len(dec.eigenvalues) == 1
+    assert dec.eigenvalues[0] == pytest.approx(np.exp(2.25e-8j))
 
 
 def test_validate_with_a_high_rank_projection():

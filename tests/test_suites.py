@@ -8,9 +8,14 @@ from whlab import suites
 from whlab.errors import InputValidationError
 
 
-@pytest.mark.parametrize("name", sorted(suites.SUITES))
-def test_each_suite_passes(name):
-    cfg = suites.SuiteConfig(suite=name, trials=10, seed=5)
+@pytest.mark.parametrize(
+    "name, n",
+    [pytest.param(name, 16, id=name) for name in sorted(suites.SUITES)]
+    # the truncation of the wiener-hopf-n64 benchmark workload
+    + [pytest.param(name, 64, id=f"{name}-n64") for name in ("groupoid", "toeplitz")],
+)
+def test_each_suite_passes(name, n):
+    cfg = suites.SuiteConfig(suite=name, trials=10, seed=5, n=n)
     outcome = suites.run(cfg)
     failures = [c for c in outcome["report"]["cases"] if c["status"] == "fail"]
     assert not failures, failures

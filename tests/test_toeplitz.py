@@ -55,6 +55,37 @@ def test_rep_pi_conjugation_blocks(rng):
         expected = u @ expected @ u.conj().T
 
 
+def test_power_table_blocks_match_the_oracle(rng):
+    # rep_pi, wiener_hopf (negative g included) and twisted_reflection, the
+    # apply(-a) path, against u^m x (u*)^m by direct multiplication
+    u = random_unitary(rng, 2)
+    act = toeplitz.conjugation_action(u)
+    n = 9
+    powers = [np.eye(2)]
+    for _ in range(n):
+        powers.append(u @ powers[-1])
+
+    def oracle(m, x):
+        p = powers[m] if m >= 0 else powers[-m].conj().T
+        return p @ x @ p.conj().T
+
+    x = random_complex(rng, 2)
+    pi = toeplitz.rep_pi(x, act, n)
+    for m in range(n + 1):
+        assert np.allclose(pi.blocks[m, m], oracle(m, x), atol=1e-12)
+
+    f = SymbolFunction(k=2, values={g: random_complex(rng, 2) for g in (-n, -4, -1, 0, 2, 5)})
+    w = toeplitz.wiener_hopf(f, act, n)
+    for m in range(n + 1):
+        for col in range(n + 1):
+            expected = oracle(m, f(m - col)) if (m - col) in f.values else np.zeros((2, 2))
+            assert np.allclose(w.blocks[m, col], expected, atol=1e-12)
+
+    reflected = f.twisted_reflection(act)
+    for g, v in f.values.items():
+        assert np.allclose(reflected(-g), oracle(g, v.conj().T), atol=1e-12)
+
+
 def test_isometry_basics():
     assert np.allclose(toeplitz.isometry_V(0, 4).matrix, np.eye(5))
     v1 = toeplitz.isometry_V(1, 4)
