@@ -3,14 +3,16 @@
 A Jordan algebra here is a real subspace V of the Hermitian matrices that
 contains the identity and is closed under the anticommutator product
 a o b = (ab + ba)/2.  The module stores an orthonormal basis with respect to
-the trace inner product <A, B> = Re tr(AB), tests membership by projection
-distance, and classifies elements against the positive cone
-Q = {a in V : a >= 0}.
+the trace inner product <A, B> = Re tr(AB) as one stacked frame, whose real
+row view turns inner products into dot products; it tests membership by
+projection distance and classifies elements against the positive cone
+Q = {a in V : a >= 0}.  Closure rounds multiply only the elements the
+previous round added, with block Gram-Schmidt (CGS2) against the frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -34,113 +36,111 @@ class OrderRelation(str, Enum):
     INCOMPARABLE_OR_GT = "incomparable-or-gt"
 
 
-def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(A*B); real-bilinear on the Hermitians, where it equals Re tr(AB)."""
-    return float(np.real(np.vdot(a, b)))
+def _rows(stack: np.ndarray) -> np.ndarray:
+    """(n, d, d) complex stack -> (n, 2d^2) real rows: Re tr(A*B) is a row dot product."""
+    return np.ascontiguousarray(stack).reshape(-1, stack.shape[1] ** 2).view(np.float64)
 
 
-def _frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def _hermitian_part(stack: np.ndarray) -> np.ndarray:
+    """(X + X*)/2 of each X in the stack; for X = ab with a, b Hermitian, a o b = (ab + ba)/2."""
+    return 0.5 * (stack + stack.conj().swapaxes(1, 2))
 
 
 @dataclass
 class JordanAlgebra:
-    """Orthonormal basis of a Jordan-closed real subspace of Hermitians."""
+    """Orthonormal basis of a Jordan-closed real subspace of Hermitians: a (rank, dim, dim) stack and its rows."""
 
     dim: int
-    basis: list
+    basis: np.ndarray
     tol: float = DEFAULT_TOL
+    rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.dim < 1 or any(np.shape(b) != (self.dim, self.dim) for b in self.basis):
+            raise InputValidationError(f"an algebra needs dim >= 1 and dim x dim basis elements (dim = {self.dim})")
+        self.basis = np.array(self.basis, dtype=np.complex128).reshape(-1, self.dim, self.dim)
+        self.rows = _rows(self.basis)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def project(self, m: np.ndarray) -> np.ndarray:
+    def project(self, m) -> np.ndarray:
         """Orthogonal projection of m onto span(basis) in the trace inner product."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for b in self.basis:
-            out += trace_inner(b, m) * b
-        return out
+        a = np.asarray(m, dtype=np.complex128)
+        if a.shape != (self.dim, self.dim):
+            raise InputValidationError("dimension mismatch with the algebra")
+        return np.tensordot(self.rows @ _rows(a[None])[0], self.basis, axes=1)
 
-    def distance(self, m: np.ndarray) -> float:
-        return _frobenius(m - self.project(m))
+    def distance(self, m) -> float:
+        return float(np.linalg.norm(self.project(m) - np.asarray(m, dtype=np.complex128)))
 
-    def contains(self, m: np.ndarray) -> bool:
+    def contains(self, m) -> bool:
         return self.distance(m) <= self.tol
 
 
-def _orthonormalize(candidates, seed_basis, dim, tol):
-    """Modified Gram-Schmidt of candidates against seed_basis, two passes."""
-    basis = list(seed_basis)
-    for cand in candidates:
-        v = cand.astype(np.complex128)
+def _orthonormalize(candidates: np.ndarray, frame: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows extending the orthonormal frame rows to span the
+    candidates: two block projections on the frame (CGS2), then each survivor
+    in order, projected twice on the rows added so far.  A residual of norm
+    <= max(tol, 1e-12) is dropped."""
+    for _ in range(2):
+        candidates = candidates - (candidates @ frame.T) @ frame
+    floor = max(tol, 1e-12)
+    added = np.empty((0, frame.shape[1]))
+    for v in candidates[np.linalg.norm(candidates, axis=1) > floor]:
         for _ in range(2):
-            for b in basis:
-                v = v - trace_inner(b, v) * b
-        norm = _frobenius(v)
-        if norm > max(tol, 1e-12):
-            basis.append(v / norm)
-    return basis
+            v = v - (added @ v) @ added
+        norm = np.linalg.norm(v)
+        if norm > floor:
+            added = np.vstack([added, v / norm])
+    return added
 
 
 def generate_algebra(generators, dim: int | None = None, tol: float = DEFAULT_TOL) -> JordanAlgebra:
     """Smallest Jordan algebra containing the identity and the generators.
 
-    Iterates span-closure under pairwise anticommutators until the dimension
-    stabilizes; the round count is capped at dim^2, the real dimension bound
-    for a subspace of Hermitians.
+    Each round multiplies the elements the previous round added with every
+    basis element (old x old products are already in the span) until a round
+    adds nothing, for at most dim^2 rounds: the real dimension of the Hermitians.
     """
     generators = [spectra.assert_hermitian(g, tol=tol) for g in generators]
     if dim is None:
         if not generators:
             raise InputValidationError("dimension required when no generators are given")
         dim = generators[0].shape[0]
-    for g in generators:
-        if g.shape[0] != dim:
-            raise InputValidationError("generator dimensions disagree")
+    if dim < 1 or any(g.shape[0] != dim for g in generators):
+        raise InputValidationError("the algebra dimension must be positive and shared by the generators")
 
-    basis = _orthonormalize([np.eye(dim, dtype=np.complex128)] + generators, [], dim, tol)
+    seeds = np.array([np.eye(dim)] + generators, dtype=np.complex128)
+    frame = new = _orthonormalize(_rows(seeds), np.empty((0, 2 * dim * dim)), tol)
     for _ in range(dim * dim):
-        products = []
-        for a in basis:
-            for b in basis:
-                products.append(0.5 * (a @ b + b @ a))
-        new_basis = _orthonormalize(products, basis, dim, tol)
-        if len(new_basis) == len(basis):
+        mats = frame.view(np.complex128).reshape(-1, dim, dim)
+        i, j = np.triu_indices(len(mats))
+        pick = j >= len(mats) - len(new)  # each unordered pair with a new element, once
+        new = _orthonormalize(_rows(_hermitian_part(mats[i[pick]] @ mats[j[pick]])), frame, tol)
+        if not len(new):
             break
-        basis = new_basis
-    # keep the basis Hermitian: Gram-Schmidt of Hermitians stays Hermitian,
-    # this just strips accumulated rounding skew
-    basis = [0.5 * (b + b.conj().T) for b in basis]
-    return JordanAlgebra(dim=dim, basis=basis, tol=tol)
+        frame = np.vstack([frame, new])
+    # the span is Hermitian; strip the rounding skew Gram-Schmidt accumulates
+    basis = frame.view(np.complex128).reshape(-1, dim, dim)
+    return JordanAlgebra(dim=dim, basis=_hermitian_part(basis), tol=tol)
 
 
 def hermitian_algebra(dim: int, tol: float = DEFAULT_TOL) -> JordanAlgebra:
-    """The full algebra of dim x dim Hermitian matrices."""
-    gens = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        e[i, i] = 1.0
-        gens.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[i, j] = e[j, i] = 1.0
-            gens.append(e)
-            f = np.zeros((dim, dim), dtype=np.complex128)
-            f[i, j] = -1j
-            f[j, i] = 1j
-            gens.append(f)
+    """The full algebra of dim x dim Hermitians: E_ii, E_ij + E_ji and i(E_ji - E_ij), i < j."""
+    eye = np.eye(dim, dtype=np.complex128)
+    i, j = np.triu_indices(dim, 1)
+    e_ij = eye[i, :, None] * eye[j, None, :]
+    e_ji = e_ij.swapaxes(1, 2)
+    gens = np.concatenate([eye[:, :, None] * eye[:, None, :], e_ij + e_ji, 1j * (e_ji - e_ij)])
     return generate_algebra(gens, dim=dim, tol=tol)
 
 
 def classify(algebra: JordanAlgebra, m, tol: float | None = None) -> ConeClass:
     """Position of a Hermitian matrix relative to the algebra and its cone."""
     a = spectra.as_matrix(m)
-    if a.shape[0] != algebra.dim:
-        raise InputValidationError("dimension mismatch with the algebra")
-    if tol is None:
-        tol = algebra.tol
+    tol = algebra.tol if tol is None else tol
     if algebra.distance(a) > tol:
         return ConeClass.OUTSIDE_ALGEBRA
     lam = spectra.lambda_min(a, tol=max(tol, spectra.DEFAULT_TOL))

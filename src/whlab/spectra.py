@@ -59,12 +59,12 @@ __all__ = [
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex ndarray with finite entries."""
+    """Coerce to a non-empty square complex ndarray with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputValidationError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InputValidationError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InputValidationError("matrix has non-finite entries")
     return a
@@ -73,8 +73,6 @@ def as_matrix(m) -> np.ndarray:
 def operator_norm(m) -> float:
     """Spectral norm, sqrt of the largest eigenvalue of M*M."""
     a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
     evals = np.linalg.eigvalsh(a.conj().T @ a)
     return float(np.sqrt(max(evals[-1], 0.0)))
 

@@ -86,3 +86,90 @@ def test_order_compare_examples():
 def test_order_compare_dimension_mismatch():
     with pytest.raises(InputValidationError):
         jordan.order_compare(np.eye(2), np.eye(3))
+
+
+def test_basis_of_wrong_size_rejected():
+    with pytest.raises(InputValidationError):
+        jordan.JordanAlgebra(dim=2, basis=[np.eye(3)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda alg, m: alg.project(m), id="project"),
+        pytest.param(lambda alg, m: alg.distance(m), id="distance"),
+        pytest.param(lambda alg, m: alg.contains(m), id="contains"),
+        pytest.param(jordan.classify, id="classify"),
+    ],
+)
+def test_matrix_of_wrong_size_rejected(entry):
+    with pytest.raises(InputValidationError, match="dimension mismatch with the algebra"):
+        entry(jordan.hermitian_algebra(2), np.eye(3))
+
+
+# Reference closure: per-candidate modified Gram-Schmidt (two passes) and a
+# per-element projection, one trace inner product at a time.
+
+
+def _inner(a, b):
+    return float(np.real(np.vdot(a, b)))
+
+
+def _reference_orthonormalize(candidates, basis, tol):
+    basis = list(basis)
+    for cand in candidates:
+        v = np.asarray(cand, dtype=np.complex128)
+        for _ in range(2):
+            for b in basis:
+                v = v - _inner(b, v) * b
+        norm = np.linalg.norm(v)
+        if norm > max(tol, 1e-12):
+            basis.append(v / norm)
+    return basis
+
+
+def _reference_algebra(generators, dim, tol=jordan.DEFAULT_TOL):
+    basis = _reference_orthonormalize([np.eye(dim)] + list(generators), [], tol)
+    for _ in range(dim * dim):
+        grown = _reference_orthonormalize([0.5 * (a @ b + b @ a) for a in basis for b in basis], basis, tol)
+        if len(grown) == len(basis):
+            break
+        basis = grown
+    return [0.5 * (b + b.conj().T) for b in basis]
+
+
+def _reference_project(basis, m):
+    out = np.zeros(m.shape, dtype=np.complex128)
+    for b in basis:
+        out += _inner(b, m) * b
+    return out
+
+
+def _generators(kind, rng, dim):
+    if kind.startswith("random"):
+        return [random_hermitian(rng, dim) for _ in range(int(kind[-1]))]
+    if kind == "diagonal":
+        return [np.diag(rng.normal(size=dim)) for _ in range(2)]
+    g, h = random_hermitian(rng, dim), random_hermitian(rng, dim)
+    return [g, 2.0 * np.eye(dim), g, h, -0.5 * np.eye(dim), h, g]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("kind", ["random1", "random2", "random3", "diagonal", "duplicates"])
+def test_closure_matches_reference(kind, dim, rng):
+    gens = _generators(kind, rng, dim)
+    alg = jordan.generate_algebra(gens, dim=dim)
+    ref = _reference_algebra(gens, dim)
+    assert alg.rank == len(ref)
+    if kind == "diagonal":
+        assert alg.rank == dim
+    assert all(alg.contains(b) for b in ref)
+    assert all(np.linalg.norm(b - _reference_project(ref, b)) <= alg.tol for b in alg.basis)
+    basis = np.asarray(alg.basis)
+    gram = np.real(np.einsum("aij,bij->ab", basis.conj(), basis))
+    assert np.abs(gram - np.eye(alg.rank)).max() <= 1e-12
+    i, j = np.triu_indices(alg.rank)
+    products = 0.5 * (basis[i] @ basis[j] + basis[j] @ basis[i])
+    assert all(alg.contains(p) for p in products)
+    m = random_hermitian(rng, dim)
+    assert np.linalg.norm(alg.project(m) - _reference_project(ref, m)) <= 1e-12

@@ -32,6 +32,12 @@ def test_algebra_roundtrip(rng):
     assert back.dim == alg.dim and back.rank == alg.rank
 
 
+def test_algebra_basis_of_wrong_size_rejected():
+    obj = {"d": 2, "basis": [serialize.matrix_to_json(np.eye(3))]}
+    with pytest.raises(InputValidationError):
+        serialize.algebra_from_json(obj)
+
+
 def test_symbol_roundtrip(rng):
     f = SymbolFunction(k=2, values={-1: random_complex(rng, 2), 3: random_complex(rng, 2)})
     back = serialize.symbol_from_json(serialize.symbol_to_json(f))

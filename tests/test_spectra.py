@@ -244,3 +244,22 @@ SKEW = np.array([[1.0, 1.0], [0.0, 1.0]])  # neither Hermitian nor unitary
 def test_entry_points_guard_their_matrices(entry, m):
     with pytest.raises(InputValidationError):
         entry(m)
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda: spectra.hermitian_eig(EMPTY), id="hermitian_eig"),
+        pytest.param(lambda: spectra.unitary_eig(EMPTY), id="unitary_eig"),
+        pytest.param(lambda: spectra.lambda_min(EMPTY), id="lambda_min"),
+        pytest.param(lambda: spectra.operator_norm(EMPTY), id="operator_norm"),
+        pytest.param(lambda: jordan.generate_algebra([], dim=0), id="generate_algebra"),
+        pytest.param(lambda: jordan.hermitian_algebra(0), id="hermitian_algebra"),
+    ],
+)
+def test_empty_matrices_are_rejected(entry):
+    with pytest.raises(InputValidationError):
+        entry()

@@ -9,13 +9,15 @@ from whlab.errors import InputValidationError
 
 
 @pytest.mark.parametrize(
-    "name, n",
-    [pytest.param(name, 16, id=name) for name in sorted(suites.SUITES)]
+    "name, n, dim",
+    [pytest.param(name, 16, 4, id=name) for name in sorted(suites.SUITES)]
     # the truncation of the wiener-hopf-n64 benchmark workload
-    + [pytest.param(name, 64, id=f"{name}-n64") for name in ("groupoid", "toeplitz")],
+    + [pytest.param(name, 64, 4, id=f"{name}-n64") for name in ("groupoid", "toeplitz")]
+    # the matrix sizes of the large-dim benchmark workload
+    + [pytest.param("jordan", 16, 6, id="jordan-dim6"), pytest.param("moebius", 16, 8, id="moebius-dim8")],
 )
-def test_each_suite_passes(name, n):
-    cfg = suites.SuiteConfig(suite=name, trials=10, seed=5, n=n)
+def test_each_suite_passes(name, n, dim):
+    cfg = suites.SuiteConfig(suite=name, dim=dim, trials=10, seed=5, n=n)
     outcome = suites.run(cfg)
     failures = [c for c in outcome["report"]["cases"] if c["status"] == "fail"]
     assert not failures, failures
