@@ -1,14 +1,11 @@
 """Fell-topology convergence on a grid and concrete order-compactification models.
 
-Three desk models of the order compactification Omega (the closure of the
+Two desk models of the order compactification Omega (the closure of the
 right translates P^{-1}a of the inverted semigroup):
 
 * ``halfline``  P = [0, infinity) in R; Omega is [0, infinity] with x standing
   for the ray (-infinity, x] and the infinite point standing for R itself.
 * ``discrete``  P = N in Z; same picture with integer values.
-* ``cone2d``    P the closed positive quadrant in R^2; points are kept
-  symbolic (translated corner, half plane, or the whole plane) so the model
-  stays exact.
 
 Convergence of closed-set sequences is judged on a sampling grid.  The Fell
 liminf/limsup tail quantifiers are vacuous on a literal finite list (both
@@ -42,22 +39,16 @@ class OmegaPoint:
 
     model "halfline": value is a float in [0, inf]; inf encodes the full line.
     model "discrete": value is an int >= 0 or inf.
-    model "cone2d":   value is ("corner", (a1, a2)) | ("halfplane", axis, c)
-                      | ("plane",).
     """
 
     model: str
     value: object
 
     def __post_init__(self):
-        if self.model in ("halfline", "discrete"):
-            if self.value != INF and self.value < 0:
-                raise InputValidationError(f"{self.model} value must be >= 0 or inf")
-        elif self.model == "cone2d":
-            if self.value[0] not in ("corner", "halfplane", "plane"):
-                raise InputValidationError(f"unknown cone2d descriptor {self.value!r}")
-        else:
+        if self.model not in ("halfline", "discrete"):
             raise InputValidationError(f"unknown model {self.model!r}")
+        if self.value != INF and self.value < 0:
+            raise InputValidationError(f"{self.model} value must be >= 0 or inf")
 
     @property
     def is_infinite(self) -> bool:
@@ -72,52 +63,18 @@ def discrete(n) -> OmegaPoint:
     return OmegaPoint("discrete", INF if n == INF else int(n))
 
 
-def cone2d_corner(a1: float, a2: float) -> OmegaPoint:
-    return OmegaPoint("cone2d", ("corner", (float(a1), float(a2))))
-
-
-def cone2d_halfplane(axis: int, c: float) -> OmegaPoint:
-    return OmegaPoint("cone2d", ("halfplane", int(axis), float(c)))
-
-
-def cone2d_plane() -> OmegaPoint:
-    return OmegaPoint("cone2d", ("plane",))
-
-
 def point_contains(x: OmegaPoint, g) -> bool:
     """Raw membership g in the closed set that x stands for."""
-    if x.model in ("halfline", "discrete"):
-        return True if x.is_infinite else g <= x.value
-    kind = x.value[0]
-    if kind == "plane":
-        return True
-    if kind == "corner":
-        a1, a2 = x.value[1]
-        return g[0] <= a1 and g[1] <= a2
-    _, axis, c = x.value
-    return g[axis] <= c
+    return True if x.is_infinite else g <= x.value
 
 
 def translate(x: OmegaPoint, g) -> OmegaPoint:
     """Right translate X.g; the result may land in the extended model
     (halfline/discrete value below zero) rather than Omega itself."""
-    if x.model in ("halfline", "discrete"):
-        if x.is_infinite:
-            return x
-        value = x.value + g
-        return OmegaPoint(x.model, value) if value >= 0 else _extended(x.model, value)
-    kind = x.value[0]
-    if kind == "plane":
+    if x.is_infinite:
         return x
-    if kind == "corner":
-        a1, a2 = x.value[1]
-        return OmegaPoint("cone2d", ("corner", (a1 + g[0], a2 + g[1])))
-    _, axis, c = x.value
-    return OmegaPoint("cone2d", ("halfplane", axis, c + g[axis]))
-
-
-def _extended(model: str, value) -> "ExtendedPoint":
-    return ExtendedPoint(model, value)
+    value = x.value + g
+    return OmegaPoint(x.model, value) if value >= 0 else ExtendedPoint(x.model, value)
 
 
 @dataclass(frozen=True)
@@ -134,17 +91,6 @@ class ExtendedPoint:
 
 def in_omega(x) -> bool:
     """Whether a (possibly extended) point lies in Omega itself."""
-    if isinstance(x, ExtendedPoint):
-        if x.model in ("halfline", "discrete"):
-            return x.is_infinite or x.value >= 0
-        raise InputValidationError("extended cone2d points are not modeled")
-    if x.model == "cone2d":
-        kind = x.value[0]
-        if kind == "plane":
-            return True
-        if kind == "corner":
-            return x.value[1][0] >= 0 and x.value[1][1] >= 0
-        return x.value[2] >= 0
     return x.is_infinite or x.value >= 0
 
 
@@ -154,9 +100,7 @@ def omega_qset(x: OmegaPoint, g) -> bool:
     Equals the raw inverse-membership test g^{-1} in X; the agreement of the
     two routes is exercised by omega_translate_membership and the test suite.
     """
-    if x.model in ("halfline", "discrete"):
-        return True if x.is_infinite else x.value + g >= 0
-    return in_omega(translate(x, g))
+    return True if x.is_infinite else x.value + g >= 0
 
 
 def omega_translate_membership(a, g) -> bool:
@@ -180,21 +124,11 @@ def omega_translate_membership(a, g) -> bool:
 
 def classify_omega(x: OmegaPoint, tol: float = 1e-12) -> str:
     """"interior" when the set meets the interior of P, "boundary" otherwise."""
-    if x.model == "halfline":
-        if x.is_infinite:
-            return "interior"
-        return "boundary" if x.value <= tol else "interior"
-    if x.model == "discrete":
-        if x.is_infinite:
-            return "interior"
-        return "boundary" if x.value < DISCRETE_INTERIOR_STARTS_AT else "interior"
-    kind = x.value[0]
-    if kind == "plane":
+    if x.is_infinite:
         return "interior"
-    if kind == "corner":
-        a1, a2 = x.value[1]
-        return "interior" if (a1 > tol and a2 > tol) else "boundary"
-    return "interior" if x.value[2] > tol else "boundary"
+    if x.model == "halfline":
+        return "boundary" if x.value <= tol else "interior"
+    return "boundary" if x.value < DISCRETE_INTERIOR_STARTS_AT else "interior"
 
 
 @dataclass
@@ -216,11 +150,11 @@ class ClosedSetModel:
             raise InputValidationError(f"unknown ambient {self.ambient!r}")
         if self.ambient == "Z":
             self.grid_step = 1.0
-        if self.grid_step <= 0:
-            raise InputValidationError("grid_step must be positive")
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0):
+            raise InputValidationError("grid_step must be a positive finite number")
         lo, hi = self.window
-        if not lo < hi:
-            raise InputValidationError("window must be a nondegenerate interval")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InputValidationError("window must be a finite nondegenerate interval")
 
     def grid(self) -> np.ndarray:
         lo, hi = self.window

@@ -14,7 +14,9 @@ quotient norm
 
 and the groupoid acts by alpha_{(X, g)} = alpha_a o (alpha_b)^{-1} for any
 decomposition g = a - b, a preimage under alpha_b being supplied by the
-explicit constant-continuation section.
+explicit constant-continuation section.  Two cosets over X are equal when
+quotient_norm(X, difference of representatives) vanishes.  The fibers are
+checked on their own: groupoid sections take matrix values only.
 
 Injective side: A is the trig polynomials on the circle with
 alpha_1(f)(z) = f(z^2) (coefficient dilation; injective, unital, not
@@ -267,10 +269,6 @@ class QuotientElement:
             self.seminorm = quotient_norm(self.x, self.rep)
 
 
-def fiber_element(x, rep: PiecewisePoly) -> QuotientElement:
-    return QuotientElement(x=x, rep=rep)
-
-
 def fiber_action(x, g: int, q: QuotientElement, decomposition=None) -> QuotientElement:
     """alpha_{(X, g)}: A_{X.g} -> A_X through any decomposition g = a - b.
 
@@ -293,40 +291,6 @@ def fiber_action(x, g: int, q: QuotientElement, decomposition=None) -> QuotientE
             raise InputValidationError(f"bad decomposition {decomposition} of {g}")
     rep = halving_apply(a, halving_section(b, q.rep))
     return QuotientElement(x=v, rep=rep)
-
-
-def quotient_close(q1: QuotientElement, q2: QuotientElement, tol: float = DEFAULT_TOL) -> bool:
-    if q1.x != q2.x:
-        return False
-    return quotient_norm(q1.x, q1.rep - q2.rep) <= tol
-
-
-class QuotientFiberBundle:
-    """Adapter exposing the quotient fibers to the groupoid convolution
-    algebra: values are plain representatives, all operations are fiberwise
-    on representatives, norms and equality are the quotient seminorms."""
-
-    def zero(self, x):
-        return PiecewisePoly.zero()
-
-    def is_zero(self, x, v, tol: float = 0.0) -> bool:
-        return all(np.all(c == 0.0) for c in v.coefs) or (tol > 0 and quotient_norm(x, v) <= tol)
-
-    def mul(self, x, u, v):
-        return u * v
-
-    def star(self, x, u):
-        return u.star()
-
-    def norm(self, x, u) -> float:
-        return quotient_norm(x, u)
-
-    def act(self, x, g: int, v):
-        src = INF if x == INF else x + g
-        return fiber_action(x, g, QuotientElement(x=src, rep=v)).rep
-
-    def close(self, x, u, v, tol: float) -> bool:
-        return quotient_norm(x, u - v) <= tol
 
 
 # ---------------------------------------------------------------------------

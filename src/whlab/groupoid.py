@@ -96,8 +96,8 @@ class MatrixBundle:
     def zero(self, x):
         return np.zeros((self.k, self.k), dtype=np.complex128)
 
-    def is_zero(self, x, v, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(v) <= tol))
+    def is_zero(self, x, v) -> bool:
+        return not np.any(v)
 
     def mul(self, x, u, v):
         return u @ v
@@ -111,9 +111,6 @@ class MatrixBundle:
     def act(self, x, g: int, v):
         """alpha_{(X,g)} applied to a value over X.g, landing over X."""
         return self.action.apply(g, v)
-
-    def close(self, x, u, v, tol: float) -> bool:
-        return self.norm(x, np.asarray(u) - np.asarray(v)) <= tol
 
 
 def trivial_bundle(k: int) -> MatrixBundle:
@@ -159,17 +156,14 @@ class GroupoidSection:
         self.values[e] = v
 
 
-def delta_section(bundle, window: Window, e, value) -> GroupoidSection:
-    s = GroupoidSection(bundle, window)
-    s.set(e, value)
-    return s
-
-
 def convolve(phi: GroupoidSection, psi: GroupoidSection, window: Window | None = None) -> GroupoidSection:
     """Counting-measure convolution; support-driven, so the integral over each
-    unit fiber (including the one at infinity) is a finite sum."""
-    if phi.bundle is not psi.bundle and type(phi.bundle) is not type(psi.bundle):
-        raise InputValidationError("sections live over different bundles")
+    unit fiber (including the one at infinity) is a finite sum.  Both sections
+    must carry the same action (equal generators)."""
+    if phi.bundle is not psi.bundle and not np.array_equal(
+        phi.bundle.action.generator, psi.bundle.action.generator
+    ):
+        raise InputValidationError("sections live over different actions")
     window = window or phi.window
     out = GroupoidSection(phi.bundle, window)
     bundle = phi.bundle

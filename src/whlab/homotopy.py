@@ -30,7 +30,7 @@ broken variants of both are shipped for mutation testing of the verifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,7 @@ from . import spectra
 from .errors import DomainError, InputValidationError
 from .fell import INF
 from .moebius import ZPoint
-from .spectra import CLUSTER_TOL, DEFAULT_TOL, SpectralDecomposition
+from .spectra import CLUSTER_TOL, SpectralDecomposition
 
 DEFAULT_T_GRID = 65
 
@@ -186,18 +186,7 @@ def make_halfline_mutant() -> HomotopySpec:
             return 0.0 if s == 0.0 else INF
         return s * x
 
-    good = make_halfline_homotopy()
-    return HomotopySpec(
-        name="halfline-mutant-no-normalizer",
-        model="halfline",
-        phi=phi,
-        boundary_test=good.boundary_test,
-        orbit_test=good.orbit_test,
-        order_test=good.order_test,
-        distance=good.distance,
-        describe=good.describe,
-        sample_check=good.sample_check,
-    )
+    return replace(make_halfline_homotopy(), name="halfline-mutant-no-normalizer", phi=phi)
 
 
 def halfline_samples(rng: np.random.Generator, count: int = 50) -> list:
@@ -212,41 +201,31 @@ def halfline_samples(rng: np.random.Generator, count: int = 50) -> list:
 # unitary model: Z = upper-half-circle spectra, boundary = {-1 in spectrum}
 
 
-def angle_log(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL, seed: int = 0):
-    """g(U): the Hermitian with the principal angles of U in [0, pi] on U's
-    spectral projections; eigenvalues within the clustering threshold of the
-    endpoints are clamped."""
-    if isinstance(u, ZPoint):
-        dec = u.dec
-    else:
-        dec = spectra.unitary_eig(u, tol=100 * tol, seed=seed)
-    angles = [_principal_angle(lam, cluster, tol) for lam in dec.eigenvalues]
-    out = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for theta, proj in zip(angles, dec.projections):
-        out += theta * proj
-    return 0.5 * (out + out.conj().T)
-
-
-def _principal_angle(lam: complex, cluster: float, tol: float) -> float:
+def _principal_angle(lam: complex, tol: float) -> float:
+    """The angle of lam in [0, pi]; eigenvalues within sqrt(max(tol,
+    CLUSTER_TOL)) below the real axis are clamped to the nearer endpoint."""
     theta = float(np.angle(lam))
     if theta < 0.0:
-        if theta >= -math.sqrt(max(tol, cluster)):
+        if theta >= -math.sqrt(max(tol, CLUSTER_TOL)):
             return 0.0
-        if theta <= -math.pi + math.sqrt(max(tol, cluster)):
+        if theta <= -math.pi + math.sqrt(max(tol, CLUSTER_TOL)):
             return math.pi
         raise DomainError(f"eigenvalue {lam} lies outside the upper half circle")
     return min(theta, math.pi)
 
 
-def rotate_zpoint(z: ZPoint, t: float) -> ZPoint:
-    """phi_t through the functional calculus; the spectral frame is shared."""
-    angles = [_principal_angle(lam, CLUSTER_TOL, z.tol) for lam in z.dec.eigenvalues]
-    new_eigs = np.array([np.exp(1j * ((1.0 - t) * th + t * math.pi)) for th in angles])
-    u = np.zeros((z.dim, z.dim), dtype=np.complex128)
-    for lam, proj in zip(new_eigs, z.dec.projections):
-        u += lam * proj
+def _rotate(z: ZPoint, phase: Callable) -> ZPoint:
+    """exp(i phase(g(U))) through the functional calculus; the spectral frame
+    is shared."""
+    angles = [_principal_angle(lam, z.tol) for lam in z.dec.eigenvalues]
+    new_eigs = np.array([np.exp(1j * phase(th)) for th in angles])
     dec = SpectralDecomposition(new_eigs, list(z.dec.projections), tol=z.tol)
-    return ZPoint(u=u, dec=dec, tol=z.tol)
+    return ZPoint(u=dec.reconstruct(), dec=dec, tol=z.tol)
+
+
+def rotate_zpoint(z: ZPoint, t: float) -> ZPoint:
+    """phi_t(U) = exp(i((1-t) g(U) + t pi))."""
+    return _rotate(z, lambda th: (1.0 - t) * th + t * math.pi)
 
 
 def order_containment_unitary(u1: ZPoint, u2: ZPoint, tol: float = 1e-9) -> bool:
@@ -297,23 +276,8 @@ def make_unitary_homotopy(tol: float = 1e-9) -> HomotopySpec:
 def make_unitary_mutant(tol: float = 1e-9) -> HomotopySpec:
     """Broken variant: the t*pi drift is dropped, so phi_1 collapses to the
     identity instead of -1 and the boundary is not preserved."""
-    def phi(t: float, z: ZPoint) -> ZPoint:
-        angles = [_principal_angle(lam, CLUSTER_TOL, z.tol) for lam in z.dec.eigenvalues]
-        new_eigs = np.array([np.exp(1j * (1.0 - t) * th) for th in angles])
-        u = np.zeros((z.dim, z.dim), dtype=np.complex128)
-        for lam, proj in zip(new_eigs, z.dec.projections):
-            u += lam * proj
-        return ZPoint(u=u, dec=SpectralDecomposition(new_eigs, list(z.dec.projections), tol=z.tol), tol=z.tol)
-
-    good = make_unitary_homotopy(tol=tol)
-    return HomotopySpec(
+    return replace(
+        make_unitary_homotopy(tol=tol),
         name="unitary-mutant-no-drift",
-        model="unitary",
-        phi=phi,
-        boundary_test=good.boundary_test,
-        orbit_test=good.orbit_test,
-        order_test=good.order_test,
-        distance=good.distance,
-        describe=good.describe,
-        sample_check=good.sample_check,
+        phi=lambda t, z: _rotate(z, lambda th: (1.0 - t) * th),
     )

@@ -1,18 +1,12 @@
 """JSON codecs for the file formats the CLI consumes and produces.
 
-Formats:
-  matrix        {"d": n, "re": [[...]], "im": [[...]]}         (row-major)
-  algebra       {"d": n, "basis": [matrix, ...]}
-  symbol        {"k": k, "support": [...], "values": {"g": matrix}}
-  section       [{"X": int|"inf", "g": int, "value": matrix}, ...]
+Input (``whlab fell converge``):
   set sequence  {"ambient": "R"|"Z", "window": [lo, hi], "step": h,
                  "sets": [{"kind": "ray", "endpoint": x} |
                           {"kind": "interval", "lo": a, "hi": b} |
                           {"kind": "points", "points": [...]}]}
-  piecewise     {"breaks": [...], "vals": [...]}
-  trig          {"coeffs": {"m": [re, im], ...}}
 
-Report emission is bit-stable: keys sorted, floats rendered with 17
+Output: report emission is bit-stable: keys sorted, floats rendered with 17
 significant digits, so identical (config, seed) runs produce identical bytes.
 """
 
@@ -23,153 +17,30 @@ import math
 import numpy as np
 
 from .errors import InputValidationError
-from .fell import INF, finite_set, interval, ray
-from .fibers import PiecewisePoly, TrigPoly
-from .groupoid import GroupoidElement, GroupoidSection, Window, trivial_bundle
-from .jordan import JordanAlgebra
-from .toeplitz import SymbolFunction
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputValidationError("matrix must be square")
-    return {"d": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    try:
-        d = int(obj["d"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputValidationError(f"malformed matrix object: {exc}") from exc
-    if re.shape != (d, d) or im.shape != (d, d):
-        raise InputValidationError(f"matrix parts must be {d}x{d}")
-    return re + 1j * im
-
-
-def algebra_to_json(v: JordanAlgebra) -> dict:
-    return {"d": v.dim, "basis": [matrix_to_json(b) for b in v.basis]}
-
-
-def algebra_from_json(obj: dict) -> JordanAlgebra:
-    try:
-        d = int(obj["d"])
-        basis = [matrix_from_json(b) for b in obj["basis"]]
-    except (KeyError, TypeError) as exc:
-        raise InputValidationError(f"malformed algebra object: {exc}") from exc
-    return JordanAlgebra(dim=d, basis=basis)
-
-
-def symbol_to_json(f: SymbolFunction) -> dict:
-    return {
-        "k": f.k,
-        "support": f.support,
-        "values": {str(g): matrix_to_json(v) for g, v in f.values.items()},
-    }
-
-
-def symbol_from_json(obj: dict) -> SymbolFunction:
-    try:
-        k = int(obj["k"])
-        values = {int(g): matrix_from_json(v) for g, v in obj["values"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputValidationError(f"malformed symbol object: {exc}") from exc
-    return SymbolFunction(k=k, values=values)
-
-
-def _value_to_json(v) -> dict:
-    if isinstance(v, PiecewisePoly):
-        return {"fiber": "piecewise", **piecewise_to_json(v)}
-    return matrix_to_json(v)
-
-
-def _value_from_json(obj: dict):
-    if obj.get("fiber") == "piecewise":
-        return piecewise_from_json(obj)
-    return matrix_from_json(obj)
-
-
-def section_to_json(s: GroupoidSection) -> list:
-    out = []
-    for e in s.support:
-        out.append(
-            {
-                "X": "inf" if e.x == INF else int(e.x),
-                "g": int(e.g),
-                "value": _value_to_json(s.values[e]),
-            }
-        )
-    return out
-
-
-def section_from_json(items, max_x: int, max_g: int, bundle=None) -> GroupoidSection:
-    values = {}
-    k = None
-    for obj in items:
-        try:
-            x = INF if obj["X"] == "inf" else int(obj["X"])
-            g = int(obj["g"])
-            v = _value_from_json(obj["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputValidationError(f"malformed section entry: {exc}") from exc
-        if isinstance(v, np.ndarray):
-            k = v.shape[0] if k is None else k
-        values[GroupoidElement(x, g)] = v
-    if bundle is None:
-        if k is None:
-            raise InputValidationError("empty or fiber-valued section needs an explicit bundle")
-        bundle = trivial_bundle(k)
-    return GroupoidSection(bundle, Window(max_x, max_g), values)
+from .fell import finite_set, interval, ray
 
 
 def set_sequence_from_json(obj: dict) -> list:
+    """The closed sets of a set-sequence object; a malformed field raises
+    InputValidationError."""
     try:
         ambient = obj["ambient"]
         window = tuple(float(v) for v in obj["window"])
         step = float(obj.get("step", 1.0))
-        sets = obj["sets"]
-    except (KeyError, TypeError, ValueError) as exc:
+        out = []
+        for item in obj["sets"]:
+            kind = item.get("kind")
+            if kind == "ray":
+                out.append(ray(float(item["endpoint"]), ambient, window, step))
+            elif kind == "interval":
+                out.append(interval(float(item["lo"]), float(item["hi"]), ambient, window, step))
+            elif kind == "points":
+                out.append(finite_set(item["points"], ambient, window, step))
+            else:
+                raise InputValidationError(f"unknown set kind {kind!r}")
+        return out
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputValidationError(f"malformed set sequence: {exc}") from exc
-    out = []
-    for item in sets:
-        kind = item.get("kind")
-        if kind == "ray":
-            out.append(ray(float(item["endpoint"]), ambient, window, step))
-        elif kind == "interval":
-            out.append(interval(float(item["lo"]), float(item["hi"]), ambient, window, step))
-        elif kind == "points":
-            out.append(finite_set(item["points"], ambient, window, step))
-        else:
-            raise InputValidationError(f"unknown set kind {kind!r}")
-    return out
-
-
-def piecewise_to_json(f: PiecewisePoly) -> dict:
-    """Breakpoint presentation; only faithful for piecewise-linear elements."""
-    breaks = [float(b) for b in f.breaks]
-    vals = [f(b) for b in breaks]
-    return {"breaks": breaks, "vals": vals}
-
-
-def piecewise_from_json(obj: dict) -> PiecewisePoly:
-    try:
-        return PiecewisePoly.from_breakpoints(obj["breaks"], obj["vals"])
-    except (KeyError, TypeError) as exc:
-        raise InputValidationError(f"malformed piecewise object: {exc}") from exc
-
-
-def trig_to_json(f: TrigPoly) -> dict:
-    return {"coeffs": {str(m): [c.real, c.imag] for m, c in sorted(f.coeffs.items())}}
-
-
-def trig_from_json(obj: dict) -> TrigPoly:
-    try:
-        coeffs = {int(m): complex(p[0], p[1]) for m, p in obj["coeffs"].items()}
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InputValidationError(f"malformed trig object: {exc}") from exc
-    return TrigPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

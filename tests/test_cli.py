@@ -126,10 +126,32 @@ def test_fell_converge_malformed_json(tmp_path):
     assert run_cli(["fell", "converge", "--input", str(src)]) == cli.EXIT_USAGE
 
 
-def test_fell_converge_bad_schema(tmp_path):
+RAY = {"kind": "ray", "endpoint": 0.0}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"ambient": "R", "window": [0, 1], "sets": [{"kind": "blob"}]},
+        {"ambient": "R", "window": [0, 1], "sets": [{"kind": "ray"}]},
+        {"ambient": "R", "window": [0, 1], "sets": [3]},
+        {"ambient": "R", "window": [0, 1], "sets": 5},
+        {"ambient": "R", "window": [0, 1], "step": float("nan"), "sets": [RAY]},
+        {"ambient": "R", "window": [0, 1], "step": "inf", "sets": [RAY]},
+        {"ambient": "R", "window": [0, "inf"], "sets": [RAY]},
+        {"ambient": "Z", "window": ["-inf", 3], "sets": [RAY]},
+        {"ambient": "R", "window": [0, 1], "sets": [{"kind": "points", "points": ["a"]}]},
+        {"ambient": "R", "window": [0, 1], "sets": [{"kind": "ray", "endpoint": "x"}]},
+    ],
+    ids=["unknown-kind", "ray-without-endpoint", "set-is-number", "sets-is-number",
+         "nan-step", "infinite-step", "infinite-window", "infinite-integer-window",
+         "non-numeric-point", "non-numeric-endpoint"],
+)
+def test_fell_converge_bad_schema(obj, tmp_path, capsys):
     src = tmp_path / "bad2.json"
-    src.write_text(json.dumps({"ambient": "R", "window": [0, 1], "sets": [{"kind": "blob"}]}))
+    src.write_text(json.dumps(obj))
     assert run_cli(["fell", "converge", "--input", str(src)]) == cli.EXIT_USAGE
+    assert "usage error:" in capsys.readouterr().err
 
 
 def test_json_goes_to_stdout_without_out(capsys):

@@ -50,25 +50,6 @@ def test_classify_omega_discrete_convention():
     assert fell.classify_omega(fell.discrete(INF)) == "interior"
 
 
-def test_cone2d_membership_translate_classify():
-    corner = fell.cone2d_corner(1.0, 2.0)
-    assert fell.point_contains(corner, (1.0, 2.0))
-    assert not fell.point_contains(corner, (1.5, 0.0))
-    moved = fell.translate(corner, (1.0, -1.0))
-    assert moved.value == ("corner", (2.0, 1.0))
-    assert fell.in_omega(moved)
-    assert not fell.in_omega(fell.translate(corner, (-2.0, 0.0)))
-
-    half = fell.cone2d_halfplane(0, 1.0)
-    assert fell.point_contains(half, (0.5, 123.0))
-    assert fell.classify_omega(half) == "interior"
-    assert fell.classify_omega(fell.cone2d_halfplane(0, 0.0)) == "boundary"
-    assert fell.classify_omega(fell.cone2d_corner(0.0, 5.0)) == "boundary"
-    assert fell.classify_omega(fell.cone2d_plane()) == "interior"
-    assert fell.omega_qset(corner, (-1.0, -2.0)) is True
-    assert fell.omega_qset(corner, (-1.5, 0.0)) is False
-
-
 def test_omega_point_validation():
     with pytest.raises(InputValidationError):
         fell.halfline(-1.0)
@@ -140,3 +121,6 @@ def test_p_invariance_of_omega():
     for x in [0.0, 0.5, 2.0, INF]:
         for a in np.linspace(0.0, 4.0, 9):
             assert fell.in_omega(fell.translate(fell.halfline(x), float(a)))
+    # translates against the semigroup can leave Omega for the extended model
+    assert not fell.in_omega(fell.translate(fell.discrete(1), -2))
+    assert not fell.in_omega(fell.translate(fell.halfline(1.0), -1.5))

@@ -58,7 +58,7 @@ def test_delta_at_unit_is_left_identity(rng):
     bundle = groupoid.trivial_bundle(1)
     psi = _random_section(rng, bundle, window, points=5, x_bound=6, g_bound=3)
     for x in (0, 2, INF):
-        delta = groupoid.delta_section(bundle, window, (x, 0), np.eye(1))
+        delta = GroupoidSection(bundle, window, {(x, 0): np.eye(1)})
         conv = groupoid.convolve(delta, psi)
         # the product keeps exactly psi's column over the unit x
         for e, v in conv.values.items():
@@ -108,7 +108,7 @@ def test_involution_fixes_selfadjoint_units():
     window = Window(max_x=5, max_g=5)
     bundle = groupoid.trivial_bundle(2)
     h = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -3.0]])
-    s = groupoid.delta_section(bundle, window, (2, 0), h)
+    s = GroupoidSection(bundle, window, {(2, 0): h})
     out = groupoid.involute(s)
     assert np.allclose(out((2, 0)), h)
 
@@ -137,7 +137,7 @@ def test_involution_trivial_bundle_formula(rng):
 def test_i_norm_examples():
     window = Window(max_x=6, max_g=6)
     bundle = groupoid.trivial_bundle(1)
-    s = groupoid.delta_section(bundle, window, (2, 1), np.array([[3.0]]))
+    s = GroupoidSection(bundle, window, {(2, 1): np.array([[3.0]])})
     assert groupoid.i_norm(s) == pytest.approx(3.0)
     s.set((2, -2), np.array([[4.0]]))  # same unit, second point
     assert groupoid.i_norm(s) == pytest.approx(7.0)  # row sum dominates
@@ -247,7 +247,7 @@ def test_lambda_rep_matches_the_cell_scan(rng):
 
 def test_lambda_rep_window_certification():
     window = Window(max_x=4, max_g=4)
-    s = groupoid.delta_section(groupoid.trivial_bundle(1), window, (0, 0), np.eye(1))
+    s = GroupoidSection(groupoid.trivial_bundle(1), window, {(0, 0): np.eye(1)})
     with pytest.raises(WindowOverflowError):
         groupoid.lambda_rep(s, 8)
 
@@ -287,7 +287,7 @@ def test_shift_R_trivial_bundle_is_translation(rng):
 def test_shift_R_window_overflow_is_loud():
     window = Window(max_x=8, max_g=3)
     bundle = groupoid.trivial_bundle(1)
-    psi = groupoid.delta_section(bundle, window, (5, 3), np.eye(1))
+    psi = GroupoidSection(bundle, window, {(5, 3): np.eye(1)})
     with pytest.raises(WindowOverflowError):
         groupoid.shift_R(2, psi)  # lands at g = 5 > max_g
 
@@ -295,8 +295,8 @@ def test_shift_R_window_overflow_is_loud():
 def test_convolution_window_overflow_is_loud():
     window = Window(max_x=4, max_g=2)
     bundle = groupoid.trivial_bundle(1)
-    phi = groupoid.delta_section(bundle, window, (0, 2), np.eye(1))
-    psi = groupoid.delta_section(bundle, window, (2, 2), np.eye(1))
+    phi = GroupoidSection(bundle, window, {(0, 2): np.eye(1)})
+    psi = GroupoidSection(bundle, window, {(2, 2): np.eye(1)})
     with pytest.raises(WindowOverflowError):
         groupoid.convolve(phi, psi)
 
@@ -308,37 +308,16 @@ def test_section_rejects_support_outside_window():
         GroupoidSection(bundle, window, {GroupoidElement(5, 0): np.eye(1)})
 
 
-def test_sections_over_quotient_fibers(rng):
-    # the same convolution algebra works with genuine quotient fibers
-    from whlab import fibers
-
-    bundle = fibers.QuotientFiberBundle()
-    window = Window(max_x=10, max_g=6, include_inf=True)
-    phi = GroupoidSection(bundle, window)
-    psi = GroupoidSection(bundle, window)
-    phi.set((2, 1), fibers.random_dyadic_pl(rng, level=3))
-    phi.set((4, -2), fibers.random_dyadic_pl(rng, level=3))
-    phi.set((INF, 2), fibers.random_dyadic_pl(rng, level=3))
-    psi.set((3, 1), fibers.random_dyadic_pl(rng, level=3))
-    psi.set((2, 0), fibers.random_dyadic_pl(rng, level=3))
-    psi.set((INF, -1), fibers.random_dyadic_pl(rng, level=3))
-
-    conv = groupoid.convolve(phi, psi)
-    # the (2,1)*(3,1) product lands at (2,2) with the fiber action applied
-    expected = phi((2, 1)) * bundle.act(2, 1, psi((3, 1)))
-    assert fibers.quotient_norm(2, conv((2, 2)) - expected) <= 1e-12
-
-    # involution is an i_norm isometry and an involution here too
-    assert groupoid.i_norm(groupoid.involute(phi)) == pytest.approx(groupoid.i_norm(phi))
-    back = groupoid.involute(groupoid.involute(phi))
-    for e in set(phi.values) | set(back.values):
-        assert bundle.close(e.x, phi(e), back(e), 1e-9)
-
-    # associativity with a third section
-    chi = GroupoidSection(bundle, window)
-    chi.set((4, -1), fibers.random_dyadic_pl(rng, level=3))
-    chi.set((3, 2), fibers.random_dyadic_pl(rng, level=3))
-    lhs = groupoid.convolve(groupoid.convolve(phi, psi), chi)
-    rhs = groupoid.convolve(phi, groupoid.convolve(psi, chi))
-    for e in set(lhs.values) | set(rhs.values):
-        assert bundle.close(e.x, lhs(e), rhs(e), 1e-9)
+def test_convolve_rejects_sections_over_different_actions(rng):
+    window = Window(max_x=6, max_g=4)
+    twisted = groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
+    phi = _random_section(rng, groupoid.trivial_bundle(2), window, 4, x_bound=4, g_bound=2)
+    psi = _random_section(rng, twisted, window, 4, x_bound=4, g_bound=2)
+    with pytest.raises(InputValidationError):
+        groupoid.convolve(phi, psi)
+    with pytest.raises(InputValidationError):
+        groupoid.convolve(psi, phi)
+    # a distinct bundle object carrying the same action is accepted
+    same = groupoid.MatrixBundle(twisted.action)
+    chi = GroupoidSection(same, window, {(1, 1): random_complex(rng, 2)})
+    groupoid.convolve(psi, chi)

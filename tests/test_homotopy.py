@@ -10,16 +10,22 @@ from whlab.errors import DomainError, InputValidationError
 from whlab.fell import INF
 
 
-def test_angle_log_values():
-    assert np.allclose(homotopy.angle_log(np.eye(2)), np.zeros((2, 2)), atol=1e-10)
-    assert np.allclose(homotopy.angle_log(-np.eye(2)), math.pi * np.eye(2), atol=1e-10)
-    out = homotopy.angle_log(np.diag([1.0 + 0j, 1j]))
-    assert np.allclose(out, np.diag([0.0, math.pi / 2]), atol=1e-10)
+def test_rotate_zpoint_follows_principal_angles():
+    # g(U) has the principal angles 0 and pi/2; phi_t moves each toward pi
+    z = moebius.zpoint(np.diag([1.0 + 0j, 1j]))
+    assert np.allclose(homotopy.rotate_zpoint(z, 0.0).u, z.u, atol=1e-10)
+    half = homotopy.rotate_zpoint(z, 0.5).u
+    assert np.allclose(half, np.diag([1j, np.exp(0.75j * math.pi)]), atol=1e-10)
+    # the angle of -1 is pi, which every phi_t fixes
+    minus = moebius.zpoint(-np.eye(2))
+    assert np.allclose(homotopy.rotate_zpoint(minus, 0.5).u, -np.eye(2), atol=1e-10)
 
 
-def test_angle_log_rejects_lower_halfcircle():
+def test_rotate_zpoint_rejects_lower_halfcircle():
+    u = np.diag([np.exp(-0.5j), 1.0 + 0j])
+    z = moebius.ZPoint(u=u, dec=spectra.unitary_eig(u))
     with pytest.raises(DomainError):
-        homotopy.angle_log(np.diag([np.exp(-0.5j), 1.0 + 0j]))
+        homotopy.rotate_zpoint(z, 0.5)
 
 
 def test_halfline_formula_values():
