@@ -27,6 +27,11 @@ from .errors import InputValidationError, InvariantViolationError
 
 INF = math.inf
 
+# The most grid points a ClosedSetModel window may hold.  fell_limit judges
+# every point of the grid in Python, so a grid this long already takes
+# seconds; a window beyond it is rejected before anything is allocated.
+MAX_GRID_POINTS = 100_000
+
 # For the discrete model the interior of P is taken to be {1, 2, ...}; the
 # interior of a discrete semigroup is not canonical, this is the convention
 # the classification below reports.
@@ -155,6 +160,12 @@ class ClosedSetModel:
         lo, hi = self.window
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InputValidationError("window must be a finite nondegenerate interval")
+        # grid steps across the window; inf when (hi - lo) / step overflows
+        steps = math.floor(hi) - math.ceil(lo) if self.ambient == "Z" else (hi - lo) / self.grid_step
+        if not steps < MAX_GRID_POINTS:
+            raise InputValidationError(
+                f"window holds about {float(steps) + 1:.3g} grid points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+            )
 
     def grid(self) -> np.ndarray:
         lo, hi = self.window

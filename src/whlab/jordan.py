@@ -108,8 +108,8 @@ def generate_algebra(generators, dim: int | None = None, tol: float = DEFAULT_TO
     if dim is None:
         if not generators:
             raise InputValidationError("dimension required when no generators are given")
-        dim = generators[0].shape[0]
-    if dim < 1 or any(g.shape[0] != dim for g in generators):
+        dim = generators[0].shape[-1]
+    if dim < 1 or any(g.shape != (dim, dim) for g in generators):
         raise InputValidationError("the algebra dimension must be positive and shared by the generators")
 
     seeds = np.array([np.eye(dim)] + generators, dtype=np.complex128)
@@ -155,8 +155,8 @@ def order_compare(a, b, tol: float = DEFAULT_TOL) -> OrderRelation:
     """Compare Hermitians in the positive-cone order via lambda_min(B - A)."""
     ma = spectra.as_matrix(a)
     mb = spectra.as_matrix(b)
-    if ma.shape != mb.shape:
-        raise InputValidationError("dimension mismatch")
+    if ma.shape != mb.shape or ma.ndim != 2:
+        raise InputValidationError("dimension mismatch: order_compare takes two matrices of one size")
     lam = spectra.lambda_min(mb - ma, tol=max(tol, spectra.DEFAULT_TOL))
     if lam > tol:
         return OrderRelation.LT

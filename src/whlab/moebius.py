@@ -13,6 +13,18 @@ Z point by its eigenvalue-1 projection and the inverse Cayley transform of
 the complement compression, and the half-space membership sets
 Q_{(E,A)} = {B : A + (1-E)B(1-E) >= 0} together with a probing scheme that
 separates distinct pairs by such a membership witness.
+
+Stacks: ``boxplus``, ``psi``, ``psi_inv``, ``moebius_contraction``,
+``contraction_inverse``, ``qset_contains``, ``zpoint``, ``pair_encode``,
+``pair_decode`` and ``classify_zpoint`` take stacks ``(T, d, d)`` as well as
+single matrices, as ``spectra`` does: a 2-D input is a stack of one and gets
+back what it always did, a stack gets an array or a list.  A ``ZPoint`` or
+``PairRep`` may hold a stack; ``PairRep`` indexes like one.  Operands of one
+call share d, and their stacks share a length, except that a single matrix
+goes with any stack; anything else is a dimension mismatch, never a
+broadcast.  Every guard and check judges each matrix of a stack.
+``random_zpoint(..., size=T)`` draws trial by trial (``draw_pair``) and
+builds, validates and decodes the T points as one stack (``build_pairs``).
 """
 
 from __future__ import annotations
@@ -30,11 +42,17 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .jordan import JordanAlgebra
-from .sampling import random_hermitian, random_positive
+from .sampling import random_complex, random_hermitian
 from .spectra import (
     CLUSTER_TOL,
     DEFAULT_TOL,
     SpectralDecomposition,
+    _frobenius,
+    _H,
+    _require,
+    _right_solve,
+    _smin,
+    _unstack,
     as_matrix,
     assert_hermitian,
     assert_unitary,
@@ -48,18 +66,32 @@ class ZClass(str, Enum):
     OUTSIDE = "outside"
 
 
+def _shared_shape(*mats: np.ndarray) -> tuple:
+    """The shape of the result of a call on these matrices and stacks: one d
+    for all, one stack length for the stacks, which a single matrix joins."""
+    shape = max((m.shape for m in mats), key=len)
+    if any(m.shape != shape and (m.ndim > 2 or m.shape[-1] != shape[-1]) for m in mats):
+        raise InputValidationError("dimension mismatch")
+    return shape
+
+
+def _decompositions(dec) -> list:
+    """The decompositions of a ZPoint as a list, one per matrix."""
+    return dec if isinstance(dec, list) else [dec]
+
+
 @dataclass
 class ZPoint:
     """A unitary with spectrum in the closed upper half circle, plus its cached
-    spectral decomposition."""
+    spectral decomposition; a stack of them with a list of decompositions."""
 
     u: np.ndarray
-    dec: SpectralDecomposition
+    dec: SpectralDecomposition | list
     tol: float = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-1]
 
 
 def zpoint(u, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
@@ -72,16 +104,16 @@ def zpoint(u, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
     m = as_matrix(u)
     # unitary_eig runs the unitary guard on m at the same 100 * tol
     dec = spectra.unitary_eig(m, tol=100 * tol, seed=seed)
-    worst = min(float(np.imag(lam)) for lam in dec.eigenvalues)
-    if worst < -np.sqrt(tol):
-        raise DomainError(f"spectrum leaves the upper half circle: Im = {worst:.3e}")
+    worst = np.reshape([min(float(np.imag(lam)) for lam in d.eigenvalues) for d in _decompositions(dec)], m.shape[:-2])
+    _require(worst >= -np.sqrt(tol), worst, DomainError, "spectrum leaves the upper half circle: Im = {:.3e}")
     return ZPoint(u=m, dec=dec, tol=tol)
 
 
 @dataclass
 class PairRep:
     """Encoding (E, A) of a Z point: E the eigenvalue-1 projection, A the
-    inverse Cayley transform of the compression to range(1-E).
+    inverse Cayley transform of the compression to range(1-E); or a stack of
+    them, which indexes like an array of pairs.
 
     Invariants within tol: E is an orthogonal projection, A is positive, and
     (1-E) A (1-E) = A.
@@ -96,22 +128,32 @@ class PairRep:
         check = np.sqrt(tol)
         self.e = assert_hermitian(self.e, tol=check)
         self.a = as_matrix(self.a)
-        if np.linalg.norm(self.e @ self.e - self.e) > check:
-            raise InputValidationError("E is not an orthogonal projection")
+        if self.e.shape != self.a.shape:
+            raise InputValidationError("dimension mismatch")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which fails
+            defect = _frobenius(self.e @ self.e - self.e)
+        _require(defect <= check, defect, InputValidationError, "E is not an orthogonal projection")
         comp = np.eye(self.dim) - self.e
-        if np.linalg.norm(comp @ self.a @ comp - self.a) > check:
-            raise InputValidationError("(1-E) A (1-E) != A beyond tolerance")
-        if spectra.lambda_min(self.a, tol=check) < -check:
-            raise InputValidationError("A is not positive")
+        defect = _frobenius(comp @ self.a @ comp - self.a)
+        _require(defect <= check, defect, InputValidationError, "(1-E) A (1-E) != A beyond tolerance")
+        lam = spectra.lambda_min(self.a, tol=check)
+        _require(np.asarray(lam) >= -check, lam, InputValidationError, "A is not positive")
 
     @property
     def dim(self) -> int:
-        return self.e.shape[0]
+        return self.e.shape[-1]
 
-    def close_to(self, other: "PairRep", tol: float) -> bool:
-        return (
-            operator_norm(self.e - other.e) <= tol
-            and operator_norm(self.a - other.a) <= tol
+    def __getitem__(self, index) -> "PairRep":
+        """The pairs of a stack at ``index``; the stack's checks cover them."""
+        pair = object.__new__(PairRep)
+        pair.e, pair.a, pair.tol = self.e[index], self.a[index], self.tol
+        if pair.e.ndim < 2:
+            raise IndexError("a pair index selects matrices of the stack, not entries")
+        return pair
+
+    def close_to(self, other: "PairRep", tol: float):
+        return _unstack(
+            (np.asarray(operator_norm(self.e - other.e)) <= tol) & (np.asarray(operator_norm(self.a - other.a)) <= tol)
         )
 
 
@@ -124,22 +166,24 @@ def boxplus(u, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     mu = as_matrix(u)
     mb = as_matrix(b)
-    if mu.shape != mb.shape:
-        raise InputValidationError("dimension mismatch")
-    eye = np.eye(mu.shape[0])
+    _shared_shape(mu, mb)
+    eye = np.eye(mu.shape[-1])
     numer = (2j * eye + mb) @ mu - mb
     denom = mb @ mu + 2j * eye - mb
-    smin = np.linalg.svd(denom, compute_uv=False)[-1]
-    if smin < tol:
-        raise NumericalError(f"BU + 2i - B nearly singular (sigma_min = {smin:.3e})")
-    return np.linalg.solve(denom.T, numer.T).T
+    smin = _smin(denom)
+    _require(smin >= tol, smin, NumericalError, "BU + 2i - B nearly singular (sigma_min = {:.3e})")
+    return _right_solve(denom, numer)
 
 
-def classify_zpoint(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL, seed: int = 0) -> ZClass:
+def classify_zpoint(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL, seed: int = 0):
     """Locate a unitary relative to Z: outside, on the -1 boundary, or in the
-    dense -1-free part."""
+    dense -1-free part; a list of classes for a stack."""
     dec = spectra.unitary_eig(u, tol=100 * tol, seed=seed)
-    eigs = dec.eigenvalues
+    classes = [_zclass(d.eigenvalues, tol, cluster) for d in _decompositions(dec)]
+    return classes if isinstance(dec, list) else classes[0]
+
+
+def _zclass(eigs, tol: float, cluster: float) -> ZClass:
     if min(float(np.imag(lam)) for lam in eigs) < -np.sqrt(tol):
         return ZClass.OUTSIDE
     if min(abs(lam + 1.0) for lam in eigs) <= cluster:
@@ -150,33 +194,31 @@ def classify_zpoint(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL, s
 def psi(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """psi(A) = (-A + i)(A + i)^{-1}, mapping the positive cone into Z."""
     m = assert_hermitian(a, tol=tol)
-    eye = np.eye(m.shape[0])
-    return np.linalg.solve((m + 1j * eye).T, (-m + 1j * eye).T).T
+    eye = np.eye(m.shape[-1])
+    return _right_solve(m + 1j * eye, -m + 1j * eye)
 
 
 def psi_inv(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL) -> np.ndarray:
     """Inverse chart psi^{-1}(U) = i(1 - U)(1 + U)^{-1}; needs -1 off the spectrum."""
     m = assert_unitary(u, tol=100 * tol)
-    eye = np.eye(m.shape[0])
+    eye = np.eye(m.shape[-1])
     denom = eye + m
-    smin = np.linalg.svd(denom, compute_uv=False)[-1]
-    if smin < cluster:
-        raise DomainError(f"not in the -1-free part: spectrum within {smin:.3e} of -1")
-    h = np.linalg.solve(denom.T, (1j * (eye - m)).T).T
-    return 0.5 * (h + h.conj().T)
+    smin = _smin(denom)
+    _require(smin >= cluster, smin, DomainError, "not in the -1-free part: spectrum within {:.3e} of -1")
+    h = _right_solve(denom, 1j * (eye - m))
+    return 0.5 * (h + _H(h))
 
 
 def moebius_contraction(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The chart-side form A(BA + 1)^{-1} of the Moebius translate psi(A)[+]B."""
     ma = assert_hermitian(a, tol=np.sqrt(tol))
     mb = assert_hermitian(b, tol=np.sqrt(tol))
-    eye = np.eye(ma.shape[0])
-    denom = mb @ ma + eye
-    smin = np.linalg.svd(denom, compute_uv=False)[-1]
-    if smin < tol:
-        raise NumericalError(f"BA + 1 nearly singular (sigma_min = {smin:.3e})")
-    out = np.linalg.solve(denom.T, ma.T).T
-    return 0.5 * (out + out.conj().T)
+    _shared_shape(ma, mb)
+    denom = mb @ ma + np.eye(ma.shape[-1])
+    smin = _smin(denom)
+    _require(smin >= tol, smin, NumericalError, "BA + 1 nearly singular (sigma_min = {:.3e})")
+    out = _right_solve(denom, ma)
+    return 0.5 * (out + _H(out))
 
 
 def contraction_inverse(c, b, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -188,57 +230,67 @@ def contraction_inverse(c, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     entry = np.sqrt(tol)
     mc = assert_hermitian(c, tol=entry)
     mb = assert_hermitian(b, tol=entry)
-    eye = np.eye(mc.shape[0])
-    if spectra.lambda_min(mb, tol=entry) <= tol:
-        raise DomainError("B is not interior (not positive definite)")
+    shape = _shared_shape(mc, mb)
+    lam = spectra.lambda_min(mb, tol=entry)
+    _require(np.asarray(lam) > tol, lam, DomainError, "B is not interior (not positive definite)")
     b_inv = np.linalg.inv(mb)
-    if spectra.lambda_min(0.5 * (b_inv + b_inv.conj().T) - mc, tol=entry) <= tol:
-        raise DomainError("C not strictly below B^{-1}")
-    denom = eye - mc @ mb
-    smin = np.linalg.svd(denom, compute_uv=False)[-1]
-    if smin < tol:
-        raise NumericalError(f"1 - CB nearly singular (sigma_min = {smin:.3e})")
-    out = np.linalg.solve(denom, mc)
-    return 0.5 * (out + out.conj().T)
+    lam = spectra.lambda_min(0.5 * (b_inv + _H(b_inv)) - mc, tol=entry)
+    _require(np.asarray(lam) > tol, lam, DomainError, "C not strictly below B^{{-1}}")
+    denom = np.eye(shape[-1]) - mc @ mb
+    smin = _smin(denom)
+    _require(smin >= tol, smin, NumericalError, "1 - CB nearly singular (sigma_min = {:.3e})")
+    out = np.linalg.solve(denom, np.broadcast_to(mc, shape))
+    return 0.5 * (out + _H(out))
 
 
 def pair_encode(z: ZPoint, cluster: float = CLUSTER_TOL) -> PairRep:
     """Collapse a Z point to (E, A): E sums the spectral projections of
     eigenvalues clustered at 1, A carries the inverse Cayley transform of the
     rest on range(1-E)."""
-    dim = z.dim
-    e = np.zeros((dim, dim), dtype=np.complex128)
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    for lam, proj in zip(z.dec.eigenvalues, z.dec.projections):
-        if abs(lam - 1.0) <= cluster:
-            e += proj
-        else:
-            a += np.real(spectra.scalar_inverse_cayley(lam)) * proj
-    a = 0.5 * (a + a.conj().T)
-    return PairRep(e=e, a=a, tol=z.tol)
+    decs = _decompositions(z.dec)
+    e = np.zeros((len(decs), z.dim, z.dim), dtype=np.complex128)
+    a = np.zeros_like(e)
+    for t, dec in enumerate(decs):
+        for lam, proj in zip(dec.eigenvalues, dec.projections):
+            if abs(lam - 1.0) <= cluster:
+                e[t] += proj
+            else:
+                a[t] += np.real(spectra.scalar_inverse_cayley(lam)) * proj
+    e, a = e.reshape(z.u.shape), a.reshape(z.u.shape)
+    return PairRep(e=e, a=0.5 * (a + _H(a)), tol=z.tol)
 
 
 def pair_decode(p: PairRep, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
     """Rebuild the unitary E + (1-E) cayley(A) (1-E) from its pair encoding."""
     comp = np.eye(p.dim) - p.e
-    u = p.e + comp @ spectra.cayley(0.5 * (p.a + p.a.conj().T), tol=np.sqrt(tol)) @ comp
+    u = p.e + comp @ spectra.cayley(0.5 * (p.a + _H(p.a)), tol=np.sqrt(tol)) @ comp
     return zpoint(u, tol=tol, seed=seed)
 
 
-def qset_contains(p: PairRep, b, algebra: JordanAlgebra | None = None, tol: float = DEFAULT_TOL) -> bool:
-    """Membership of B in Q_{(E,A)} = {B : A + (1-E) B (1-E) >= 0}."""
-    mb = assert_hermitian(b, tol=np.sqrt(tol))
-    if mb.shape[0] != p.dim or (algebra is not None and algebra.dim != p.dim):
+def _check_algebra(algebra: JordanAlgebra | None, dim: int, mb: np.ndarray) -> None:
+    """Every matrix of mb must lie in the ambient algebra, when there is one."""
+    if algebra is None:
+        return
+    if algebra.dim != dim:
         raise InputValidationError("dimension mismatch")
-    if algebra is not None and not algebra.contains(mb):
-        raise DomainError("B lies outside the ambient Jordan algebra")
+    inside = np.reshape([algebra.contains(m) for m in mb.reshape(-1, dim, dim)], mb.shape[:-2])
+    _require(inside, inside, DomainError, "B lies outside the ambient Jordan algebra")
+
+
+def qset_contains(p: PairRep, b, algebra: JordanAlgebra | None = None, tol: float = DEFAULT_TOL):
+    """Membership of B in Q_{(E,A)} = {B : A + (1-E) B (1-E) >= 0}; a bool
+    array for a stack of pairs or of B's."""
+    mb = assert_hermitian(b, tol=np.sqrt(tol))
+    _shared_shape(p.e, mb)
+    _check_algebra(algebra, p.dim, mb)
     comp = np.eye(p.dim) - p.e
     probe = p.a + comp @ mb @ comp
     # Hermitian by construction: read the eigenvalue without a second guard
-    return float(np.linalg.eigvalsh(0.5 * (probe + probe.conj().T))[0]) >= -tol
+    return _unstack(np.linalg.eigvalsh(0.5 * (probe + _H(probe)))[..., 0] >= -tol)
 
 
 PROBE_EXPONENTS = range(-8, 9)
+PROBE_SCALES = np.array([sign * 2.0**k for k in PROBE_EXPONENTS for sign in (1.0, -1.0)])
 
 
 def separate_points(
@@ -251,70 +303,117 @@ def separate_points(
     pair encodings, or None when the pairs agree within tolerance.
 
     Probes scaled projections alpha*E over a geometric two-sided grid, then
-    the -A probes.  The probe grid has no completeness guarantee, so an
+    the -A probes, and returns the first that separates.  The probes are
+    judged as one stack per pair; the algebra check covers the probes up to
+    the witness.  The probe grid has no completeness guarantee, so an
     exhausted sweep on genuinely distinct pairs raises WitnessNotFoundError
     instead of guessing.
     """
-    if p1.dim != p2.dim:
-        raise InputValidationError("dimension mismatch")
+    if p1.e.shape != p2.e.shape or p1.e.ndim != 2:
+        raise InputValidationError("dimension mismatch: separate_points takes one pair on each side")
     if p1.close_to(p2, tol=max(tol, 1e-12) * 10):
         return None
 
-    probes = []
-    for k in PROBE_EXPONENTS:
-        for sign in (1.0, -1.0):
-            alpha = sign * 2.0 ** k
-            probes.append(alpha * p1.e)
-            probes.append(alpha * p2.e)
-    probes.append(-p1.a)
-    probes.append(-p2.a)
+    dim = p1.dim
+    scaled = PROBE_SCALES[:, None, None, None] * np.array([p1.e, p2.e])
+    probes = np.concatenate([scaled.reshape(-1, dim, dim), [-p1.a, -p2.a]])
+    nonzero = operator_norm(probes) != 0.0
+    probes = 0.5 * (probes + _H(probes))
+    separates = nonzero & (qset_contains(p1, probes, tol=tol) != qset_contains(p2, probes, tol=tol))
+    last = int(np.argmax(separates)) if separates.any() else len(probes) - 1
+    _check_algebra(algebra, dim, probes[: last + 1][nonzero[: last + 1]])
+    if not separates.any():
+        raise WitnessNotFoundError("probe sweep exhausted without a separating witness")
+    return probes[last].copy()
 
-    for b in probes:
-        if operator_norm(b) == 0.0:
-            continue
-        bh = 0.5 * (b + b.conj().T)
-        if qset_contains(p1, bh, algebra, tol=tol) != qset_contains(p2, bh, algebra, tol=tol):
-            return bh
-    raise WitnessNotFoundError("probe sweep exhausted without a separating witness")
+
+@dataclass
+class PairDraw:
+    """The random numbers of one ``random_zpoint`` trial, drawn in its rng
+    order: a Hermitian whose clustered spectral projections may enter E, the
+    choice made for each cluster, the Gaussian G behind A = (1-E)G*G(1-E),
+    and, when a boundary is planted, the Gaussian direction of the vector
+    killed in range(1-E)."""
+
+    h: np.ndarray
+    chosen: list
+    g: np.ndarray
+    direction: np.ndarray | None = None
+    force_boundary: bool = False
+
+
+def draw_pair(rng: np.random.Generator, dim: int, force_boundary: bool = False) -> PairDraw:
+    """Draw one trial of ``random_zpoint``; ``build_pairs`` turns many into pairs.
+
+    Only the number of clusters of the Hermitian is needed to draw in order:
+    one uniform per cluster, then G, then, for a planted boundary with some
+    cluster left out of E (so range(1-E) is not empty), the direction.
+    """
+    h = random_hermitian(rng, dim)
+    clusters = len(spectra._cluster(np.linalg.eigh(h)[0], CLUSTER_TOL))
+    chosen = [rng.uniform() < 0.3 for _ in range(clusters)]
+    g = random_complex(rng, dim)
+    direction = rng.standard_normal(dim) if force_boundary and not all(chosen) else None
+    return PairDraw(h, chosen, g, direction, force_boundary)
+
+
+def build_pairs(draws: list, tol: float = DEFAULT_TOL) -> PairRep:
+    """The stack of (E, A) pairs of ``draw_pair`` draws.
+
+    E sums the chosen spectral projections of the Hermitian, A is G*G
+    compressed to range(1-E).  A planted boundary gives the compression a
+    kernel vector inside range(1-E), which plants the eigenvalue -1.
+    """
+    dim = len(draws[0].h)
+    decs = spectra.hermitian_eig(np.array([d.h for d in draws]))
+    e = np.zeros((len(draws), dim, dim), dtype=np.complex128)
+    for t, (draw, dec) in enumerate(zip(draws, decs)):
+        if len(dec.projections) != len(draw.chosen):
+            raise NumericalError("the clusters of a drawn Hermitian changed between draw and decomposition")
+        for proj, chosen in zip(dec.projections, draw.chosen):
+            if chosen:
+                e[t] += proj
+    comp = np.eye(dim) - e
+    g = np.array([d.g for d in draws])
+    a = comp @ (_H(g) @ g) @ comp
+    a = 0.5 * (a + _H(a))
+    for t, draw in enumerate(draws):
+        if draw.force_boundary:
+            a[t] = _plant_boundary(comp[t], a[t], draw.direction)
+    return PairRep(e=e, a=a, tol=tol)
+
+
+def _plant_boundary(comp: np.ndarray, a: np.ndarray, direction) -> np.ndarray:
+    """Compress A off a unit vector of range(comp) along ``direction``; A as
+    it is when range(comp) is empty."""
+    comp_dec = spectra.hermitian_eig(0.5 * (comp + comp.conj().T))
+    vecs = None
+    for lam, proj in zip(comp_dec.eigenvalues, comp_dec.projections):
+        if abs(lam - 1.0) <= 0.5:
+            vecs = proj
+    if (vecs is None) != (direction is None):
+        raise NumericalError("1 - E is not numerically a projection")
+    if vecs is None:
+        # E is the whole space; fall back to a plain boundary-free point
+        return a
+    v = vecs @ direction
+    if np.linalg.norm(v) < 1e-9:
+        v = vecs[:, int(np.argmax(np.linalg.norm(vecs, axis=0)))]
+    v = v / np.linalg.norm(v)
+    kill = comp - np.outer(v, v.conj())
+    a = kill @ a @ kill
+    return 0.5 * (a + a.conj().T)
 
 
 def random_zpoint(
     rng: np.random.Generator,
     dim: int,
     tol: float = DEFAULT_TOL,
-    allow_projection: bool = True,
     force_boundary: bool = False,
+    size: int | None = None,
 ) -> ZPoint:
-    """Random Z point sampled through the (E, A) parameterization.
-
-    E is a random sum of spectral projections of a random Hermitian, A a
-    random positive matrix compressed to range(1-E).  With force_boundary the
-    compression is given a kernel vector inside range(1-E), which plants the
-    eigenvalue -1.
-    """
-    dec = spectra.hermitian_eig(random_hermitian(rng, dim))
-    e = np.zeros((dim, dim), dtype=np.complex128)
-    if allow_projection:
-        for proj in dec.projections:
-            if rng.uniform() < 0.3:
-                e += proj
-    comp = np.eye(dim) - e
-    a = comp @ random_positive(rng, dim) @ comp
-    a = 0.5 * (a + a.conj().T)
-    if force_boundary:
-        comp_dec = spectra.hermitian_eig(0.5 * (comp + comp.conj().T))
-        vecs = None
-        for lam, proj in zip(comp_dec.eigenvalues, comp_dec.projections):
-            if abs(lam - 1.0) <= 0.5:
-                vecs = proj
-        if vecs is None:
-            # E is the whole space; fall back to a plain boundary-free point
-            return pair_decode(PairRep(e=e, a=a, tol=tol), tol=tol)
-        v = vecs @ rng.standard_normal(dim)
-        if np.linalg.norm(v) < 1e-9:
-            v = vecs[:, int(np.argmax(np.linalg.norm(vecs, axis=0)))]
-        v = v / np.linalg.norm(v)
-        kill = comp - np.outer(v, v.conj())
-        a = kill @ a @ kill
-        a = 0.5 * (a + a.conj().T)
-    return pair_decode(PairRep(e=e, a=a, tol=tol), tol=tol)
+    """Random Z point sampled through the (E, A) parameterization of
+    ``draw_pair`` and ``build_pairs``; with ``size`` a stack of that many,
+    drawn one after another and decoded together."""
+    pairs = build_pairs([draw_pair(rng, dim, force_boundary) for _ in range(1 if size is None else size)], tol=tol)
+    return pair_decode(pairs if size is not None else pairs[0], tol=tol)

@@ -19,10 +19,17 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase-fixed R diagonal."""
-    q, r = np.linalg.qr(random_complex(rng, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed unitary: haar_unitary of a complex Gaussian."""
+    return haar_unitary(random_complex(rng, n))
+
+
+def haar_unitary(g: np.ndarray) -> np.ndarray:
+    """The unitary of a complex Gaussian matrix, or of each matrix of a stack
+    (..., n, n), that is Haar distributed: the Q of its QR with the phases of
+    R's diagonal moved into Q."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_positive(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

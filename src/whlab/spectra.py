@@ -21,6 +21,15 @@ backward-error part of a bound is scaled by sqrt(dim), since
 ||X||_F <= sqrt(dim) ||X||_2, and a reconstruction check adds the exact
 Frobenius shift that merging eigenvalues makes.  Report residuals stay
 spectral norms; ``lambda_min`` is the smallest eigenvalue, not a cluster mean.
+
+Stacks: ``as_matrix``, the guards, ``operator_norm``, ``lambda_min``,
+``cayley``, ``inverse_cayley``, ``hermitian_eig`` and ``unitary_eig`` take a
+stack ``(..., d, d)`` as well as one matrix and work on each matrix of it; a
+2-D input is a stack of one and gets back what a single matrix gets, a
+number or a decomposition where a stack gets an array or a list (in C order).
+A guard or a check judges every matrix of a stack: one failing matrix fails
+the call, and the message names its index.  A defect that is not ``<= tol``
+fails, NaN included.
 """
 
 from __future__ import annotations
@@ -58,43 +67,95 @@ __all__ = [
 ]
 
 
+def _H(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack."""
+    parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts side by side
+    return np.sqrt(np.add.reduce(np.square(parts).reshape(*a.shape[:-2], -1), axis=-1))
+
+
+def _smin(a: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each matrix of a stack."""
+    return np.linalg.svd(a, compute_uv=False)[..., -1]
+
+
+def _right_solve(denom: np.ndarray, numer: np.ndarray) -> np.ndarray:
+    """X with X denom = numer for each matrix of a stack, solved column-wise
+    through the transposed system, never forming an inverse."""
+    if denom.shape != numer.shape:
+        shape = np.broadcast_shapes(denom.shape, numer.shape)
+        denom, numer = np.broadcast_to(denom, shape), np.broadcast_to(numer, shape)
+    return np.linalg.solve(denom.swapaxes(-1, -2), numer.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _unstack(values):
+    """A per-matrix result (an array or a numpy scalar): a Python scalar for
+    one matrix, the array for a stack."""
+    return values.item() if values.ndim == 0 else values
+
+
+def _require(ok, values, error, message: str, *args) -> None:
+    """Raise ``error`` unless ``ok`` holds for every matrix of a stack.
+
+    ``message`` is formatted with the value of the first failing matrix and
+    ``args``; for a stack it is prefixed with that matrix's index.
+    """
+    if ok.all():
+        return
+    ok = np.asarray(ok)
+    index = np.unravel_index(np.argmin(ok), ok.shape)
+    where = f"stack index {index[0] if len(index) == 1 else index}: " if index else ""
+    raise error(where + message.format(np.asarray(values)[index], *args))
+
+
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a non-empty square complex ndarray with finite entries."""
+    """Coerce to a non-empty square complex matrix, or a stack (..., d, d) of
+    them, with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise InputValidationError(f"expected a non-empty square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise InputValidationError(f"expected a non-empty square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise InputValidationError("matrix has non-finite entries")
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        _require(finite, finite, InputValidationError, "matrix has non-finite entries")
     return a
 
 
-def operator_norm(m) -> float:
+def operator_norm(m):
     """Spectral norm, sqrt of the largest eigenvalue of M*M."""
     a = as_matrix(m)
-    evals = np.linalg.eigvalsh(a.conj().T @ a)
-    return float(np.sqrt(max(evals[-1], 0.0)))
+    evals = np.linalg.eigvalsh(_H(a) @ a)
+    if a.ndim == 2:
+        return float(np.sqrt(max(evals[-1], 0.0)))
+    return np.sqrt(np.maximum(evals[..., -1], 0.0))
 
 
-def lambda_min(m, tol: float = DEFAULT_TOL) -> float:
+def lambda_min(m, tol: float = DEFAULT_TOL):
     """Smallest eigenvalue of a Hermitian matrix, unclustered."""
-    return float(np.linalg.eigvalsh(assert_hermitian(m, tol=tol))[0])
+    a = assert_hermitian(m, tol=tol)
+    low = np.linalg.eigvalsh(a)[..., 0]
+    return low if a.ndim > 2 else float(low)
 
 
 def assert_hermitian(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = as_matrix(m)
-    defect = np.linalg.norm(a - a.conj().T)
-    if defect > tol:
-        raise InputValidationError(f"matrix is not Hermitian: ||M - M*||_F = {defect:.3e} > {tol:.1e}")
+    defect = _frobenius(a - _H(a))
+    message = "matrix is not Hermitian: ||M - M*||_F = {:.3e} > {:.1e}"
+    _require(defect <= tol, defect, InputValidationError, message, tol)
     return a
 
 
 def assert_unitary(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     a = as_matrix(m)
-    defect = np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0]))
-    if defect > tol:
-        raise InputValidationError(f"matrix is not unitary: ||U*U - I||_F = {defect:.3e} > {tol:.1e}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which fails
+        defect = _frobenius(_H(a) @ a - np.eye(a.shape[-1]))
+    message = "matrix is not unitary: ||U*U - I||_F = {:.3e} > {:.1e}"
+    _require(defect <= tol, defect, InputValidationError, message, tol)
     return a
 
 
@@ -153,44 +214,72 @@ def _cluster(values: np.ndarray, threshold: float) -> list:
     return groups
 
 
-def _merged_eigh(m: np.ndarray, cluster: float):
-    """eigh of a Hermitian matrix with eigenvalues closer than ``cluster``
-    averaged into one: the merged eigenvalues, their projections, the eigh
-    eigenvalues, and the index of the merged eigenvalue each one went into."""
+def _eigh(m: np.ndarray):
+    """eigh of a Hermitian matrix or of each matrix of a stack."""
     try:
-        evals, evecs = np.linalg.eigh(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    eigenvalues = []
-    projections = []
-    owner = np.empty(len(evals), dtype=np.int64)
-    for index, group in enumerate(_cluster(evals, cluster)):
-        vecs = evecs[:, group]
-        projections.append(vecs @ vecs.conj().T)
-        eigenvalues.append(complex(np.mean(evals[group])))
-        owner[group] = index
-    return np.array(eigenvalues), projections, evals, owner
 
 
-def hermitian_eig(a, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
+def _merge(evals: np.ndarray, evecs: np.ndarray, cluster: float) -> list:
+    """eigh output of a stack, (T, d) and (T, d, d), with each matrix's runs
+    of eigenvalues whose consecutive gaps are <= ``cluster`` averaged into
+    one.  Per matrix: the merged eigenvalues, their projections, and the
+    index of the merged eigenvalue each eigh eigenvalue went into."""
+    count, dim = evals.shape
+    starts = np.ones((count, dim), dtype=bool)  # the first eigenvalue of each group
+    starts[:, 1:] = np.abs(evals[:, 1:] - evals[:, :-1]) > cluster
+    owner = starts.cumsum(axis=1) - 1
+    flat = starts.ravel().nonzero()[0]
+    size = np.append(flat[1:], starts.size) - flat
+    flat_evals = evals.ravel()
+    means = flat_evals[flat].astype(np.complex128)
+    for i in (size > 1).nonzero()[0]:
+        # np.mean's own sum: reduceat would add in another order
+        means[i] = np.add.reduce(flat_evals[flat[i] : flat[i] + size[i]]) / size[i]
+    matrix, first = np.divmod(flat, dim)
+    projections = np.empty((len(flat), dim, dim), dtype=np.complex128)
+    for s in set(size.tolist()):
+        pick = (size == s).nonzero()[0]
+        vecs = evecs[matrix[pick, None, None], np.arange(dim)[:, None], first[pick, None, None] + np.arange(s)]
+        projections[pick] = vecs @ _H(vecs)
+    bounds = matrix.searchsorted(np.arange(count + 1))
+    return [(means[lo:hi], list(projections[lo:hi]), owner[t]) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def _reconstruction_defects(decs: list, stack: np.ndarray) -> np.ndarray:
+    """|| sum_k lambda_k E_k - M ||_F for each decomposition and its matrix."""
+    values = np.concatenate([dec.eigenvalues for dec in decs])
+    projections = np.array([proj for dec in decs for proj in dec.projections])
+    offsets = np.cumsum([0] + [len(dec.eigenvalues) for dec in decs[:-1]])
+    return _frobenius(np.add.reduceat(values[:, None, None] * projections, offsets) - stack)
+
+
+def hermitian_eig(a, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL):
+    """Spectral decomposition of a Hermitian matrix; a list of them, in C
+    order, for a stack.
 
     Eigenvalues come back real and ascending; eigenvalues closer than the
     clustering threshold are merged into a single projection, which keeps the
     projections well conditioned near degeneracies.
     """
     m = assert_hermitian(a, tol=tol)
-    eigenvalues, projections, evals, owner = _merged_eigh(m, cluster)
-    dec = SpectralDecomposition(eigenvalues, projections, tol=tol)
-    defect = np.linalg.norm(dec.reconstruct() - m)
+    dim = m.shape[-1]
+    stack = m.reshape(-1, dim, dim)
+    evals, evecs = _eigh(stack)
+    merged = _merge(evals, evecs, cluster)
+    decs = [SpectralDecomposition(values, projections, tol=tol) for values, projections, _ in merged]
     # averaging moves each merged eigenvalue to its cluster mean, which costs
     # exactly the 2-norm of those moves in Frobenius; eigh itself is backward
     # stable, hence the relative term, sqrt(dim) times for Frobenius
-    shift = np.linalg.norm(evals - eigenvalues.real[owner])
-    scale = max(1.0, abs(evals[0]), abs(evals[-1]))
-    if defect > 10 * tol * scale * np.sqrt(m.shape[0]) + shift:
-        raise NumericalError(f"reconstruction error {defect:.3e} exceeds tolerance")
-    return dec
+    means = np.array([values.real[owner] for values, _, owner in merged])
+    shift = np.sqrt(np.square(evals - means).sum(axis=-1))
+    scale = np.maximum(1.0, np.maximum(np.abs(evals[:, 0]), np.abs(evals[:, -1])))
+    defect = _reconstruction_defects(decs, stack)
+    ok, defect = (x.reshape(m.shape[:-2]) for x in (defect <= 10 * tol * scale * np.sqrt(dim) + shift, defect))
+    _require(ok, defect, NumericalError, "reconstruction error {:.3e} exceeds tolerance")
+    return decs[0] if m.ndim == 2 else decs
 
 
 def scalar_cayley(a: complex) -> complex:
@@ -210,13 +299,11 @@ def cayley(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     so a near-singular solve signals non-Hermitian contamination.
     """
     m = assert_hermitian(a, tol=tol)
-    eye = np.eye(m.shape[0])
+    eye = np.eye(m.shape[-1])
     denom = m - 1j * eye
-    smin = np.linalg.svd(denom, compute_uv=False)[-1]
-    if smin < tol:
-        raise NumericalError(f"A - iI nearly singular (sigma_min = {smin:.3e}); input corrupted?")
-    # solve X (A-iI) = (A+iI) column-wise via the transposed system
-    return np.linalg.solve(denom.T, (m + 1j * eye).T).T
+    smin = _smin(denom)
+    _require(smin >= tol, smin, NumericalError, "A - iI nearly singular (sigma_min = {:.3e}); input corrupted?")
+    return _right_solve(denom, m + 1j * eye)
 
 
 def inverse_cayley(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL) -> np.ndarray:
@@ -227,14 +314,13 @@ def inverse_cayley(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL) ->
     so proximity below the clustering threshold is rejected as a domain error.
     """
     m = assert_unitary(u, tol=tol)
-    eye = np.eye(m.shape[0])
+    eye = np.eye(m.shape[-1])
     denom = m - eye
-    smin = np.linalg.svd(denom, compute_uv=False)[-1]
-    if smin < cluster:
-        raise DomainError(f"not in Cayley image: spectrum within {smin:.3e} of 1")
-    h = np.linalg.solve(denom.T, (1j * (m + eye)).T).T
+    smin = _smin(denom)
+    _require(smin >= cluster, smin, DomainError, "not in Cayley image: spectrum within {:.3e} of 1")
+    h = _right_solve(denom, 1j * (m + eye))
     # symmetrize away the O(tol) skew part left by the solve
-    return 0.5 * (h + h.conj().T)
+    return 0.5 * (h + _H(h))
 
 
 def unitary_eig(
@@ -243,60 +329,80 @@ def unitary_eig(
     cluster: float = CLUSTER_TOL,
     seed: int = 0,
     max_attempts: int = 32,
-) -> SpectralDecomposition:
-    """Spectral decomposition of a unitary matrix.
+):
+    """Spectral decomposition of a unitary matrix; a list of them, in C
+    order, for a stack.
 
     Samples a phase theta (explicit seed, no global state), rejects it while
     e^{i theta}U has spectrum within the clustering threshold of 1, then
     decomposes inverse_cayley(e^{i theta}U) and maps the eigenvalues back.
     All returned eigenvalues lie on the unit circle; the projections are the
-    Hermitian ones, reused verbatim.
+    Hermitian ones, reused verbatim.  Every matrix of a stack draws from the
+    same seeded phase sequence and takes its first acceptable phase, so it
+    gets the theta it gets alone.
     """
     m = assert_unitary(u, tol=tol)
+    dim = m.shape[-1]
+    stack = m.reshape(-1, dim, dim)
+    eye = np.eye(dim)
     rng = np.random.default_rng(seed)
-    theta = None
+    thetas = np.empty(len(stack))
+    rotated = np.empty_like(stack)
+    pending = np.arange(len(stack))
     for _ in range(max_attempts):
         candidate = rng.uniform(0.0, 2.0 * np.pi)
-        rotated = np.exp(1j * candidate) * m
-        smin = np.linalg.svd(rotated - np.eye(m.shape[0]), compute_uv=False)[-1]
-        if smin > 10 * cluster:
-            theta = candidate
+        trial = np.exp(1j * candidate) * stack[pending]
+        accept = _smin(trial - eye) > 10 * cluster
+        thetas[pending[accept]] = candidate
+        rotated[pending[accept]] = trial[accept]
+        pending = pending[~accept]
+        if not pending.size:
             break
-    if theta is None:
-        raise NumericalError(f"no spectrum-avoiding phase found in {max_attempts} attempts")
+    if pending.size:
+        found = np.ones(len(stack), dtype=bool)
+        found[pending] = False
+        found = found.reshape(m.shape[:-2])
+        _require(found, found, NumericalError, "no spectrum-avoiding phase found in {1} attempts", max_attempts)
 
-    rotated = np.exp(1j * theta) * m
-    herm = inverse_cayley(rotated, tol=tol, cluster=cluster)
-    values, hermitian_projections, evals, owner = _merged_eigh(herm, cluster)
-    eigenvalues = np.array([np.exp(-1j * theta) * scalar_cayley(lam.real) for lam in values])
-    order = np.argsort(np.mod(np.angle(eigenvalues), 2.0 * np.pi))
-    eigenvalues = eigenvalues[order]
+    evals, evecs = _eigh(inverse_cayley(rotated, tol=tol, cluster=cluster))
+    decs, targets = zip(
+        *(_on_circle(*merged, thetas[i], tol, cluster) for i, merged in enumerate(_merge(evals, evecs, cluster)))
+    )
+    # each eigh eigenvalue, pushed to the circle, moved to its merged value on
+    # either side of the pullback; a chord is no longer than its angle
+    pushed = np.exp(-1j * thetas)[:, None] * scalar_cayley(evals)
+    shift = np.sqrt(np.square(np.angle(pushed / np.array(targets))).sum(axis=-1))
+    defect = _reconstruction_defects(decs, stack)
+    ok, defect = (x.reshape(m.shape[:-2]) for x in (defect <= 10 * tol * np.sqrt(dim) + shift, defect))
+    _require(ok, defect, NumericalError, "unitary reconstruction error {:.3e} exceeds tolerance")
+    return decs[0] if m.ndim == 2 else list(decs)
+
+
+def _on_circle(values, hermitian_projections, owner, theta, tol, cluster):
+    """One matrix's decomposition from the merged eigh of
+    inverse_cayley(e^{i theta} U), and the merged circle value of each eigh
+    eigenvalue."""
+    phase = np.exp(-1j * theta)
+    eigenvalues = np.array([phase * scalar_cayley(lam.real) for lam in values])
+    angles = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
+    order = np.argsort(angles)
+    eigenvalues, angles = eigenvalues[order], angles[order]
     projections = [hermitian_projections[i] for i in order]
 
     # the Moebius pullback can spread circle-close eigenvalues far apart on
     # the Hermitian side, so re-cluster on the circle (wraparound included)
-    angles = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
     groups = _cluster(angles, cluster)
     if len(groups) > 1 and (angles[0] + 2.0 * np.pi - angles[-1]) <= cluster:
         groups[0] = groups.pop() + groups[0]
     merged_vals = []
     merged_projs = []
-    target = [0j] * len(values)  # the merged value of each Hermitian cluster
+    target = np.empty(len(values), dtype=np.complex128)  # the merged value of each Hermitian cluster
     for group in groups:
-        mean = np.mean(eigenvalues[group])
+        mean = np.add.reduce(eigenvalues[group]) / len(group)  # np.mean, without its overhead
         merged_vals.append(mean / abs(mean))
         merged_projs.append(sum(projections[i] for i in group))
-        for i in group:
-            target[order[i]] = merged_vals[-1]
-    out = SpectralDecomposition(np.array(merged_vals), merged_projs, tol=tol)
-    defect = np.linalg.norm(out.reconstruct() - m)
-    # each eigh eigenvalue, pushed to the circle, moved to its merged value on
-    # either side of the pullback; a chord is no longer than its angle
-    pushed = np.exp(-1j * theta) * scalar_cayley(evals)
-    shift = np.linalg.norm(np.angle(pushed / np.array(target)[owner]))
-    if defect > 10 * tol * np.sqrt(m.shape[0]) + shift:
-        raise NumericalError(f"unitary reconstruction error {defect:.3e} exceeds tolerance")
-    return out
+        target[order[group]] = merged_vals[-1]
+    return SpectralDecomposition(np.array(merged_vals), merged_projs, tol=tol), target[owner]
 
 
 def functional_calculus(dec: SpectralDecomposition, f) -> np.ndarray:

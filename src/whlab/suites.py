@@ -25,7 +25,9 @@ import numpy as np
 from . import fell, fibers, groupoid, homotopy, jordan, moebius, spectra, toeplitz
 from .errors import InputValidationError, WitnessNotFoundError
 from .fell import INF
+from .spectra import _H, _right_solve
 from .sampling import (
+    haar_unitary,
     random_complex,
     random_hermitian,
     random_positive,
@@ -106,10 +108,12 @@ class Case:
     """One verification case.
 
     draw -- decorated with @_sweep, called as draw(rng, dim, env) once per
-        trial at every dim of the sweep; otherwise a generator draw(rng, cfg)
-        that yields every value itself.  A value is a number, a list of
-        violation messages (count kind), or a tuple of one of those followed
-        by violation tallies; None is a skipped draw.
+        trial at every dim of the sweep, or with @_sweep(stacked=True) as
+        draw(rng, dim, env, trials) once per dim, returning the trials'
+        values in order as an array or a list; otherwise a generator
+        draw(rng, cfg) that yields every value itself.  A value is a number,
+        a list of violation messages (count kind), or a tuple of one of those
+        followed by violation tallies; None is a skipped draw.
     details -- a str.format template (literal braces doubled) given the
         reduced value, the violation tallies and `draws=`, or a callable
         given the same arguments plus `messages=`.
@@ -144,12 +148,15 @@ def case_rng(cfg: SuiteConfig, name: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def _sweep(dims=lambda cfg: range(1, cfg.dim + 1), trials=lambda t: t, setup=lambda cfg, dim: cfg):
-    """Mark a per-trial draw: the dims it runs at, its number of trials per
-    dim as a function of --trials, and the per-dim setup it gets as env."""
+def _sweep(
+    dims=lambda cfg: range(1, cfg.dim + 1), trials=lambda t: t, setup=lambda cfg, dim: cfg, stacked: bool = False
+):
+    """Mark a sweep draw: the dims it runs at, its number of trials per dim
+    as a function of --trials, the per-dim setup it gets as env, and whether
+    it draws one trial per call or all trials of a dim (stacked)."""
 
     def mark(draw):
-        draw.sweep = (dims, trials, setup)
+        draw.sweep = (dims, trials, setup, stacked)
         return draw
 
     return mark
@@ -159,11 +166,22 @@ def _draws(case: Case, cfg: SuiteConfig, rng):
     if not hasattr(case.draw, "sweep"):
         yield from case.draw(rng, cfg)
         return
-    dims, trials, setup = case.draw.sweep
+    dims, trials, setup, stacked = case.draw.sweep
     for dim in dims(cfg):
         env = setup(cfg, dim)
-        for _ in range(trials(cfg.trials)):
-            yield case.draw(rng, dim, env)
+        if stacked:
+            values = case.draw(rng, dim, env, trials(cfg.trials))
+            yield from values.tolist() if isinstance(values, np.ndarray) else values
+        else:
+            for _ in range(trials(cfg.trials)):
+                yield case.draw(rng, dim, env)
+
+
+def _stack(trials: int, draw) -> list:
+    """Call draw() once per trial, in order: per output, the stacked arrays
+    or the list of other values."""
+    outputs = zip(*(draw() for _ in range(trials)))
+    return [np.array(x) if isinstance(x[0], (np.ndarray, np.generic)) else list(x) for x in outputs]
 
 
 def run_case(case: Case, cfg: SuiteConfig) -> CaseResult:
@@ -213,69 +231,74 @@ def _listed(fallback, pick=lambda messages: messages):
 # moebius
 
 
-@_sweep()
-def _action_law(rng, dim, _):
-    u = random_unitary(rng, dim)
-    a = random_hermitian(rng, dim)
-    b = random_hermitian(rng, dim)
+@_sweep(stacked=True)
+def _action_law(rng, dim, _, trials):
+    g, a, b = _stack(trials, lambda: (random_complex(rng, dim), random_hermitian(rng, dim), random_hermitian(rng, dim)))
+    u = haar_unitary(g)
     lhs = moebius.boxplus(moebius.boxplus(u, a), b)
     return spectra.operator_norm(lhs - moebius.boxplus(u, a + b))
 
 
-@_sweep()
-def _cayley_equivariance(rng, dim, _):
-    a = random_hermitian(rng, dim)
-    b = random_hermitian(rng, dim)
+@_sweep(stacked=True)
+def _cayley_equivariance(rng, dim, _, trials):
+    a, b = _stack(trials, lambda: (random_hermitian(rng, dim), random_hermitian(rng, dim)))
     return spectra.operator_norm(moebius.boxplus(spectra.cayley(a), b) - spectra.cayley(a + b))
 
 
 @_sweep(
-    dims=lambda cfg: range(1, max(cfg.dim, 6) + 1), trials=lambda t: max(t * 5, 100), setup=lambda cfg, dim: np.eye(dim)
+    dims=lambda cfg: range(1, max(cfg.dim, 6) + 1),
+    trials=lambda t: max(t * 5, 100),
+    setup=lambda cfg, dim: np.eye(dim),
+    stacked=True,
 )
-def _invertibility_margin(rng, dim, eye):
-    u = random_unitary(rng, dim)
-    b = random_hermitian(rng, dim)
-    return float(np.linalg.svd(b @ u + 2j * eye - b, compute_uv=False)[-1])
+def _invertibility_margin(rng, dim, eye, trials):
+    g, b = _stack(trials, lambda: (random_complex(rng, dim), random_hermitian(rng, dim)))
+    u = haar_unitary(g)
+    return np.linalg.svd(b @ u + 2j * eye - b, compute_uv=False)[:, -1]
 
 
-@_sweep()
-def _z_stability(rng, dim, _):
-    z = moebius.random_zpoint(rng, dim)
-    b = random_positive(rng, dim)
-    return moebius.classify_zpoint(moebius.boxplus(z.u, b)) == moebius.ZClass.OUTSIDE
+def _zpoints(draws) -> moebius.ZPoint:
+    """The Z points of draw_pair draws, as one stack."""
+    return moebius.pair_decode(moebius.build_pairs(draws))
 
 
-@_sweep()
-def _contraction_range(rng, dim, _):
-    b = random_positive_definite(rng, dim)
+@_sweep(stacked=True)
+def _z_stability(rng, dim, _, trials):
+    draws, b = _stack(trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
+    translated = moebius.boxplus(_zpoints(draws).u, b)
+    return [zclass == moebius.ZClass.OUTSIDE for zclass in moebius.classify_zpoint(translated)]
+
+
+@_sweep(stacked=True)
+def _contraction_range(rng, dim, _, trials):
+    b, a = _stack(trials, lambda: (random_positive_definite(rng, dim), random_positive(rng, dim)))
     b_inv = np.linalg.inv(b)
-    a = random_positive(rng, dim)
     c = moebius.moebius_contraction(a, b)
-    outside = jordan.order_compare(c, 0.5 * (b_inv + b_inv.conj().T)) != jordan.OrderRelation.LT
+    bound = 0.5 * (b_inv + _H(b_inv))
+    outside = [jordan.order_compare(c[t], bound[t]) != jordan.OrderRelation.LT for t in range(trials)]
     recovered = moebius.contraction_inverse(c, b)
     gaps = (moebius.moebius_contraction(recovered, b) - c, recovered - a)
-    return _worst(spectra.operator_norm(gap) for gap in gaps), outside
+    worst = np.maximum(*(spectra.operator_norm(gap) for gap in gaps))
+    return list(zip(worst.tolist(), outside))
 
 
-@_sweep(trials=lambda t: max(t // 2, 5))
-def _contraction_chart(rng, dim, _):
-    a = random_positive(rng, dim)
-    b = random_positive(rng, dim)
+@_sweep(trials=lambda t: max(t // 2, 5), stacked=True)
+def _contraction_chart(rng, dim, _, trials):
+    a, b = _stack(trials, lambda: (random_positive(rng, dim), random_positive(rng, dim)))
     via_chart = moebius.moebius_contraction(a, b)
     return spectra.operator_norm(via_chart - moebius.psi_inv(moebius.boxplus(moebius.psi(a), b)))
 
 
-@_sweep()
-def _pair_roundtrip(rng, dim, _):
-    z = moebius.random_zpoint(rng, dim)
+@_sweep(stacked=True)
+def _pair_roundtrip(rng, dim, _, trials):
+    z = moebius.random_zpoint(rng, dim, size=trials)
     return spectra.operator_norm(moebius.pair_decode(moebius.pair_encode(z)).u - z.u)
 
 
-@_sweep()
-def _pair_translation(rng, dim, _):
-    z = moebius.random_zpoint(rng, dim)
-    pair = moebius.pair_encode(z)
-    b = random_positive(rng, dim)
+@_sweep(stacked=True)
+def _pair_translation(rng, dim, _, trials):
+    draws, b = _stack(trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
+    pair = moebius.pair_encode(_zpoints(draws))
     comp = np.eye(dim) - pair.e
     shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp, tol=pair.tol)
     lhs = moebius.boxplus(moebius.pair_decode(pair).u, b)
@@ -286,23 +309,31 @@ def _zero_pair(cfg, dim):
     return moebius.PairRep(e=np.zeros((dim, dim)), a=np.zeros((dim, dim))), cfg.tol
 
 
-@_sweep(trials=lambda t: t * 4, setup=_zero_pair)
-def _qset_a2(rng, dim, env):
+@_sweep(trials=lambda t: t * 4, setup=_zero_pair, stacked=True)
+def _qset_a2(rng, dim, env, trials):
     origin, tol = env
-    kind = rng.integers(3)
-    b = random_hermitian(rng, dim) if kind == 1 else random_positive(rng, dim)
-    if kind == 2:
-        b = b - spectra.lambda_min(b) * np.eye(dim)  # plant a zero eigenvalue
+
+    def draw():
+        kind = rng.integers(3)
+        return kind, random_hermitian(rng, dim) if kind == 1 else random_positive(rng, dim)
+
+    kind, b = _stack(trials, draw)
+    planted = kind == 2  # plant a zero eigenvalue
+    b[planted] -= spectra.lambda_min(b)[planted, None, None] * np.eye(dim)
     in_qset = moebius.qset_contains(origin, b, tol=tol)
-    return in_qset != (spectra.lambda_min(0.5 * (b + b.conj().T)) >= -tol)
+    return in_qset != (spectra.lambda_min(0.5 * (b + _H(b))) >= -tol)
 
 
-@_sweep()
-def _separate_points(rng, dim, _):
-    p1 = moebius.pair_encode(moebius.random_zpoint(rng, dim))
-    p2 = moebius.pair_encode(moebius.random_zpoint(rng, dim))
-    if p1.close_to(p2, tol=PAIR_TOL):
-        return None  # one point: nothing to separate
+@_sweep(stacked=True)
+def _separate_points(rng, dim, _, trials):
+    pairs = moebius.pair_encode(moebius.random_zpoint(rng, dim, size=2 * trials))
+    firsts, seconds = pairs[0::2], pairs[1::2]
+    one_point = firsts.close_to(seconds, tol=PAIR_TOL)
+    return [None if one_point[t] else _separate(firsts[t], seconds[t]) for t in range(trials)]
+
+
+def _separate(p1, p2):
+    """(no witness although distinct, sweep exhausted) for two distinct pairs."""
     try:
         return moebius.separate_points(p1, p2) is None, False
     except WitnessNotFoundError:
@@ -310,16 +341,15 @@ def _separate_points(rng, dim, _):
 
 
 def _sign_flipped_boxplus(u, b):
-    eye = np.eye(u.shape[0])
+    eye = np.eye(u.shape[-1])
     numer = (2j * eye + b) @ u + b  # wrong sign on the affine term
     denom = b @ u + 2j * eye - b
-    return np.linalg.solve(denom.T, numer.T).T
+    return _right_solve(denom, numer)
 
 
-@_sweep(dims=lambda cfg: (3,))
-def _moebius_mutation(rng, dim, _):
-    a = random_hermitian(rng, dim)
-    b = random_hermitian(rng, dim)
+@_sweep(dims=lambda cfg: (3,), stacked=True)
+def _moebius_mutation(rng, dim, _, trials):
+    a, b = _stack(trials, lambda: (random_hermitian(rng, dim), random_hermitian(rng, dim)))
     return spectra.operator_norm(_sign_flipped_boxplus(spectra.cayley(a), b) - spectra.cayley(a + b))
 
 
@@ -752,9 +782,11 @@ def _fibers_mutation(rng, cfg):
 
 
 def unitary_samples(rng, count=50, dim=3):
+    """-1, 1, then random Z points, every third with -1 planted in its spectrum."""
     samples = [moebius.zpoint(-np.eye(dim)), moebius.zpoint(np.eye(dim))]
-    while len(samples) < count:
-        samples.append(moebius.random_zpoint(rng, dim, force_boundary=len(samples) % 3 == 0))
+    if count > 2:
+        z = _zpoints([moebius.draw_pair(rng, dim, force_boundary=i % 3 == 0) for i in range(2, count)])
+        samples += [moebius.ZPoint(u, dec, z.tol) for u, dec in zip(z.u, z.dec)]
     return samples
 
 

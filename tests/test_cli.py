@@ -142,10 +142,14 @@ RAY = {"kind": "ray", "endpoint": 0.0}
         {"ambient": "Z", "window": ["-inf", 3], "sets": [RAY]},
         {"ambient": "R", "window": [0, 1], "sets": [{"kind": "points", "points": ["a"]}]},
         {"ambient": "R", "window": [0, 1], "sets": [{"kind": "ray", "endpoint": "x"}]},
+        # finite windows whose grid is not: (hi - lo) / step overflows, or
+        # numpy would be asked for 2e15 points
+        {"ambient": "R", "window": [-1e308, 1e308], "step": 1.0, "sets": [{"kind": "ray", "endpoint": 0}]},
+        {"ambient": "Z", "window": [-1e15, 1e15], "step": 1.0, "sets": [{"kind": "ray", "endpoint": 0}]},
     ],
     ids=["unknown-kind", "ray-without-endpoint", "set-is-number", "sets-is-number",
          "nan-step", "infinite-step", "infinite-window", "infinite-integer-window",
-         "non-numeric-point", "non-numeric-endpoint"],
+         "non-numeric-point", "non-numeric-endpoint", "overflowing-grid", "huge-integer-grid"],
 )
 def test_fell_converge_bad_schema(obj, tmp_path, capsys):
     src = tmp_path / "bad2.json"

@@ -173,3 +173,13 @@ def test_closure_matches_reference(kind, dim, rng):
     assert all(alg.contains(p) for p in products)
     m = random_hermitian(rng, dim)
     assert np.linalg.norm(alg.project(m) - _reference_project(ref, m)) <= 1e-12
+
+
+def test_single_matrix_entry_points_reject_stacks():
+    stack = np.array([np.eye(2), np.eye(2)])
+    with pytest.raises(InputValidationError):
+        jordan.order_compare(stack, stack)
+    with pytest.raises(InputValidationError):
+        jordan.generate_algebra([stack])
+    with pytest.raises(InputValidationError):
+        jordan.classify(jordan.hermitian_algebra(2), stack)

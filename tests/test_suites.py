@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from whlab import suites
@@ -33,10 +34,12 @@ def test_all_suite_aggregates():
 
 
 def test_reports_are_seed_deterministic():
-    cfg = suites.SuiteConfig(suite="moebius", trials=8, seed=42)
-    first = suites.run(cfg)["report"]
-    second = suites.run(cfg)["report"]
-    assert first == second
+    # the default dim and the large-dim benchmark's dim 8, trials 10
+    for dim, trials in ((4, 8), (8, 10)):
+        cfg = suites.SuiteConfig(suite="moebius", dim=dim, trials=trials, seed=42)
+        first = suites.run(cfg)["report"]
+        second = suites.run(cfg)["report"]
+        assert first == second
 
 
 def test_unknown_suite_rejected():
@@ -67,6 +70,34 @@ def test_sweep_case_records_dim_times_trials_draws():
     result = suites.run_case(suites.CASES["moebius.action_law"], cfg)
     assert result.status == "pass"
     assert result.draws == 3 * 7
+
+
+@pytest.mark.parametrize("kind, good", [("bounded", 0.0), ("margin", 1.0), ("mutant", 1.0), ("count", 0)])
+def test_nan_in_a_stacked_draw_fails_its_case(kind, good):
+    def case(nan_dim):
+        @suites._sweep(stacked=True)
+        def draw(rng, dim, env, trials):
+            values = np.full(trials, good, dtype=float)
+            values[-1] = math.nan if dim == nan_dim else good
+            return values
+
+        return suites.Case("demo.nan", draw, "", kind, 0.5)
+
+    cfg = suites.SuiteConfig(suite="demo", dim=3, trials=2)
+    assert suites.run_case(case(None), cfg).status == "pass"
+    for nan_dim in (1, 2, 3):
+        result = suites.run_case(case(nan_dim), cfg)
+        assert (result.status, result.draws) == ("fail", 6)
+
+
+def test_stacked_draw_drops_skipped_trials_and_sums_tallies():
+    @suites._sweep(stacked=True)
+    def draw(rng, dim, env, trials):
+        return [None, (0, 1), (0, 2)][:trials]
+
+    case = suites.Case("demo.skip", draw, "{0} bad, {1} tallied", "count")
+    result = suites.run_case(case, suites.SuiteConfig(suite="demo", dim=2, trials=3))
+    assert (result.status, result.draws, result.details) == ("fail", 4, "0 bad, 6 tallied")
 
 
 @pytest.mark.parametrize("kind, good", [("bounded", 0.0), ("margin", 1.0), ("mutant", 1.0), ("count", 0)])
