@@ -130,7 +130,7 @@ def operator_norm(m):
     """Spectral norm, sqrt of the largest eigenvalue of M*M."""
     a = as_matrix(m)
     evals = np.linalg.eigvalsh(_H(a) @ a)
-    if a.ndim == 2:
+    if a.ndim == 2:  # scalar arithmetic: ufuncs on 0-d arrays cost more per call
         return float(np.sqrt(max(evals[-1], 0.0)))
     return np.sqrt(np.maximum(evals[..., -1], 0.0))
 
