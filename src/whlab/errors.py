@@ -32,9 +32,5 @@ class EvaluationError(WhlabError, ValueError):
     """A scalar function could not be evaluated at a spectral point."""
 
 
-class InvariantViolationError(WhlabError, RuntimeError):
-    """Two independently computed routes for the same quantity disagree."""
-
-
 class WitnessNotFoundError(WhlabError, RuntimeError):
     """A probe sweep ended without producing the separating witness."""

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputValidationError, InvariantViolationError
+from .errors import InputValidationError
 
 INF = math.inf
 
@@ -31,11 +31,6 @@ INF = math.inf
 # every point of the grid in Python, so a grid this long already takes
 # seconds; a window beyond it is rejected before anything is allocated.
 MAX_GRID_POINTS = 100_000
-
-# For the discrete model the interior of P is taken to be {1, 2, ...}; the
-# interior of a discrete semigroup is not canonical, this is the convention
-# the classification below reports.
-DISCRETE_INTERIOR_STARTS_AT = 1
 
 
 @dataclass(frozen=True)
@@ -102,38 +97,10 @@ def in_omega(x) -> bool:
 def omega_qset(x: OmegaPoint, g) -> bool:
     """Membership of g in Q_X = {g : X.g in Omega}, computed model-explicitly.
 
-    Equals the raw inverse-membership test g^{-1} in X; the agreement of the
-    two routes is exercised by omega_translate_membership and the test suite.
+    Equals the raw inverse-membership test g^{-1} in X; the test suite checks
+    that the two routes agree.
     """
     return True if x.is_infinite else x.value + g >= 0
-
-
-def omega_translate_membership(a, g) -> bool:
-    """Both sides of the equivalence  A.g in Omega  <=>  g^{-1} in A,
-    computed independently and asserted equal.
-
-    Accepts extended-model points (halfline value anywhere in R, or inf).
-    """
-    if isinstance(a, OmegaPoint):
-        a = ExtendedPoint(a.model, a.value)
-    if a.model not in ("halfline", "discrete"):
-        raise InputValidationError("extended membership is modeled on the (half)line only")
-    via_translate = a.is_infinite or a.value + g >= 0
-    via_membership = a.is_infinite or (-g) <= a.value
-    if via_translate != via_membership:
-        raise InvariantViolationError(
-            f"translate test and membership test disagree at A={a.value}, g={g}"
-        )
-    return via_translate
-
-
-def classify_omega(x: OmegaPoint, tol: float = 1e-12) -> str:
-    """"interior" when the set meets the interior of P, "boundary" otherwise."""
-    if x.is_infinite:
-        return "interior"
-    if x.model == "halfline":
-        return "boundary" if x.value <= tol else "interior"
-    return "boundary" if x.value < DISCRETE_INTERIOR_STARTS_AT else "interior"
 
 
 @dataclass
@@ -225,7 +192,6 @@ class FellLimit:
     grid: np.ndarray
     liminf_mask: np.ndarray
     limsup_mask: np.ndarray
-    limit: ClosedSetModel | None
 
 
 def fell_limit(seq) -> FellLimit:
@@ -249,13 +215,4 @@ def fell_limit(seq) -> FellLimit:
     liminf_mask = np.array([all(s.near(p) for s in tail) for p in grid])
     limsup_mask = np.array([any(s.near(p) for s in tail) for p in grid])
     converged = bool(np.array_equal(liminf_mask, limsup_mask))
-
-    limit = None
-    if converged:
-        members = {float(p) for p, m in zip(grid, liminf_mask) if m}
-
-        def member(t, members=frozenset(members), h=first.grid_step):
-            return any(abs(t - p) <= h / 2 + 1e-12 for p in members)
-
-        limit = ClosedSetModel(first.ambient, member, first.window, first.grid_step)
-    return FellLimit(converged, grid, liminf_mask, limsup_mask, limit)
+    return FellLimit(converged, grid, liminf_mask, limsup_mask)

@@ -3,11 +3,14 @@
 Surjective side: the desk algebra A is the real piecewise functions on [0,1]
 with dyadic breakpoints, acted on by alpha_1(f)(t) = f(t/2) (surjective, not
 injective).  Elements are stored as piecewise polynomials so that products
-stay exactly representable (a product of piecewise-linear functions is
-piecewise quadratic); sup norms are exact up to root-finding of the
-per-piece derivative.  The fiber over a point X is the quotient A / I_X by
-the ideal of elements crushed in norm along translates converging to X, with
-quotient norm
+stay exactly representable: a ``PiecewisePoly`` is its breakpoints, shape
+(m + 1,), plus one coefficient array, shape (m, MAX_DEGREE + 1), holding each
+piece's ascending coefficients in the global variable, zero-padded.  The
+degree cap is 2, the degree of a product of two piecewise-linear functions;
+anything above it is rejected.  Sup norms are exact up to rounding: each
+quadratic piece has one stationary point, -c1 / (2 c2).  The fiber over a
+point X is the quotient A / I_X by the ideal of elements crushed in norm
+along translates converging to X, with quotient norm
 
     ||x + I_X|| = ||alpha_n(x)||          (X = n finite)
     ||x + I_X|| = lim_n ||alpha_n(x)||    (X = inf; the limit is |x(0)|)
@@ -32,21 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DomainError, InputValidationError
-from .fell import INF, OmegaPoint
+from .fell import INF
 
 DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
+MAX_DEGREE = 2  # a product of two piecewise-linear functions, the most any caller forms
+_POWERS = np.arange(MAX_DEGREE + 1)
 
 
 def _point_value(x):
-    """Accept a discrete OmegaPoint or a raw value (int >= 0 or inf)."""
-    if isinstance(x, OmegaPoint):
-        if x.model != "discrete":
-            raise InputValidationError("fibers live over the discrete model")
-        return x.value
+    """A unit of the discrete model: an int >= 0 or inf."""
     if x == INF:
         return INF
     n = int(x)
@@ -59,9 +59,18 @@ def _point_value(x):
 # piecewise polynomials on [0, 1]
 
 
+def _horner(coefs: np.ndarray, t) -> np.ndarray:
+    """Each row of ascending coefficients evaluated at the matching t."""
+    out = coefs[..., MAX_DEGREE]
+    for k in range(MAX_DEGREE - 1, -1, -1):
+        out = coefs[..., k] + out * t
+    return out
+
+
 class PiecewisePoly:
-    """Real piecewise polynomial on [0,1]: breakpoints plus per-piece
-    coefficients in the global variable (ascending powers)."""
+    """Real piecewise polynomial on [0,1] of degree <= MAX_DEGREE: breakpoints
+    plus a (pieces, MAX_DEGREE + 1) array of coefficients in the global
+    variable (ascending powers)."""
 
     __slots__ = ("breaks", "coefs")
 
@@ -71,14 +80,13 @@ class PiecewisePoly:
             raise InputValidationError("need at least two breakpoints")
         if abs(breaks[0]) > 1e-15 or abs(breaks[-1] - 1.0) > 1e-15:
             raise InputValidationError("breakpoints must span [0, 1]")
-        if np.any(np.diff(breaks) <= 0):
+        if (breaks[1:] <= breaks[:-1]).any():
             raise InputValidationError("breakpoints must be strictly increasing")
-        if len(coefs) != len(breaks) - 1:
-            raise InputValidationError("one coefficient array per piece required")
+        coefs = np.asarray(coefs, dtype=float)
+        if coefs.shape != (len(breaks) - 1, MAX_DEGREE + 1):
+            raise InputValidationError(f"one row of {MAX_DEGREE + 1} coefficients per piece required")
         self.breaks = breaks
-        self.coefs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coefs]
-
-    # -- construction -------------------------------------------------------
+        self.coefs = coefs
 
     @classmethod
     def from_breakpoints(cls, breaks, vals) -> "PiecewisePoly":
@@ -87,49 +95,29 @@ class PiecewisePoly:
         vals = np.asarray(vals, dtype=float)
         if breaks.shape != vals.shape:
             raise InputValidationError("breaks and vals must have equal length")
-        coefs = []
-        for i in range(len(breaks) - 1):
-            b0, b1 = breaks[i], breaks[i + 1]
-            v0, v1 = vals[i], vals[i + 1]
-            slope = (v1 - v0) / (b1 - b0)
-            coefs.append(np.array([v0 - slope * b0, slope]))
-        return cls(breaks, coefs)
+        slope = (vals[1:] - vals[:-1]) / (breaks[1:] - breaks[:-1])
+        return cls(breaks, np.stack([vals[:-1] - slope * breaks[:-1], slope, np.zeros_like(slope)], axis=-1))
 
-    @classmethod
-    def zero(cls) -> "PiecewisePoly":
-        return cls([0.0, 1.0], [np.zeros(1)])
+    def _piece_index(self, t) -> np.ndarray:
+        """The piece holding t: the number of inner breakpoints at or below it."""
+        return np.searchsorted(self.breaks[1:-1], t, side="right")
 
-    @classmethod
-    def const(cls, c: float) -> "PiecewisePoly":
-        return cls([0.0, 1.0], [np.array([float(c)])])
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _piece_index(self, t: float) -> int:
-        i = int(np.searchsorted(self.breaks, t, side="right")) - 1
-        return min(max(i, 0), len(self.coefs) - 1)
-
-    def __call__(self, t: float) -> float:
-        return float(P.polyval(t, self.coefs[self._piece_index(t)]))
-
-    # -- algebra ------------------------------------------------------------
+    def __call__(self, t):
+        """f(t) for a number t, or elementwise for an array."""
+        t = np.asarray(t, dtype=float)
+        out = _horner(self.coefs[self._piece_index(t)], t)
+        return float(out) if out.ndim == 0 else out
 
     def _aligned(self, other: "PiecewisePoly"):
         breaks = np.union1d(self.breaks, other.breaks)
         return breaks, self._refine(breaks), other._refine(breaks)
 
-    def _refine(self, breaks: np.ndarray):
-        out = []
-        for i in range(len(breaks) - 1):
-            mid = 0.5 * (breaks[i] + breaks[i + 1])
-            out.append(self.coefs[self._piece_index(mid)])
-        return out
+    def _refine(self, breaks: np.ndarray) -> np.ndarray:
+        return self.coefs[self._piece_index(0.5 * (breaks[:-1] + breaks[1:]))]
 
-    def __add__(self, other):
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            other = PiecewisePoly.const(float(other))
+    def __add__(self, other: "PiecewisePoly"):
         breaks, a, b = self._aligned(other)
-        return PiecewisePoly(breaks, [P.polyadd(x, y) for x, y in zip(a, b)])
+        return PiecewisePoly(breaks, a + b)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -139,9 +127,14 @@ class PiecewisePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.integer, np.floating)):
-            return PiecewisePoly(self.breaks, [float(other) * c for c in self.coefs])
+            return PiecewisePoly(self.breaks, float(other) * self.coefs)
         breaks, a, b = self._aligned(other)
-        return PiecewisePoly(breaks, [P.polymul(x, y) for x, y in zip(a, b)])
+        out = np.zeros((len(a), 2 * MAX_DEGREE + 1))
+        for k in _POWERS:
+            out[:, k : k + MAX_DEGREE + 1] += a[:, k : k + 1] * b
+        if out[:, MAX_DEGREE + 1 :].any():
+            raise InputValidationError(f"product of degree above the cap {MAX_DEGREE}")
+        return PiecewisePoly(breaks, out[:, : MAX_DEGREE + 1])
 
     __rmul__ = __mul__
 
@@ -149,28 +142,20 @@ class PiecewisePoly:
         """Involution; the identity map on real scalars."""
         return self
 
-    # -- norms --------------------------------------------------------------
-
     def sup_abs(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Exact sup of |f| over [lo, hi]: piece endpoints plus interior
-        stationary points of each polynomial piece."""
+        """Exact sup of |f| over [lo, hi]: piece endpoints plus the vertex
+        -c1 / (2 c2) of each quadratic piece that falls inside it."""
         if not 0.0 <= lo < hi <= 1.0 + 1e-15:
             raise InputValidationError(f"bad subinterval [{lo}, {hi}]")
-        best = 0.0
-        for i, c in enumerate(self.coefs):
-            a = max(lo, float(self.breaks[i]))
-            b = min(hi, float(self.breaks[i + 1]))
-            if a >= b:
-                continue
-            best = max(best, abs(P.polyval(a, c)), abs(P.polyval(b, c)))
-            if len(c) > 2:
-                for r in P.polyroots(P.polyder(c)):
-                    if abs(r.imag) < 1e-10 and a < r.real < b:
-                        best = max(best, abs(P.polyval(r.real, c)))
-        return float(best)
-
-    def value_at_zero(self) -> float:
-        return float(P.polyval(0.0, self.coefs[0]))
+        a = np.maximum(lo, self.breaks[:-1])
+        b = np.minimum(hi, self.breaks[1:])
+        live = a < b
+        a, b, c = a[live], b[live], self.coefs[live]
+        quadratic = c[:, 2] != 0
+        vertex = -c[:, 1] / np.where(quadratic, 2.0 * c[:, 2], 1.0)
+        inside = quadratic & (a < vertex) & (vertex < b)
+        points = np.array((a, b, np.where(inside, vertex, a)))
+        return float(np.abs(_horner(c, points)).max(initial=0.0))
 
 
 def random_dyadic_pl(rng: np.random.Generator, level: int = 4, scale: float = 1.0) -> PiecewisePoly:
@@ -185,56 +170,26 @@ def random_dyadic_pl(rng: np.random.Generator, level: int = 4, scale: float = 1.
 
 
 def halving_apply(n: int, f: PiecewisePoly) -> PiecewisePoly:
-    """alpha_n(f)(t) = f(t / 2^n), exact on the representation."""
+    """alpha_n(f)(t) = f(t / 2^n), exact on the representation: the pieces
+    that start below 2^-n, stretched onto [0, 1]."""
     if n < 0:
         raise InputValidationError("the action is a semigroup action: n >= 0")
-    if n == 0:
-        return f
-    scale = float(2 ** n)
-    cut = 1.0 / scale
-    breaks = [0.0]
-    coefs = []
-    for i in range(len(f.breaks) - 1):
-        b0 = float(f.breaks[i])
-        b1 = float(f.breaks[i + 1])
-        if b0 >= cut - 1e-18:
-            break
-        hi = min(b1, cut)
-        c = f.coefs[i]
-        # substitute t -> t/2^n in global coordinates
-        scaled = np.array([ck / scale**k for k, ck in enumerate(c)])
-        breaks.append(min(hi * scale, 1.0))
-        coefs.append(scaled)
-    if abs(breaks[-1] - 1.0) > 1e-15:
-        breaks[-1] = 1.0
-    return PiecewisePoly(np.array(breaks), coefs)
+    # ldexp scales by powers of two exactly, and 2^-n underflows to 0 instead of overflowing
+    pieces = 1 + np.count_nonzero(f.breaks[1:-1] < np.ldexp(1.0, -n))  # the piece at 0 always reaches in
+    breaks = np.concatenate(([0.0], np.ldexp(f.breaks[1:pieces], n), [1.0]))
+    return PiecewisePoly(breaks, np.ldexp(f.coefs[:pieces], -n * _POWERS))
 
 
 def halving_section(n: int, f: PiecewisePoly) -> PiecewisePoly:
     """An explicit preimage under alpha_n: squeeze f into [0, 2^{-n}] and
-    continue with the constant f(1).  Any section works; the fiber action
-    quotients out the ambiguity."""
+    continue with the constant f(1) on n pieces [2^{-k}, 2^{1-k}].  Any
+    section works; the fiber action quotients out the ambiguity."""
     if n < 0:
         raise InputValidationError("n >= 0")
-    out = f
-    for _ in range(n):
-        out = _halving_section_once(out)
-    return out
-
-
-def _halving_section_once(f: PiecewisePoly) -> PiecewisePoly:
-    breaks = [float(b) / 2.0 for b in f.breaks]
-    coefs = []
-    for c in f.coefs:
-        coefs.append(np.array([ck * (2.0 ** k) for k, ck in enumerate(c)]))
-    tail = f(1.0)
-    breaks.append(1.0)
-    coefs.append(np.array([tail]))
-    return PiecewisePoly(np.array(breaks), coefs)
-
-
-def sup_norm(f: PiecewisePoly) -> float:
-    return f.sup_abs(0.0, 1.0)
+    tail = np.zeros((n, MAX_DEGREE + 1))
+    tail[:, 0] = f(1.0)
+    breaks = np.concatenate((np.ldexp(f.breaks, -n), np.ldexp(1.0, np.arange(1 - n, 1))))
+    return PiecewisePoly(breaks, np.concatenate((np.ldexp(f.coefs, n * _POWERS), tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +202,8 @@ def quotient_norm(x, f: PiecewisePoly) -> float:
     |f(0)|, which is the closed form used."""
     v = _point_value(x)
     if v == INF:
-        return abs(f.value_at_zero())
-    return sup_norm(halving_apply(v, f))
+        return abs(f(0.0))
+    return halving_apply(v, f).sup_abs()
 
 
 def ideal_contains(x, f: PiecewisePoly, tol: float = DEFAULT_TOL) -> bool:
@@ -406,10 +361,6 @@ class DilationElement:
             raise InputValidationError("level must be a nonnegative integer")
 
 
-def dilation_embed(n: int, x: TrigPoly) -> DilationElement:
-    return DilationElement(level=int(n), payload=x)
-
-
 def dilation_promote(e: DilationElement, level: int) -> TrigPoly:
     """Payload of e rewritten at a deeper level."""
     if level < e.level:
@@ -421,12 +372,6 @@ def dilation_equal(e1: DilationElement, e2: DilationElement, tol: float = DEFAUL
     """Promote both to the common level and compare coefficients."""
     m = max(e1.level, e2.level)
     return dilation_promote(e1, m).coeff_distance(dilation_promote(e2, m)) <= tol
-
-
-def dilation_norm(e: DilationElement) -> float:
-    """Injective *-homomorphisms are isometric, so the norm is the payload's
-    (the coefficient dilation indeed never changes the sup norm)."""
-    return e.payload.norm()
 
 
 @dataclass

@@ -94,18 +94,31 @@ class ZPoint:
         return self.u.shape[-1]
 
 
-def zpoint(u, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
-    """Validate Z membership and cache the spectral decomposition.
+def _in_z(eigs, tol: float, cluster: float) -> bool:
+    """Whether a spectrum lies in the closed upper half circle as pair_encode
+    reads it.  Below the equator, the -1 side (Re < 0) gets sqrt(tol) of
+    slack: pair encodings are validated at that resolution, so their Cayley
+    images dip that far, and the inverse Cayley value there is about Im / 2.
+    The +1 side gets only `cluster`, the radius that pair_encode folds into
+    E; beyond it the inverse Cayley value is about 2 / Im, large and
+    negative, so no positive A encodes it."""
+    root = np.sqrt(tol)
+    return all(
+        lam.imag >= 0 or (lam.imag >= -root if lam.real < 0 else abs(lam - 1.0) <= cluster)
+        for lam in np.asarray(eigs, dtype=complex).tolist()
+    )
 
-    The Im >= 0 test carries sqrt(tol) slack: pair encodings are validated at
-    that resolution and their Cayley images can dip the same amount below the
-    equator of the circle.
-    """
+
+def zpoint(u, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
+    """Validate Z membership (see _in_z) and cache the spectral decomposition."""
     m = as_matrix(u)
     # unitary_eig runs the unitary guard on m at the same 100 * tol
     dec = spectra.unitary_eig(m, tol=100 * tol, seed=seed)
-    worst = np.reshape([min(float(np.imag(lam)) for lam in d.eigenvalues) for d in _decompositions(dec)], m.shape[:-2])
-    _require(worst >= -np.sqrt(tol), worst, DomainError, "spectrum leaves the upper half circle: Im = {:.3e}")
+    decs = _decompositions(dec)
+    inside = np.reshape([_in_z(d.eigenvalues, tol, CLUSTER_TOL) for d in decs], m.shape[:-2])
+    if not inside.all():
+        worst = np.reshape([np.min(np.imag(d.eigenvalues)) for d in decs], m.shape[:-2])
+        _require(inside, worst, DomainError, "spectrum leaves the upper half circle: Im = {:.3e}")
     return ZPoint(u=m, dec=dec, tol=tol)
 
 
@@ -184,7 +197,7 @@ def classify_zpoint(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL, s
 
 
 def _zclass(eigs, tol: float, cluster: float) -> ZClass:
-    if min(float(np.imag(lam)) for lam in eigs) < -np.sqrt(tol):
+    if not _in_z(eigs, tol, cluster):
         return ZClass.OUTSIDE
     if min(abs(lam + 1.0) for lam in eigs) <= cluster:
         return ZClass.BOUNDARY

@@ -52,17 +52,13 @@ class EndomorphismAction:
 
     The generator is a k^2 x k^2 matrix acting on row-major vectorized k x k
     matrices.  Construction validates the *-homomorphism laws on the matrix
-    units; the unital/injective/surjective flags are computed from the
-    generator.  Negative powers exist exactly when the generator is
-    invertible (an automorphism).
+    units; the injective flag is computed from the generator.  Negative
+    powers exist exactly when the generator is invertible (an automorphism).
     """
 
     k: int
     generator: np.ndarray
-    tol: float = 1e-12
-    unital: bool = field(init=False)
     injective: bool = field(init=False)
-    surjective: bool = field(init=False)
 
     def __post_init__(self):
         self.generator = np.asarray(self.generator, dtype=np.complex128)
@@ -70,11 +66,7 @@ class EndomorphismAction:
         if self.generator.shape != (kk, kk):
             raise InputValidationError(f"generator must be {kk}x{kk}")
         self._validate_star_hom()
-        eye = np.eye(self.k, dtype=np.complex128).reshape(-1)
-        self.unital = bool(np.allclose(self.generator @ eye, eye, atol=100 * self.tol))
-        rank = np.linalg.matrix_rank(self.generator, tol=1e-9)
-        self.injective = bool(rank == kk)
-        self.surjective = bool(rank == kk)
+        self.injective = bool(np.linalg.matrix_rank(self.generator, tol=1e-9) == kk)
         self._inverse = np.linalg.inv(self.generator) if self.injective else None
 
     def _validate_star_hom(self):
@@ -88,10 +80,6 @@ class EndomorphismAction:
         expected = np.einsum("jl,imac->ijlmac", np.eye(k), images)
         if not np.allclose(expected, products, atol=1e-9):
             raise InputValidationError("generator is not multiplicative")
-
-    @property
-    def automorphic(self) -> bool:
-        return self.injective
 
     def powers(self, n: int, inverse: bool = False) -> np.ndarray:
         """G^0..G^n for the generator G (its inverse with ``inverse``), stacked by n products."""

@@ -30,26 +30,6 @@ def test_omega_qset_halfline_matches_membership(x, g):
     assert fell.omega_qset(point, g) == fell.point_contains(point, -g)
 
 
-def test_translate_membership_equivalence():
-    assert fell.omega_translate_membership(fell.ExtendedPoint("halfline", -1.0), 2.0) is True
-    assert fell.omega_translate_membership(fell.ExtendedPoint("halfline", -1.0), 0.5) is False
-    assert fell.omega_translate_membership(fell.ExtendedPoint("halfline", 0.0), 0.0) is True
-    assert fell.omega_translate_membership(fell.halfline(3.0), -1.0) is True
-
-
-def test_classify_omega_halfline():
-    assert fell.classify_omega(fell.halfline(0.0)) == "boundary"
-    assert fell.classify_omega(fell.halfline(3.0)) == "interior"
-    assert fell.classify_omega(fell.halfline(INF)) == "interior"
-
-
-def test_classify_omega_discrete_convention():
-    # the interior of the discrete semigroup is taken to start at 1
-    assert fell.classify_omega(fell.discrete(0)) == "boundary"
-    assert fell.classify_omega(fell.discrete(1)) == "interior"
-    assert fell.classify_omega(fell.discrete(INF)) == "interior"
-
-
 def test_omega_point_validation():
     with pytest.raises(InputValidationError):
         fell.halfline(-1.0)
@@ -79,7 +59,6 @@ def test_fell_limit_alternating_diverges():
     sets = [fell.ray(float(n % 2), "R", window, 0.25) for n in range(12)]
     res = fell.fell_limit(sets)
     assert not res.converged
-    assert res.limit is None
     # the disagreement is exactly on grid points of (0 + step, 1 + step]
     diff = res.limsup_mask & ~res.liminf_mask
     points = res.grid[diff]

@@ -9,7 +9,7 @@ alpha_n and sups over [0, 1].
 import numpy as np
 import pytest
 
-from whlab import fibers
+from whlab import fibers, suites
 from whlab.errors import DomainError, InputValidationError
 from whlab.fell import INF
 from whlab.fibers import DilationElement, PiecewisePoly, QuotientElement, TrigPoly
@@ -32,6 +32,13 @@ def test_pl_evaluation_and_algebra():
     h = f * f
     assert h(0.25) == pytest.approx(0.25)
     assert h.sup_abs() == pytest.approx(1.0)
+    # arrays evaluate to exactly the pointwise values
+    ts = np.linspace(0.0, 1.0, 37)
+    for p in (f, h):
+        assert p(ts).tolist() == [p(float(t)) for t in ts]
+    # a product of two quadratics exceeds the degree cap
+    with pytest.raises(InputValidationError):
+        h * h
 
 
 def test_product_sup_can_live_between_breakpoints():
@@ -40,6 +47,13 @@ def test_product_sup_can_live_between_breakpoints():
     prod = f * g                          # t(1-t), max 1/4 at t = 1/2
     assert prod.sup_abs() == pytest.approx(0.25)
     assert prod.sup_abs(0.0, 0.25) == pytest.approx(0.25 * 0.75)
+    # the vertex 1/2 sits on a breakpoint: the endpoints carry the sup
+    split = pl([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]) * g
+    assert split.sup_abs() == 0.25
+    # (1 + t)^2 has its vertex at -1, outside every piece
+    up = pl([0.0, 0.5, 1.0], [1.0, 1.5, 2.0])
+    assert (up * up).sup_abs() == 4.0
+    assert (up * up).sup_abs(0.0, 0.5) == 2.25
 
 
 def test_halving_action_examples():
@@ -49,6 +63,12 @@ def test_halving_action_examples():
         assert a1(float(t)) == pytest.approx(f(float(t) / 2.0))
     a3 = fibers.halving_apply(3, f)
     assert a3(1.0) == pytest.approx(f(1.0 / 8.0))
+    # a breakpoint exactly at the cut 2^-2 ends the last piece kept
+    g = pl([0.0, 0.25, 0.5, 1.0], [1.0, 2.0, -1.0, 0.0])
+    a2 = fibers.halving_apply(2, g)
+    assert a2.breaks.tolist() == [0.0, 1.0]
+    for t in np.linspace(0, 1, 9):
+        assert a2(float(t)) == pytest.approx(g(float(t) / 4.0))
 
 
 def test_halving_section_is_a_section():
@@ -75,7 +95,7 @@ def test_quotient_norm_is_zero_on_kernel():
 def test_quotient_norm_at_infinity_is_value_at_zero():
     f = pl([0.0, 0.25, 1.0], [-2.5, 1.0, 0.0])
     assert fibers.quotient_norm(INF, f) == pytest.approx(2.5)
-    zero = PiecewisePoly.zero()
+    zero = pl([0.0, 1.0], [0.0, 0.0])
     for x in (0, 3, INF):
         assert fibers.quotient_norm(x, zero) == 0.0
 
@@ -102,6 +122,9 @@ def test_quotient_norm_monotone_to_limit(rng):
         values = [fibers.quotient_norm(n, f) for n in range(0, 41, 4)]
         assert all(values[i] >= values[i + 1] - 1e-12 for i in range(len(values) - 1))
         assert values[-1] <= fibers.quotient_norm(INF, f) + 1e-9
+        # 2^-n below every breakpoint, and below the smallest double
+        for n in (60, 2000):
+            assert fibers.quotient_norm(n, f) == pytest.approx(abs(f(0.0)), abs=1e-15)
 
 
 def test_cstar_seminorm_properties(rng):
@@ -155,7 +178,7 @@ def test_fiber_action_decomposition_independence(rng):
 
 
 def test_fiber_action_rejects_non_groupoid_pairs():
-    q = QuotientElement(x=0, rep=PiecewisePoly.const(1.0))
+    q = QuotientElement(x=0, rep=pl([0.0, 1.0], [1.0, 1.0]))
     with pytest.raises(DomainError):
         fibers.fiber_action(1, -2, q)
     with pytest.raises(InputValidationError):
@@ -179,10 +202,15 @@ def test_dilation_distinguishes_payloads(rng):
     assert not fibers.dilation_equal(DilationElement(0, x), DilationElement(0, y))
 
 
-def test_dilation_norm_at_own_level(rng):
-    for _ in range(10):
-        x = fibers.random_trig(rng, degree=3)
-        assert fibers.dilation_norm(DilationElement(5, x)) == pytest.approx(x.norm())
+def test_dilation_case_flags_an_uncertified_norm(monkeypatch):
+    # without the Bernstein divisor the norm is the grid maximum, which
+    # undershoots the sup of a dilated payload: the brackets stop overlapping
+    cfg = suites.SuiteConfig(suite="fibers")
+    assert suites.run_case(suites.CASES["fibers.dilation"], cfg).status == "pass"
+    monkeypatch.setattr(TrigPoly, "norm", lambda self, grid=fibers.TRIG_GRID: self.grid_max(grid))
+    result = suites.run_case(suites.CASES["fibers.dilation"], cfg)
+    assert result.status == "fail"
+    assert "level promotion changed the norm" in result.details
 
 
 def test_trig_norm_certificate_brackets_true_sup(rng):

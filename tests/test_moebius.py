@@ -218,6 +218,30 @@ def test_pair_encode_examples():
     assert np.allclose(p.a, np.diag([0.0, 1.0]), atol=1e-10)
 
 
+def test_zpoint_accepts_exactly_what_pair_encode_encodes():
+    # eigenvalues just below the equator: the -1 side (inverse Cayley value
+    # about Im/2) within sqrt(tol) is in Z; the +1 side (value about 2/Im) only
+    # within the cluster radius that pair_encode folds into E
+    root = np.sqrt(spectra.DEFAULT_TOL)
+    offsets = [0.5 * spectra.CLUSTER_TOL, 2 * spectra.CLUSTER_TOL, 0.5 * root, 2 * root, 1e-6]
+    angles = [side + sign * d for side in (0.0, np.pi) for d in offsets for sign in (1, -1)]
+    phases = np.exp(1j * np.array(angles))
+    q = random_unitary(np.random.default_rng(7), 2)
+    unitaries = [spectra.cayley(_m([[-1e6]]))] + [_m([[lam]]) for lam in phases]
+    unitaries += [q @ np.diag([lam, 1j]) @ q.conj().T for lam in phases]
+    rejected = 0
+    for u in unitaries:
+        try:
+            z = moebius.zpoint(u)
+        except DomainError:
+            rejected += 1
+            assert moebius.classify_zpoint(u) == ZClass.OUTSIDE
+            continue
+        assert moebius.classify_zpoint(u) != ZClass.OUTSIDE
+        moebius.pair_encode(z)
+    assert 0 < rejected < len(unitaries)
+
+
 def test_pair_roundtrip_random(rng):
     for dim in range(1, 5):
         for _ in range(30):
