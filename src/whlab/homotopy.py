@@ -11,6 +11,12 @@ and a sample set, the three clauses of the contracting-homotopy condition:
 
 plus a continuity probe (adjacent grid jumps in the model metric).
 
+Path tables: ``spec.path(t, x)`` gives phi_t(x) for a whole array of t, a
+row per t, and every test maps a table to one boolean per row.  The verifier
+evaluates each sample's path once, on t = 0, t = 1 and the grid; continuity
+is one stacked distance of consecutive rows, and the failure messages come
+from the tables in the order of a loop over (sample, t).
+
 Two concrete homotopies are shipped.  On the half-line compactification
 [0, inf] the normalized contraction
 
@@ -22,9 +28,11 @@ upper-half-circle unitary model the angle rotation
 
     phi_t(U) = exp(i((1-t) g(U) + t pi)),
 
-with g the principal angle in [0, pi], applied through the functional
-calculus so that phi_t(U) shares U's spectral frame exactly.  Deliberately
-broken variants of both are shipped for mutation testing of the verifier.
+with g the eigenvalue angles (``principal_angles``), through the functional
+calculus: the path is the (T, k) table of eigenvalues on U's k spectral
+projections E_k, and the images sum_k lambda_tk E_k are one (T, d, d) stack
+sharing U's spectral frame exactly.  Deliberately broken variants of both
+are shipped for mutation testing of the verifier.
 """
 
 from __future__ import annotations
@@ -38,19 +46,29 @@ import numpy as np
 from . import spectra
 from .errors import DomainError, InputValidationError
 from .fell import INF
-from .moebius import ZPoint
-from .spectra import CLUSTER_TOL, SpectralDecomposition
+from .moebius import ZPoint, _in_z
+from .spectra import CLUSTER_TOL, _frobenius
 
 DEFAULT_T_GRID = 65
+
+# the per-t failures, in the order the verifier reports them at one t
+_PER_T_FAILURES = (
+    "boundary not preserved at t={t:.4f}, sample {label}",
+    "phi_t leaves the orbit at t={t:.4f}, sample {label}",
+    "order containment fails at t={t:.4f}, sample {label}",
+    "continuity probe jump {jump:.3f} at t={t:.4f}, sample {label}",
+)
 
 
 @dataclass
 class HomotopySpec:
-    """A candidate contracting homotopy together with its model's tests."""
+    """A candidate contracting homotopy together with its model's tests: the
+    boundary test takes a table or a sample, the orbit test a table,
+    ``order_test`` a table and its sample; ``distance`` goes row by row."""
 
     name: str
     model: str
-    phi: Callable
+    path: Callable
     boundary_test: Callable
     orbit_test: Callable
     order_test: Callable
@@ -86,58 +104,44 @@ def verify_condition_h(
                 raise InputValidationError(f"sample {x!r} lies outside the model")
 
     failures = []
-    clause_boundary = True
-    clause_orbit_order = True
-    clause_endpoints = True
-    continuity_ok = True
+    endpoints_ok = True
+    failed = np.zeros(len(_PER_T_FAILURES), dtype=bool)  # per-t failure kinds seen
     max_jump = 0.0
+    later = t_grid > 0.0
+    t_all = np.concatenate(([0.0, 1.0], t_grid))
 
-    for idx, x in enumerate(samples):
+    for x in samples:
         label = spec.describe(x)
-        # clause (3): phi_0 = id
-        if spec.distance(spec.phi(0.0, x), x) > tol:
-            clause_endpoints = False
+        table = spec.path(t_all, x)
+        boundary = spec.boundary_test(table)
+        # clause (3): phi_0 = id, and phi_1 lands in the boundary
+        if spec.distance(table[0], x) > tol:
+            endpoints_ok = False
             failures.append(f"phi_0 differs from the identity at sample {label}")
-        # clause (3): phi_1 lands in the boundary
-        if not spec.boundary_test(spec.phi(1.0, x)):
-            clause_endpoints = False
+        if not boundary[1]:
+            endpoints_ok = False
             failures.append(f"phi_1 misses the boundary at sample {label}")
-        is_boundary = spec.boundary_test(x)
-        previous = None
-        for t in t_grid:
-            image = spec.phi(float(t), x)
-            if is_boundary and not spec.boundary_test(image):
-                clause_boundary = False
-                failures.append(f"boundary not preserved at t={t:.4f}, sample {label}")
-            if t > 0.0:
-                if not spec.orbit_test(image):
-                    clause_orbit_order = False
-                    failures.append(f"phi_t leaves the orbit at t={t:.4f}, sample {label}")
-                if not spec.order_test(image, x):
-                    clause_orbit_order = False
-                    failures.append(f"order containment fails at t={t:.4f}, sample {label}")
-            if previous is not None:
-                jump = spec.distance(image, previous)
-                max_jump = max(max_jump, jump)
-                if jump > continuity_threshold:
-                    continuity_ok = False
-                    failures.append(
-                        f"continuity probe jump {jump:.3f} at t={t:.4f}, sample {label}"
-                    )
-            previous = image
+        grid = table[2:]
+        jumps = spec.distance(grid[1:], grid[:-1])
+        max_jump = max(max_jump, *jumps.tolist())
+        bad = np.zeros((len(t_grid), len(_PER_T_FAILURES)), dtype=bool)
+        if spec.boundary_test(x):
+            bad[:, 0] = ~boundary[2:]
+        bad[later, 1] = ~spec.orbit_test(grid[later])
+        bad[later, 2] = ~spec.order_test(grid[later], x)
+        bad[1:, 3] = jumps > continuity_threshold
+        failed |= bad.any(axis=0)
+        for i, kind in zip(*bad.nonzero()):  # row-major: t by t, each t's failures in order
+            failures.append(_PER_T_FAILURES[kind].format(t=t_grid[i], jump=jumps[i - 1], label=label))
 
-    clauses = {
-        "boundary_invariance": clause_boundary,
-        "orbit_and_order": clause_orbit_order,
-        "endpoints": clause_endpoints,
-    }
+    clauses = dict(boundary_invariance=not failed[0], orbit_and_order=not failed[1:3].any(), endpoints=endpoints_ok)
     return {
         "suite": "condition_H",
         "model": spec.model,
         "name": spec.name,
         "clauses": clauses,
-        "continuity_probe": {"passed": continuity_ok, "max_jump": max_jump},
-        "passed": all(clauses.values()) and continuity_ok,
+        "continuity_probe": {"passed": not failed[3], "max_jump": max_jump},
+        "passed": all(clauses.values()) and not failed[3],
         "failures": failures,
         "samples": len(samples),
         "t_points": len(t_grid),
@@ -148,29 +152,30 @@ def verify_condition_h(
 # half-line model: Omega = [0, inf], boundary = {0}, orbit = finite points
 
 
-def _halfline_metric_coordinate(x: float) -> float:
-    return 1.0 if x == INF else x / (1.0 + x)
+def halfline_distance(a, b):
+    """The model metric |c(a) - c(b)|, c(x) = x/(1+x) and c(inf) = 1, elementwise."""
+    with np.errstate(invalid="ignore"):  # inf / inf, replaced by 1
+        a, b = (np.where(x == INF, 1.0, x / (1.0 + x)) for x in map(np.asarray, (a, b)))
+    return np.abs(a - b)
 
 
-def halfline_distance(a: float, b: float) -> float:
-    return abs(_halfline_metric_coordinate(a) - _halfline_metric_coordinate(b))
+def _halfline_path(t: np.ndarray, x: float) -> np.ndarray:
+    s = 1.0 - t
+    if x == INF:
+        # closed-form limit of the formula as x -> inf; phi_0(inf) = inf
+        with np.errstate(divide="ignore"):
+            return np.where(t == 0.0, INF, s / np.sqrt(1.0 - s * s))
+    return s * x / np.sqrt((1.0 - s * s) * x * x + 1.0)
 
 
 def make_halfline_homotopy() -> HomotopySpec:
-    def phi(t: float, x: float) -> float:
-        s = 1.0 - t
-        if x == INF:
-            # closed-form limit of the formula as x -> inf
-            return INF if t == 0.0 else s / math.sqrt(1.0 - s * s)
-        return s * x / math.sqrt((1.0 - s * s) * x * x + 1.0)
-
     return HomotopySpec(
         name="halfline-contraction",
         model="halfline",
-        phi=phi,
-        boundary_test=lambda x: x != INF and abs(x) <= 1e-12,
-        orbit_test=lambda x: x != INF,
-        order_test=lambda new, old: old == INF or (new != INF and new <= old + 1e-12),
+        path=_halfline_path,
+        boundary_test=lambda p: np.abs(p) <= 1e-12,
+        orbit_test=lambda p: p != INF,
+        order_test=lambda p, x: (x == INF) | ((p != INF) & (p <= x + 1e-12)),
         distance=halfline_distance,
         describe=lambda x: "inf" if x == INF else f"{x:.6g}",
         sample_check=lambda x: x == INF or x >= 0.0,
@@ -180,13 +185,10 @@ def make_halfline_homotopy() -> HomotopySpec:
 def make_halfline_mutant() -> HomotopySpec:
     """Broken variant: the normalizer is dropped, so phi_t no longer pulls the
     infinite point into the orbit for t in (0, 1)."""
-    def phi(t: float, x: float) -> float:
-        s = 1.0 - t
-        if x == INF:
-            return 0.0 if s == 0.0 else INF
-        return s * x
+    def path(t: np.ndarray, x: float) -> np.ndarray:
+        return np.where(t == 1.0, 0.0, INF) if x == INF else (1.0 - t) * x
 
-    return replace(make_halfline_homotopy(), name="halfline-mutant-no-normalizer", phi=phi)
+    return replace(make_halfline_homotopy(), name="halfline-mutant-no-normalizer", path=path)
 
 
 def halfline_samples(rng: np.random.Generator, count: int = 50) -> list:
@@ -201,75 +203,73 @@ def halfline_samples(rng: np.random.Generator, count: int = 50) -> list:
 # unitary model: Z = upper-half-circle spectra, boundary = {-1 in spectrum}
 
 
-def _principal_angle(lam: complex, tol: float) -> float:
-    """The angle of lam in [0, pi]; eigenvalues within sqrt(max(tol,
-    CLUSTER_TOL)) below the real axis are clamped to the nearer endpoint."""
-    theta = float(np.angle(lam))
-    if theta < 0.0:
-        if theta >= -math.sqrt(max(tol, CLUSTER_TOL)):
-            return 0.0
-        if theta <= -math.pi + math.sqrt(max(tol, CLUSTER_TOL)):
-            return math.pi
-        raise DomainError(f"eigenvalue {lam} lies outside the upper half circle")
-    return min(theta, math.pi)
+@dataclass
+class UnitaryPath:
+    """phi_t(U) over an array of t: the (T, k) eigenvalue table on U's k
+    spectral projections and the (T, d, d) images; rows index like an array."""
+
+    eigenvalues: np.ndarray
+    u: np.ndarray
+
+    def __getitem__(self, rows) -> "UnitaryPath":
+        return UnitaryPath(self.eigenvalues[rows], self.u[rows])
 
 
-def _rotate(z: ZPoint, phase: Callable) -> ZPoint:
-    """exp(i phase(g(U))) through the functional calculus; the spectral frame
-    is shared."""
-    angles = [_principal_angle(lam, z.tol) for lam in z.dec.eigenvalues]
-    new_eigs = np.array([np.exp(1j * phase(th)) for th in angles])
-    dec = SpectralDecomposition(new_eigs, list(z.dec.projections), tol=z.tol)
-    return ZPoint(u=dec.reconstruct(), dec=dec, tol=z.tol)
+def principal_angles(z: ZPoint) -> np.ndarray:
+    """The angle g of each eigenvalue of U, unwrapped into [-s, pi + s] with
+    s = sqrt(max(tol, CLUSTER_TOL)) and not clamped, so exp(i g) is U's own
+    eigenvalue even just below the real axis."""
+    eigenvalues = np.asarray(z.dec.eigenvalues)
+    theta = np.angle(eigenvalues)
+    slack = math.sqrt(max(z.tol, CLUSTER_TOL))
+    theta = np.where(theta <= slack - math.pi, theta + 2.0 * math.pi, theta)
+    outside = theta < -slack
+    if outside.any():
+        raise DomainError(f"eigenvalue {eigenvalues[outside][0]} lies outside the upper half circle")
+    return theta
 
 
-def rotate_zpoint(z: ZPoint, t: float) -> ZPoint:
-    """phi_t(U) = exp(i((1-t) g(U) + t pi))."""
-    return _rotate(z, lambda th: (1.0 - t) * th + t * math.pi)
+def _rotation(phase: Callable) -> Callable:
+    """The path t -> exp(i phase(t, g(U))) through U's spectral frame."""
+    def path(t: np.ndarray, z: ZPoint) -> UnitaryPath:
+        table = np.exp(1j * phase(t[:, None], principal_angles(z)))
+        return UnitaryPath(table, np.einsum("tk,kij->tij", table, np.array(z.dec.projections)))
+
+    return path
 
 
-def order_containment_unitary(u1: ZPoint, u2: ZPoint, tol: float = 1e-9) -> bool:
-    """Containment of the model point of u1 in that of u2 when both share
-    u2's spectral frame: Re(eigenvalue of u1) <= Re(eigenvalue of u2)
-    projection by projection."""
-    for lam2, proj in zip(u2.dec.eigenvalues, u2.dec.projections):
-        trace = np.trace(proj).real
-        if trace < 0.5:
-            continue
-        lam1 = complex(np.trace(proj @ u1.u)) / trace
-        residual = np.linalg.norm(u1.u @ proj - lam1 * proj)
-        if residual > math.sqrt(tol):
-            raise DomainError("not comparable via a shared spectral frame")
-        if lam1.real > lam2.real + tol:
-            return False
-    return True
+def _eigenvalue_table(p) -> np.ndarray:
+    """The eigenvalue table of a path; a Z point's spectrum as one row."""
+    return np.asarray(p.dec.eigenvalues)[None] if isinstance(p, ZPoint) else p.eigenvalues
 
 
-def _has_minus_one(z: ZPoint, cluster: float = CLUSTER_TOL) -> bool:
-    return bool(min(abs(lam + 1.0) for lam in z.dec.eigenvalues) <= math.sqrt(cluster))
-
-
-def _misses_one(z: ZPoint, cluster: float = CLUSTER_TOL) -> bool:
-    return bool(min(abs(lam - 1.0) for lam in z.dec.eigenvalues) > cluster)
-
-
-def _in_z(z) -> bool:
-    return isinstance(z, ZPoint) and all(
-        float(np.imag(lam)) >= -1e-7 for lam in z.dec.eigenvalues
-    )
+def order_containment_table(path: UnitaryPath, z: ZPoint, tol: float = 1e-9) -> np.ndarray:
+    """Row by row, whether U_t lies in U in the model order: U_t acts on each
+    nonzero projection E_j of U as lambda_j = trace(E_j U_t) / trace(E_j),
+    and Re lambda_j <= Re(U's eigenvalue on E_j).  A row with
+    ||U_t E_j - lambda_j E_j||_F > sqrt(tol) shares no frame with U: raises."""
+    projections = np.array(z.dec.projections)
+    traces = np.trace(projections, axis1=1, axis2=2).real
+    keep = traces >= 0.5
+    projections, own = projections[keep], np.asarray(z.dec.eigenvalues)[keep]
+    scalars = np.einsum("jab,tba->tj", projections, path.u) / traces[keep]
+    residual = _frobenius(path.u[:, None] @ projections - scalars[..., None, None] * projections)
+    if (residual > math.sqrt(tol)).any():
+        raise DomainError("not comparable via a shared spectral frame")
+    return (scalars.real <= own.real + tol).all(axis=1)
 
 
 def make_unitary_homotopy(tol: float = 1e-9) -> HomotopySpec:
     return HomotopySpec(
         name="unitary-angle-rotation",
         model="unitary",
-        phi=lambda t, z: rotate_zpoint(z, t),
-        boundary_test=_has_minus_one,
-        orbit_test=_misses_one,
-        order_test=lambda new, old: order_containment_unitary(new, old, tol=tol),
+        path=_rotation(lambda t, theta: (1.0 - t) * theta + t * math.pi),
+        boundary_test=lambda p: (np.abs(_eigenvalue_table(p) + 1.0) <= math.sqrt(CLUSTER_TOL)).any(axis=-1),
+        orbit_test=lambda p: (np.abs(_eigenvalue_table(p) - 1.0) > CLUSTER_TOL).all(axis=-1),
+        order_test=lambda p, z: order_containment_table(p, z, tol=tol),
         distance=lambda a, b: spectra.operator_norm(a.u - b.u),
         describe=lambda z: f"U(dim={z.dim})",
-        sample_check=_in_z,
+        sample_check=lambda z: isinstance(z, ZPoint) and _in_z(z.dec.eigenvalues, z.tol, CLUSTER_TOL),
     )
 
 
@@ -279,5 +279,5 @@ def make_unitary_mutant(tol: float = 1e-9) -> HomotopySpec:
     return replace(
         make_unitary_homotopy(tol=tol),
         name="unitary-mutant-no-drift",
-        phi=lambda t, z: _rotate(z, lambda th: (1.0 - t) * th),
+        path=_rotation(lambda t, theta: (1.0 - t) * theta),
     )

@@ -36,6 +36,10 @@ class OrderRelation(str, Enum):
     INCOMPARABLE_OR_GT = "incomparable-or-gt"
 
 
+# order_compare's answer for lambda_min(B - A) > tol, in [-tol, tol], and below -tol or NaN
+_RELATIONS = (OrderRelation.LT, OrderRelation.LEQ, OrderRelation.INCOMPARABLE_OR_GT)
+
+
 def _rows(stack: np.ndarray) -> np.ndarray:
     """(n, d, d) complex stack -> (n, 2d^2) real rows: Re tr(A*B) is a row dot product."""
     return np.ascontiguousarray(stack).reshape(-1, stack.shape[1] ** 2).view(np.float64)
@@ -151,15 +155,14 @@ def classify(algebra: JordanAlgebra, m, tol: float | None = None) -> ConeClass:
     return ConeClass.OUTSIDE_CONE
 
 
-def order_compare(a, b, tol: float = DEFAULT_TOL) -> OrderRelation:
-    """Compare Hermitians in the positive-cone order via lambda_min(B - A)."""
+def order_compare(a, b, tol: float = DEFAULT_TOL):
+    """Compare Hermitians in the positive-cone order via lambda_min(B - A); for
+    two (T, d, d) stacks, a list of the T relations of matching matrices."""
     ma = spectra.as_matrix(a)
     mb = spectra.as_matrix(b)
-    if ma.shape != mb.shape or ma.ndim != 2:
-        raise InputValidationError("dimension mismatch: order_compare takes two matrices of one size")
-    lam = spectra.lambda_min(mb - ma, tol=max(tol, spectra.DEFAULT_TOL))
-    if lam > tol:
-        return OrderRelation.LT
-    if lam >= -tol:
-        return OrderRelation.LEQ
-    return OrderRelation.INCOMPARABLE_OR_GT
+    if ma.shape != mb.shape or ma.ndim > 3:
+        raise InputValidationError("dimension mismatch: order_compare takes two matrices or two stacks of one shape")
+    lam = np.atleast_1d(spectra.lambda_min(mb - ma, tol=max(tol, spectra.DEFAULT_TOL)))
+    kinds = np.where(lam > tol, 0, np.where(lam >= -tol, 1, 2)).tolist()
+    relations = [_RELATIONS[k] for k in kinds]
+    return relations if ma.ndim == 3 else relations[0]

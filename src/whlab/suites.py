@@ -275,7 +275,7 @@ def _contraction_range(rng, dim, _, trials):
     b_inv = np.linalg.inv(b)
     c = moebius.moebius_contraction(a, b)
     bound = 0.5 * (b_inv + _H(b_inv))
-    outside = [jordan.order_compare(c[t], bound[t]) != jordan.OrderRelation.LT for t in range(trials)]
+    outside = [rel != jordan.OrderRelation.LT for rel in jordan.order_compare(c, bound)]
     recovered = moebius.contraction_inverse(c, b)
     gaps = (moebius.moebius_contraction(recovered, b) - c, recovered - a)
     worst = np.maximum(*(spectra.operator_norm(gap) for gap in gaps))

@@ -1,4 +1,4 @@
-"""The stack contract of spectra and moebius.
+"""The stack contract of spectra, moebius and jordan.order_compare.
 
 A kernel given a stack (T, d, d) must answer, matrix by matrix, what it
 answers for each matrix alone; a guard must judge every matrix of the stack
@@ -10,7 +10,7 @@ since batched and single LAPACK calls need not round alike on every build.
 import numpy as np
 import pytest
 
-from whlab import moebius, spectra
+from whlab import jordan, moebius, spectra
 from whlab.errors import DomainError, InputValidationError, NumericalError
 from whlab.moebius import PairRep
 from whlab.sampling import random_hermitian, random_positive, random_positive_definite, random_unitary
@@ -67,12 +67,18 @@ MOEBIUS_KERNELS = {
     "classify_zpoint": lambda h, p, b, u: (moebius.classify_zpoint, (u,)),
 }
 
+JORDAN_KERNELS = {
+    # random Hermitians against positives for the first three (lt or
+    # incomparable), p against itself (leq) for the last two
+    "order_compare": lambda h, p, b, u: (jordan.order_compare, (np.concatenate([h[:3], p[3:]]), p)),
+}
+
 
 @pytest.mark.parametrize("dim", DIMS)
-@pytest.mark.parametrize("name", sorted(SPECTRA_KERNELS) + sorted(MOEBIUS_KERNELS))
+@pytest.mark.parametrize("name", sorted(SPECTRA_KERNELS) + sorted(MOEBIUS_KERNELS) + sorted(JORDAN_KERNELS))
 def test_stacked_kernel_agrees_with_single_calls(name, dim):
     rng = np.random.default_rng(100 * dim + len(name))
-    kernel, args = {**SPECTRA_KERNELS, **MOEBIUS_KERNELS}[name](*_inputs(rng, dim))
+    kernel, args = {**SPECTRA_KERNELS, **MOEBIUS_KERNELS, **JORDAN_KERNELS}[name](*_inputs(rng, dim))
     singles = [kernel(*(a[t] for a in args)) for t in range(COUNT)]
     _same(kernel(*args), singles)
 

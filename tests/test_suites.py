@@ -122,3 +122,11 @@ def test_every_suite_has_a_passing_mutation_case(name):
     mutants = [c for key, c in suites.CASES.items() if key.startswith((f"{name}.mutant", f"{name}.mutation"))]
     assert mutants
     assert all(suites.run_case(case, cfg).status == "pass" for case in mutants)
+
+
+def test_homotopy_passes_at_seeds_0_to_29():
+    # the default config, at seeds beyond the 0-4 that the report matrix covers
+    for seed in range(30):
+        report = suites.run(suites.SuiteConfig(suite="homotopy", seed=seed))["report"]
+        failures = [c for c in report["cases"] if c["status"] != "pass"]
+        assert not failures, (seed, failures)
