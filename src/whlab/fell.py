@@ -18,6 +18,7 @@ intersection/union over that tail, with one-grid-step fattening.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,8 +60,15 @@ def halfline(x) -> OmegaPoint:
     return OmegaPoint("halfline", float(x) if x != INF else INF)
 
 
+def discrete_value(n):
+    """A unit of the discrete model as an int >= 0 or INF; anything else is rejected."""
+    if isinstance(n, numbers.Real) and not isinstance(n, bool) and n >= 0 and (n == INF or int(n) == n):
+        return INF if n == INF else int(n)
+    raise InputValidationError(f"unit value must be a nonnegative integer or inf: {n}")
+
+
 def discrete(n) -> OmegaPoint:
-    return OmegaPoint("discrete", INF if n == INF else int(n))
+    return OmegaPoint("discrete", discrete_value(n))
 
 
 def point_contains(x: OmegaPoint, g) -> bool:

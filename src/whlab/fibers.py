@@ -37,22 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InputValidationError
-from .fell import INF
+from .fell import INF, discrete_value
 
 DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
 MAX_DEGREE = 2  # a product of two piecewise-linear functions, the most any caller forms
 _POWERS = np.arange(MAX_DEGREE + 1)
-
-
-def _point_value(x):
-    """A unit of the discrete model: an int >= 0 or inf."""
-    if x == INF:
-        return INF
-    n = int(x)
-    if n < 0 or n != x:
-        raise InputValidationError(f"unit value must be a nonnegative integer or inf: {x}")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +190,7 @@ def quotient_norm(x, f: PiecewisePoly) -> float:
     """||f + I_X||: apply alpha_n and take the sup for finite X = n; at the
     point at infinity the nonincreasing sequence ||alpha_n(f)|| converges to
     |f(0)|, which is the closed form used."""
-    v = _point_value(x)
+    v = discrete_value(x)
     if v == INF:
         return abs(f(0.0))
     return halving_apply(v, f).sup_abs()
@@ -219,7 +209,7 @@ class QuotientElement:
     seminorm: float = field(default=None)
 
     def __post_init__(self):
-        self.x = _point_value(self.x)
+        self.x = discrete_value(self.x)
         if self.seminorm is None:
             self.seminorm = quotient_norm(self.x, self.rep)
 
@@ -232,7 +222,7 @@ def fiber_action(x, g: int, q: QuotientElement, decomposition=None) -> QuotientE
     decomposition modulo the ideal, which is what QuotientElement equality
     means.
     """
-    v = _point_value(x)
+    v = discrete_value(x)
     if not (v == INF or v + g >= 0):
         raise DomainError(f"({x}, {g}) is not a groupoid element")
     src = INF if v == INF else v + g
@@ -384,7 +374,7 @@ class FiberCertificate:
     witnesses: list
 
     def check(self, tol: float = DEFAULT_TOL) -> bool:
-        v = _point_value(self.x)
+        v = discrete_value(self.x)
         for g, _ in self.witnesses:
             if not (v == INF or g <= v):
                 return False
@@ -405,7 +395,7 @@ class FiberCertificate:
 def fiber_section_F(x: TrigPoly, f: dict, X) -> FiberCertificate:
     """F_{x,f}(X) = sum over g in supp(f) with g in X of f(g) alpha_g^{-1}(x),
     evaluated in the dilation at the deepest contributing level."""
-    v = _point_value(X)
+    v = discrete_value(X)
     contributing = [(int(g), complex(c)) for g, c in f.items() if c != 0 and (v == INF or g <= v)]
     if not contributing:
         return FiberCertificate(x=v, element=DilationElement(0, TrigPoly()), witnesses=[])

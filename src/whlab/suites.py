@@ -497,7 +497,7 @@ def _intertwine(rng, cfg):
             x = random_complex(rng, act.k)
             v = toeplitz.isometry_V(a, n, act.k)
             lhs = v.adjoint() @ toeplitz.rep_pi(x, act, n)
-            yield (lhs - toeplitz.rep_pi(act.apply(a, x), act, n) @ v.adjoint()).norm()
+            yield (lhs - toeplitz.rep_pi(act.alpha(a, x), act, n) @ v.adjoint()).norm()
 
 
 def _random_symbol(rng, k, radius):
@@ -541,20 +541,20 @@ def _toeplitz_mutation(rng, cfg):
     a = 3
     wrong_v = toeplitz.isometry_V(a, n + a, 2).adjoint()  # transposed shift: wrong direction
     pix = toeplitz.rep_pi(x, act, n + a)
-    yield ((wrong_v.adjoint() @ pix @ wrong_v).subwindow(n) - toeplitz.rep_pi(act.apply(a, x), act, n)).norm()
+    yield ((wrong_v.adjoint() @ pix @ wrong_v).subwindow(n) - toeplitz.rep_pi(act.alpha(a, x), act, n)).norm()
 
 
 # ---------------------------------------------------------------------------
 # groupoid
 
 
-def _random_section(rng, bundle, window, points=6, x_bound=None, g_bound=None):
+def _random_section(rng, act, window, points=6, x_bound=None, g_bound=None):
     """Random finitely supported section; x_bound/g_bound keep the support
     small enough that iterated products stay inside the window."""
-    s = groupoid.GroupoidSection(bundle, window)
+    s = groupoid.GroupoidSection(act, window)
     x_bound = window.max_x if x_bound is None else x_bound
     g_bound = window.max_g if g_bound is None else g_bound
-    units = list(range(x_bound + 1)) + ([INF] if window.include_inf else [])
+    units = list(range(x_bound + 1)) + [INF]
     for _ in range(points):
         x = units[int(rng.integers(len(units)))]
         lo = -g_bound if x == INF else -min(int(x), g_bound)
@@ -562,44 +562,45 @@ def _random_section(rng, bundle, window, points=6, x_bound=None, g_bound=None):
         if lo > hi:
             continue
         g = int(rng.integers(lo, hi + 1))
-        s.set((x, g), random_complex(rng, bundle.k))
+        s.set((x, g), random_complex(rng, act.k))
     if not s.values:
-        s.set((0, 0), random_complex(rng, bundle.k))
+        s.set((0, 0), random_complex(rng, act.k))
     return s
 
 
-def _random_bundles(rng):
-    yield groupoid.trivial_bundle(1)
-    yield groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
+def _groupoid_actions(rng):
+    # a generator: the unitary is drawn after the trivial action's trials
+    yield toeplitz.trivial_action(1)
+    yield toeplitz.conjugation_action(random_unitary(rng, 2))
 
 
-def _section_gap(bundle, s, t) -> float:
-    return _worst(bundle.norm(e.x, s(e) - t(e)) for e in set(s.values) | set(t.values))
+def _section_gap(s, t) -> float:
+    return _worst(float(np.linalg.norm(s(e) - t(e), 2)) for e in set(s.values) | set(t.values))
 
 
 def _groupoid_algebra(rng, cfg):
     window = groupoid.Window(max_x=20, max_g=14)
-    for bundle in _random_bundles(rng):
+    for act in _groupoid_actions(rng):
         for _ in range(max(cfg.trials // 2, 10)):
-            phi = _random_section(rng, bundle, window, points=4, x_bound=8, g_bound=4)
-            psi = _random_section(rng, bundle, window, points=4, x_bound=8, g_bound=4)
-            chi = _random_section(rng, bundle, window, points=3, x_bound=8, g_bound=4)
+            phi = _random_section(rng, act, window, points=4, x_bound=8, g_bound=4)
+            psi = _random_section(rng, act, window, points=4, x_bound=8, g_bound=4)
+            chi = _random_section(rng, act, window, points=3, x_bound=8, g_bound=4)
             lhs = groupoid.convolve(groupoid.convolve(phi, psi), chi)
             rhs = groupoid.convolve(phi, groupoid.convolve(psi, chi))
-            associativity = _section_gap(bundle, lhs, rhs)
+            associativity = _section_gap(lhs, rhs)
             bound = groupoid.i_norm(phi) * groupoid.i_norm(psi) + ALGEBRA_TOL
             banach = groupoid.i_norm(groupoid.convolve(phi, psi)) > bound
             isometry = abs(groupoid.i_norm(groupoid.involute(phi)) - groupoid.i_norm(phi)) > ALGEBRA_TOL
-            involution = _section_gap(bundle, phi, groupoid.involute(groupoid.involute(phi)))
+            involution = _section_gap(phi, groupoid.involute(groupoid.involute(phi)))
             yield _worst((associativity, involution)), banach, isometry
 
 
 def _lambda_bound(rng, cfg):
     n = 12
     window = groupoid.Window(max_x=n, max_g=n)
-    for bundle in _random_bundles(rng):
+    for act in _groupoid_actions(rng):
         for _ in range(max(cfg.trials, 20)):
-            phi = _random_section(rng, bundle, window, points=5)
+            phi = _random_section(rng, act, window, points=5)
             yield groupoid.lambda_rep(phi, n).norm() > groupoid.i_norm(phi) + ALGEBRA_TOL
 
 
@@ -609,22 +610,21 @@ def _central_identity(rng, cfg):
     for act in _toeplitz_actions(rng):
         for _ in range(max(cfg.trials // 2, 10)):
             f = _random_symbol(rng, act.k, 8)
-            lifted, hat = groupoid.lift_and_hat(f, window, act=act)
-            lhs = groupoid.lambda_rep(lifted, n)
-            rhs = toeplitz.wiener_hopf(hat, act, n)
+            lhs = groupoid.lambda_rep(groupoid.lift_symbol(f, window, act), n)
+            rhs = toeplitz.wiener_hopf(groupoid.hat_symbol(f), act, n)
             yield float(np.max(np.abs(lhs.blocks - rhs.blocks)))
 
 
 def _star_hom_setup(cfg, _):
     n = max(cfg.n, 16)
-    return n, groupoid.Window(max_x=2 * n, max_g=2 * n), groupoid.trivial_bundle(1)
+    return n, groupoid.Window(max_x=2 * n, max_g=2 * n), toeplitz.trivial_action(1)
 
 
 @_sweep(dims=_no_dim, trials=lambda t: max(t // 4, 5), setup=_star_hom_setup)
 def _star_hom_interior(rng, _, env):
-    n, window, bundle = env
-    phi = _random_section(rng, bundle, window, points=4, x_bound=n, g_bound=4)
-    psi = _random_section(rng, bundle, window, points=4, x_bound=n, g_bound=4)
+    n, window, act = env
+    phi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
+    psi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
     margin = max(abs(e.g) for s in (phi, psi) for e in s.values)  # <= 4 < n / 2
     lhs = groupoid.lambda_rep(groupoid.convolve(phi, psi), n)
     rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
@@ -637,18 +637,18 @@ def _units_agree(rng, cfg):
 
 
 def _shift_setup(cfg, _):
-    return groupoid.Window(max_x=14, max_g=14), groupoid.trivial_bundle(1)
+    return groupoid.Window(max_x=14, max_g=14), toeplitz.trivial_action(1)
 
 
 @_sweep(dims=_no_dim, trials=lambda t: max(t // 2, 10), setup=_shift_setup)
 def _shift_laws(rng, _, env):
-    window, bundle = env
+    window, act = env
     # support kept small enough that composed shifts stay in-window
-    psi = _random_section(rng, bundle, window, points=4, x_bound=6, g_bound=4)
-    identity = _section_gap(bundle, psi, groupoid.shift_R(0, psi))
+    psi = _random_section(rng, act, window, points=4, x_bound=6, g_bound=4)
+    identity = _section_gap(psi, groupoid.shift_R(0, psi))
     a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
     lhs = groupoid.shift_R(a, groupoid.shift_R(b, psi))
-    return _worst((identity, _section_gap(bundle, lhs, groupoid.shift_R(a + b, psi))))
+    return _worst((identity, _section_gap(lhs, groupoid.shift_R(a + b, psi))))
 
 
 def _hat_laws(rng, cfg):
@@ -662,7 +662,7 @@ def _groupoid_mutation(rng, cfg):
     window = groupoid.Window(max_x=n, max_g=n)
     act = toeplitz.trivial_action(1)
     f = toeplitz.SymbolFunction(k=1, values={2: [[1.0]]})  # asymmetric support
-    lifted = groupoid.lift_symbol(f, window, act=act)
+    lifted = groupoid.lift_symbol(f, window, act)
     lhs = groupoid.lambda_rep(lifted, n)
     rhs = toeplitz.wiener_hopf(f, act, n)  # hat skipped: no reflection
     yield float(np.max(np.abs(lhs.blocks - rhs.blocks)))

@@ -94,7 +94,9 @@ class EndomorphismAction:
 
     def alpha(self, ms, xs) -> np.ndarray:
         """alpha_m(x) for a stack of exponents ms, all of one sign, and a matching
-        stack of k x k values xs (or one value for all), read off one power table."""
+        stack of k x k values xs (or one value for all), read off one power table.
+        A single exponent and value give one matrix; negative exponents need an
+        automorphic action."""
         ms = np.asarray(ms, dtype=np.int64)
         try:
             xs = np.asarray(xs, dtype=np.complex128)
@@ -108,10 +110,6 @@ class EndomorphismAction:
         table = self.powers(int(np.max(np.abs(ms), initial=0)), inverse=negative)
         vecs = np.broadcast_to(xs, ms.shape + (self.k, self.k)).reshape(ms.shape + (self.k * self.k, 1))
         return (table[np.abs(ms)] @ vecs).reshape(ms.shape + (self.k, self.k))
-
-    def apply(self, a: int, x) -> np.ndarray:
-        """alpha_a(x); negative a requires an automorphic action."""
-        return self.alpha(a, x)
 
 
 def trivial_action(k: int) -> EndomorphismAction:
@@ -149,10 +147,6 @@ class SymbolFunction:
     def __call__(self, g: int) -> np.ndarray:
         return self.values.get(g, np.zeros((self.k, self.k), dtype=np.complex128))
 
-    def reflect(self) -> "SymbolFunction":
-        """g -> f(-g); the hat map with trivial modular factor."""
-        return SymbolFunction(self.k, {-g: v.copy() for g, v in self.values.items()})
-
     def convolve(self, other: "SymbolFunction") -> "SymbolFunction":
         """Plain (untwisted) convolution sum_t f(t) h(g - t)."""
         if other.k != self.k:
@@ -169,7 +163,7 @@ class SymbolFunction:
         (requires an automorphic action)."""
         out = {}
         for g, v in self.values.items():
-            out[-g] = act.apply(g, v.conj().T)
+            out[-g] = act.alpha(g, v.conj().T)
         return SymbolFunction(self.k, out)
 
 
@@ -289,5 +283,5 @@ def covariance_residual(x, a: int, act: EndomorphismAction, n: int) -> float:
     v = isometry_V(a, wide, act.k)
     pix = rep_pi(x, act, wide)
     composite = (v.adjoint() @ pix @ v).subwindow(n)
-    expected = rep_pi(act.apply(a, np.asarray(x, dtype=np.complex128)), act, n)
+    expected = rep_pi(act.alpha(a, x), act, n)
     return (composite - expected).norm()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whlab import fell
+from whlab import fell, fibers, groupoid
 from whlab.errors import InputValidationError
 from whlab.fell import INF
 
@@ -35,6 +35,21 @@ def test_omega_point_validation():
         fell.halfline(-1.0)
     with pytest.raises(InputValidationError):
         fell.OmegaPoint("nonsense", 0)
+
+
+def test_discrete_units_share_one_validator():
+    # fell's points, groupoid elements and the quotient fibers read a discrete
+    # unit by one rule: a nonnegative integer or inf, nothing rounded or cast
+    f = fibers.PiecewisePoly.from_breakpoints([0.0, 1.0], [1.0, 0.0])
+    readers = (fell.discrete, lambda x: groupoid.GroupoidElement(x, 0), lambda x: fibers.quotient_norm(x, f))
+    for bad in (2.5, -1, -INF, float("nan"), True, np.True_, "3", None):
+        for read in readers:
+            with pytest.raises(InputValidationError, match="nonnegative integer or inf"):
+                read(bad)
+    for good, value in ((2.0, 2), (np.int64(2), 2), (np.float64(INF), INF)):
+        assert fell.discrete(good) == fell.OmegaPoint("discrete", value)
+        assert groupoid.GroupoidElement(good, 0) == groupoid.GroupoidElement(value, 0)
+        assert type(groupoid.GroupoidElement(good, 0).x) is type(value)
 
 
 def test_fell_limit_constant_sequence():

@@ -16,8 +16,8 @@ from whlab.sampling import random_complex, random_unitary
 from whlab.toeplitz import SymbolFunction
 
 
-def _random_section(rng, bundle, window, points, x_bound, g_bound, scale=1.0):
-    s = GroupoidSection(bundle, window)
+def _random_section(rng, act, window, points, x_bound, g_bound, scale=1.0):
+    s = GroupoidSection(act, window)
     units = list(range(x_bound + 1)) + [INF]
     for _ in range(points):
         x = units[int(rng.integers(len(units)))]
@@ -26,9 +26,9 @@ def _random_section(rng, bundle, window, points, x_bound, g_bound, scale=1.0):
         g = int(rng.integers(lo, hi + 1))
         e = GroupoidElement(x, g)
         if window.contains(e):
-            s.set(e, scale * random_complex(rng, bundle.k))
+            s.set(e, scale * random_complex(rng, act.k))
     if not s.values:
-        s.set((0, 0), scale * random_complex(rng, bundle.k))
+        s.set((0, 0), scale * random_complex(rng, act.k))
     return s
 
 
@@ -55,10 +55,10 @@ def test_membership_matches_fell_model():
 
 def test_delta_at_unit_is_left_identity(rng):
     window = Window(max_x=10, max_g=8)
-    bundle = groupoid.trivial_bundle(1)
-    psi = _random_section(rng, bundle, window, points=5, x_bound=6, g_bound=3)
+    act = toeplitz.trivial_action(1)
+    psi = _random_section(rng, act, window, points=5, x_bound=6, g_bound=3)
     for x in (0, 2, INF):
-        delta = GroupoidSection(bundle, window, {(x, 0): np.eye(1)})
+        delta = GroupoidSection(act, window, {(x, 0): np.eye(1)})
         conv = groupoid.convolve(delta, psi)
         # the product keeps exactly psi's column over the unit x
         for e, v in conv.values.items():
@@ -71,9 +71,9 @@ def test_delta_at_unit_is_left_identity(rng):
 
 def test_convolution_at_infinity_is_full_line_convolution(rng):
     window = Window(max_x=6, max_g=12)
-    bundle = groupoid.trivial_bundle(1)
-    phi = GroupoidSection(bundle, window)
-    psi = GroupoidSection(bundle, window)
+    act = toeplitz.trivial_action(1)
+    phi = GroupoidSection(act, window)
+    psi = GroupoidSection(act, window)
     f = {-2: 1.0 + 0j, 1: 2.0 - 1j, 3: 0.5j}
     h = {-1: 1.5 + 0j, 2: -1.0 + 1j}
     for g, c in f.items():
@@ -89,45 +89,41 @@ def test_convolution_at_infinity_is_full_line_convolution(rng):
 def test_associativity_brute_force(rng):
     window = Window(max_x=20, max_g=14)
     for k in (1, 2):
-        bundle = (
-            groupoid.trivial_bundle(1)
-            if k == 1
-            else groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
-        )
+        act = toeplitz.trivial_action(1) if k == 1 else toeplitz.conjugation_action(random_unitary(rng, 2))
         for _ in range(25):
-            phi = _random_section(rng, bundle, window, 4, x_bound=8, g_bound=4)
-            psi = _random_section(rng, bundle, window, 4, x_bound=8, g_bound=4)
-            chi = _random_section(rng, bundle, window, 3, x_bound=8, g_bound=4)
+            phi = _random_section(rng, act, window, 4, x_bound=8, g_bound=4)
+            psi = _random_section(rng, act, window, 4, x_bound=8, g_bound=4)
+            chi = _random_section(rng, act, window, 3, x_bound=8, g_bound=4)
             lhs = groupoid.convolve(groupoid.convolve(phi, psi), chi)
             rhs = groupoid.convolve(phi, groupoid.convolve(psi, chi))
             for e in set(lhs.values) | set(rhs.values):
-                assert bundle.norm(e.x, lhs(e) - rhs(e)) <= 1e-11
+                assert np.linalg.norm(lhs(e) - rhs(e), 2) <= 1e-11
 
 
 def test_involution_fixes_selfadjoint_units():
     window = Window(max_x=5, max_g=5)
-    bundle = groupoid.trivial_bundle(2)
+    act = toeplitz.trivial_action(2)
     h = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -3.0]])
-    s = GroupoidSection(bundle, window, {(2, 0): h})
+    s = GroupoidSection(act, window, {(2, 0): h})
     out = groupoid.involute(s)
     assert np.allclose(out((2, 0)), h)
 
 
 def test_involution_is_involutive_and_isometric(rng):
     window = Window(max_x=12, max_g=8)
-    bundle = groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
+    act = toeplitz.conjugation_action(random_unitary(rng, 2))
     for _ in range(20):
-        phi = _random_section(rng, bundle, window, 5, x_bound=6, g_bound=4)
+        phi = _random_section(rng, act, window, 5, x_bound=6, g_bound=4)
         assert groupoid.i_norm(groupoid.involute(phi)) == pytest.approx(groupoid.i_norm(phi))
         back = groupoid.involute(groupoid.involute(phi))
         for e in set(phi.values) | set(back.values):
-            assert bundle.norm(e.x, phi(e) - back(e)) <= 1e-12
+            assert np.linalg.norm(phi(e) - back(e), 2) <= 1e-12
 
 
-def test_involution_trivial_bundle_formula(rng):
+def test_involution_trivial_action_formula(rng):
     window = Window(max_x=8, max_g=6)
-    bundle = groupoid.trivial_bundle(1)
-    phi = _random_section(rng, bundle, window, 5, x_bound=5, g_bound=3)
+    act = toeplitz.trivial_action(1)
+    phi = _random_section(rng, act, window, 5, x_bound=5, g_bound=3)
     out = groupoid.involute(phi)
     for e in phi.values:
         inv = e.inverse()
@@ -136,8 +132,8 @@ def test_involution_trivial_bundle_formula(rng):
 
 def test_i_norm_examples():
     window = Window(max_x=6, max_g=6)
-    bundle = groupoid.trivial_bundle(1)
-    s = GroupoidSection(bundle, window, {(2, 1): np.array([[3.0]])})
+    act = toeplitz.trivial_action(1)
+    s = GroupoidSection(act, window, {(2, 1): np.array([[3.0]])})
     assert groupoid.i_norm(s) == pytest.approx(3.0)
     s.set((2, -2), np.array([[4.0]]))  # same unit, second point
     assert groupoid.i_norm(s) == pytest.approx(7.0)  # row sum dominates
@@ -145,33 +141,38 @@ def test_i_norm_examples():
 
 def test_i_norm_banach_inequality(rng):
     window = Window(max_x=20, max_g=14)
-    bundle = groupoid.trivial_bundle(1)
+    act = toeplitz.trivial_action(1)
     for _ in range(30):
-        phi = _random_section(rng, bundle, window, 4, x_bound=8, g_bound=4)
-        psi = _random_section(rng, bundle, window, 4, x_bound=8, g_bound=4)
+        phi = _random_section(rng, act, window, 4, x_bound=8, g_bound=4)
+        psi = _random_section(rng, act, window, 4, x_bound=8, g_bound=4)
         prod = groupoid.convolve(phi, psi)
         assert groupoid.i_norm(prod) <= groupoid.i_norm(phi) * groupoid.i_norm(psi) + 1e-10
 
 
-def test_lift_and_hat_examples():
+def test_lift_symbol_and_hat_symbol_examples():
     window = Window(max_x=6, max_g=6)
+    act = toeplitz.trivial_action(1)
     f = SymbolFunction(k=1, values={0: [[1.0]]})
-    lifted, hat = groupoid.lift_and_hat(f, window)
+    lifted = groupoid.lift_symbol(f, window, act)
+    hat = groupoid.hat_symbol(f)
     assert all(e.g == 0 for e in lifted.values)
     assert hat.support == [0]
 
     g = SymbolFunction(k=1, values={2: [[5.0]]})
-    _, ghat = groupoid.lift_and_hat(g, window)
+    ghat = groupoid.hat_symbol(g)
     assert ghat.support == [-2]
     assert np.allclose(ghat(-2), [[5.0]])
     double = groupoid.hat_symbol(ghat)
     assert double.support == [2] and np.allclose(double(2), [[5.0]])
+    # the lift writes the symbol's values unchecked, so their size must be the action's
+    with pytest.raises(InputValidationError):
+        groupoid.lift_symbol(SymbolFunction(k=2, values={0: np.eye(2)}), window, act)
 
 
 def test_lambda_rep_delta_unit_is_identity():
     window = Window(max_x=8, max_g=8)
-    bundle = groupoid.trivial_bundle(2)
-    s = GroupoidSection(bundle, window)
+    act = toeplitz.trivial_action(2)
+    s = GroupoidSection(act, window)
     for x in range(9):
         s.set((x, 0), np.eye(2))
     assert np.allclose(groupoid.lambda_rep(s, 8).matrix, np.eye(18))
@@ -186,28 +187,27 @@ def test_central_identity_exact(rng):
             values = {g: random_complex(rng, act.k) for g in range(-n // 2, n // 2 + 1) if rng.uniform() < 0.7}
             values.setdefault(0, random_complex(rng, act.k))
             f = SymbolFunction(k=act.k, values=values)
-            lifted, hat = groupoid.lift_and_hat(f, window, act=act)
-            lhs = groupoid.lambda_rep(lifted, n)
-            rhs = toeplitz.wiener_hopf(hat, act, n)
+            lhs = groupoid.lambda_rep(groupoid.lift_symbol(f, window, act), n)
+            rhs = toeplitz.wiener_hopf(groupoid.hat_symbol(f), act, n)
             assert np.max(np.abs(lhs.blocks - rhs.blocks)) <= 1e-12
 
 
 def test_lambda_norm_bounded_by_i_norm(rng):
     n = 10
     window = Window(max_x=n, max_g=n)
-    bundle = groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
+    act = toeplitz.conjugation_action(random_unitary(rng, 2))
     for _ in range(40):
-        phi = _random_section(rng, bundle, window, 5, x_bound=n, g_bound=4)
+        phi = _random_section(rng, act, window, 5, x_bound=n, g_bound=4)
         assert groupoid.lambda_rep(phi, n).norm() <= groupoid.i_norm(phi) + 1e-10
 
 
 def test_lambda_rep_is_multiplicative_on_interior(rng):
     n = 16
     window = Window(max_x=2 * n, max_g=2 * n)
-    bundle = groupoid.trivial_bundle(1)
+    act = toeplitz.trivial_action(1)
     for _ in range(10):
-        phi = _random_section(rng, bundle, window, 4, x_bound=n, g_bound=4)
-        psi = _random_section(rng, bundle, window, 4, x_bound=n, g_bound=4)
+        phi = _random_section(rng, act, window, 4, x_bound=n, g_bound=4)
+        psi = _random_section(rng, act, window, 4, x_bound=n, g_bound=4)
         margin = max(abs(e.g) for s in (phi, psi) for e in s.values)
         if 2 * margin >= n:
             continue
@@ -219,12 +219,12 @@ def test_lambda_rep_is_multiplicative_on_interior(rng):
 
 def _lambda_rep_by_cell_scan(phi, n):
     """Reference: visit all (N+1)^2 cells and apply alpha_b one cell at a time."""
-    out = toeplitz.TruncatedOperator.zeros(n, phi.bundle.k)
+    out = toeplitz.TruncatedOperator.zeros(n, phi.action.k)
     for b in range(n + 1):
         for a in range(n + 1):
             v = phi((b, a - b))
-            if not phi.bundle.is_zero(b, v):
-                out.blocks[b, a] = phi.bundle.act(0, b, v)
+            if np.any(v):
+                out.blocks[b, a] = phi.action.alpha(b, v)
     return out
 
 
@@ -233,30 +233,30 @@ def test_lambda_rep_matches_the_cell_scan(rng):
     # elements at infinity, with x > N, with x + g > N, and explicit zeros
     n = 7
     window = Window(max_x=n + 5, max_g=n + 4)
-    twisted = groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
-    for bundle in (groupoid.trivial_bundle(1), twisted):
+    twisted = toeplitz.conjugation_action(random_unitary(rng, 2))
+    for act in (toeplitz.trivial_action(1), twisted):
         for _ in range(20):
-            phi = _random_section(rng, bundle, window, 12, x_bound=window.max_x, g_bound=window.max_g)
-            phi.set((INF, int(rng.integers(-n, n + 1))), random_complex(rng, bundle.k))
-            phi.set((n + 1, -2), random_complex(rng, bundle.k))
-            phi.set((n - 1, 3), random_complex(rng, bundle.k))
-            phi.set((2, 1), np.zeros((bundle.k, bundle.k)))
+            phi = _random_section(rng, act, window, 12, x_bound=window.max_x, g_bound=window.max_g)
+            phi.set((INF, int(rng.integers(-n, n + 1))), random_complex(rng, act.k))
+            phi.set((n + 1, -2), random_complex(rng, act.k))
+            phi.set((n - 1, 3), random_complex(rng, act.k))
+            phi.set((2, 1), np.zeros((act.k, act.k)))
             reference = _lambda_rep_by_cell_scan(phi, n).blocks
             np.testing.assert_allclose(groupoid.lambda_rep(phi, n).blocks, reference, rtol=0, atol=1e-12)
 
 
 def test_lambda_rep_window_certification():
     window = Window(max_x=4, max_g=4)
-    s = GroupoidSection(groupoid.trivial_bundle(1), window, {(0, 0): np.eye(1)})
+    s = GroupoidSection(toeplitz.trivial_action(1), window, {(0, 0): np.eye(1)})
     with pytest.raises(WindowOverflowError):
         groupoid.lambda_rep(s, 8)
 
 
 def test_shift_R_identity_and_composition(rng):
     window = Window(max_x=14, max_g=14)
-    bundle = groupoid.trivial_bundle(1)
+    act = toeplitz.trivial_action(1)
     for _ in range(20):
-        psi = _random_section(rng, bundle, window, 4, x_bound=6, g_bound=4)
+        psi = _random_section(rng, act, window, 4, x_bound=6, g_bound=4)
         r0 = groupoid.shift_R(0, psi)
         for e in set(psi.values) | set(r0.values):
             assert np.allclose(psi(e), r0(e))
@@ -267,10 +267,10 @@ def test_shift_R_identity_and_composition(rng):
             assert np.allclose(lhs(e), rhs(e))
 
 
-def test_shift_R_trivial_bundle_is_translation(rng):
+def test_shift_R_trivial_action_is_translation(rng):
     window = Window(max_x=14, max_g=14)
-    bundle = groupoid.trivial_bundle(1)
-    psi = _random_section(rng, bundle, window, 4, x_bound=6, g_bound=4)
+    act = toeplitz.trivial_action(1)
+    psi = _random_section(rng, act, window, 4, x_bound=6, g_bound=4)
     a = 2
     out = groupoid.shift_R(a, psi)
     for e, v in psi.values.items():
@@ -286,38 +286,53 @@ def test_shift_R_trivial_bundle_is_translation(rng):
 
 def test_shift_R_window_overflow_is_loud():
     window = Window(max_x=8, max_g=3)
-    bundle = groupoid.trivial_bundle(1)
-    psi = GroupoidSection(bundle, window, {(5, 3): np.eye(1)})
+    act = toeplitz.trivial_action(1)
+    psi = GroupoidSection(act, window, {(5, 3): np.eye(1)})
     with pytest.raises(WindowOverflowError):
         groupoid.shift_R(2, psi)  # lands at g = 5 > max_g
 
 
 def test_convolution_window_overflow_is_loud():
     window = Window(max_x=4, max_g=2)
-    bundle = groupoid.trivial_bundle(1)
-    phi = GroupoidSection(bundle, window, {(0, 2): np.eye(1)})
-    psi = GroupoidSection(bundle, window, {(2, 2): np.eye(1)})
+    act = toeplitz.trivial_action(1)
+    phi = GroupoidSection(act, window, {(0, 2): np.eye(1)})
+    psi = GroupoidSection(act, window, {(2, 2): np.eye(1)})
     with pytest.raises(WindowOverflowError):
         groupoid.convolve(phi, psi)
 
 
 def test_section_rejects_support_outside_window():
     window = Window(max_x=3, max_g=3)
-    bundle = groupoid.trivial_bundle(1)
+    act = toeplitz.trivial_action(1)
     with pytest.raises(WindowOverflowError):
-        GroupoidSection(bundle, window, {GroupoidElement(5, 0): np.eye(1)})
+        GroupoidSection(act, window, {GroupoidElement(5, 0): np.eye(1)})
+
+
+def test_section_values_are_checked_once_as_k_by_k_matrices():
+    window = Window(max_x=4, max_g=4)
+    act = toeplitz.trivial_action(1)
+    s = GroupoidSection(act, window, {(1, 0): [[2]]})
+    assert s((1, 0)).dtype == np.complex128 and s((1, 0)).shape == (1, 1)
+    for bad in (3.0 * np.eye(3), np.eye(1)[0], "x", [["1"]], [[1.0], [2.0, 3.0]], None):
+        with pytest.raises(InputValidationError):
+            GroupoidSection(act, window, {(2, 0): bad})
+        with pytest.raises(InputValidationError):
+            s.set((2, 0), bad)
+    assert list(s.values) == [GroupoidElement(1, 0)]
+    assert groupoid.i_norm(s) == pytest.approx(2.0)
 
 
 def test_convolve_rejects_sections_over_different_actions(rng):
     window = Window(max_x=6, max_g=4)
-    twisted = groupoid.MatrixBundle(toeplitz.conjugation_action(random_unitary(rng, 2)))
-    phi = _random_section(rng, groupoid.trivial_bundle(2), window, 4, x_bound=4, g_bound=2)
+    twisted = toeplitz.conjugation_action(random_unitary(rng, 2))
+    phi = _random_section(rng, toeplitz.trivial_action(2), window, 4, x_bound=4, g_bound=2)
     psi = _random_section(rng, twisted, window, 4, x_bound=4, g_bound=2)
     with pytest.raises(InputValidationError):
         groupoid.convolve(phi, psi)
     with pytest.raises(InputValidationError):
         groupoid.convolve(psi, phi)
-    # a distinct bundle object carrying the same action is accepted
-    same = groupoid.MatrixBundle(twisted.action)
+    # a distinct action object with equal generators is accepted
+    same = toeplitz.EndomorphismAction(k=2, generator=twisted.generator.copy())
+    assert same is not twisted
     chi = GroupoidSection(same, window, {(1, 1): random_complex(rng, 2)})
     groupoid.convolve(psi, chi)

@@ -40,6 +40,11 @@ def test_reports_are_seed_deterministic():
         first = suites.run(cfg)["report"]
         second = suites.run(cfg)["report"]
         assert first == second
+    # the default N and the wiener-hopf-n64 benchmark's N
+    for name in ("groupoid", "toeplitz"):
+        for n in (16, 64):
+            cfg = suites.SuiteConfig(suite=name, seed=42, n=n)
+            assert suites.run(cfg)["report"] == suites.run(cfg)["report"]
 
 
 def test_unknown_suite_rejected():

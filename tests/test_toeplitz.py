@@ -24,11 +24,11 @@ def test_conjugation_action_matches_direct_composition(rng):
     x = random_complex(rng, 2)
     expected = x.copy()
     for a in range(6):
-        assert np.allclose(act.apply(a, x), expected, atol=1e-12)
+        assert np.allclose(act.alpha(a, x), expected, atol=1e-12)
         expected = u @ expected @ u.conj().T
     # negative powers undo positive ones
-    y = act.apply(3, x)
-    assert np.allclose(act.apply(-3, y), x, atol=1e-12)
+    y = act.alpha(3, x)
+    assert np.allclose(act.alpha(-3, y), x, atol=1e-12)
 
 
 def test_action_constructor_rejects_non_star_hom():
@@ -56,8 +56,9 @@ def test_rep_pi_conjugation_blocks(rng):
 
 
 def test_power_table_blocks_match_the_oracle(rng):
-    # rep_pi, wiener_hopf (negative g included) and twisted_reflection, the
-    # apply(-a) path, against u^m x (u*)^m by direct multiplication
+    # rep_pi, wiener_hopf (negative g included) and twisted_reflection, which
+    # calls alpha with one exponent of either sign, against u^m x (u*)^m by
+    # direct multiplication
     u = random_unitary(rng, 2)
     act = toeplitz.conjugation_action(u)
     n = 9
@@ -169,7 +170,7 @@ def test_intertwining_exact(rng):
         x = random_complex(rng, 2)
         v = toeplitz.isometry_V(a, n, 2)
         lhs = v.adjoint() @ toeplitz.rep_pi(x, act, n)
-        rhs = toeplitz.rep_pi(act.apply(a, x), act, n) @ v.adjoint()
+        rhs = toeplitz.rep_pi(act.alpha(a, x), act, n) @ v.adjoint()
         assert (lhs - rhs).norm() <= 1e-12
 
 
