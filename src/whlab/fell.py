@@ -67,6 +67,15 @@ def discrete_value(n):
     raise InputValidationError(f"unit value must be a nonnegative integer or inf: {n}")
 
 
+def integer_value(g) -> int:
+    """An integer (a group element of Z) as an int; 2.0 is accepted, a bool or
+    anything that is not an integer is rejected."""
+    if isinstance(g, numbers.Real) and not isinstance(g, bool):
+        if isinstance(g, numbers.Integral) or (math.isfinite(g) and int(g) == g):
+            return int(g)
+    raise InputValidationError(f"group element must be an integer: {g!r}")
+
+
 def discrete(n) -> OmegaPoint:
     return OmegaPoint("discrete", discrete_value(n))
 

@@ -41,6 +41,7 @@ from .fell import INF, discrete_value
 
 DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
+TRIG_DEGREE = 3  # the degree random_trig draws
 MAX_DEGREE = 2  # a product of two piecewise-linear functions, the most any caller forms
 _POWERS = np.arange(MAX_DEGREE + 1)
 
@@ -132,12 +133,12 @@ class PiecewisePoly:
         """Involution; the identity map on real scalars."""
         return self
 
-    def sup_abs(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Exact sup of |f| over [lo, hi]: piece endpoints plus the vertex
+    def sup_abs(self, hi: float = 1.0) -> float:
+        """Exact sup of |f| over [0, hi]: piece endpoints plus the vertex
         -c1 / (2 c2) of each quadratic piece that falls inside it."""
-        if not 0.0 <= lo < hi <= 1.0 + 1e-15:
-            raise InputValidationError(f"bad subinterval [{lo}, {hi}]")
-        a = np.maximum(lo, self.breaks[:-1])
+        if not 0.0 < hi <= 1.0 + 1e-15:
+            raise InputValidationError(f"bad subinterval [0, {hi}]")
+        a = np.maximum(0.0, self.breaks[:-1])
         b = np.minimum(hi, self.breaks[1:])
         live = a < b
         a, b, c = a[live], b[live], self.coefs[live]
@@ -148,10 +149,10 @@ class PiecewisePoly:
         return float(np.abs(_horner(c, points)).max(initial=0.0))
 
 
-def random_dyadic_pl(rng: np.random.Generator, level: int = 4, scale: float = 1.0) -> PiecewisePoly:
+def random_dyadic_pl(rng: np.random.Generator, level: int = 4) -> PiecewisePoly:
     """Random piecewise-linear function on the dyadic grid of the given level."""
     breaks = np.linspace(0.0, 1.0, (1 << level) + 1)
-    vals = scale * rng.standard_normal(len(breaks))
+    vals = rng.standard_normal(len(breaks))
     return PiecewisePoly.from_breakpoints(breaks, vals)
 
 
@@ -206,12 +207,11 @@ class QuotientElement:
 
     x: object
     rep: PiecewisePoly
-    seminorm: float = field(default=None)
+    seminorm: float = field(init=False)
 
     def __post_init__(self):
         self.x = discrete_value(self.x)
-        if self.seminorm is None:
-            self.seminorm = quotient_norm(self.x, self.rep)
+        self.seminorm = quotient_norm(self.x, self.rep)
 
 
 def fiber_action(x, g: int, q: QuotientElement, decomposition=None) -> QuotientElement:
@@ -253,10 +253,6 @@ class TrigPoly:
             c = complex(c)
             if c != 0:
                 self.coeffs[int(m)] = c
-
-    @classmethod
-    def const(cls, c) -> "TrigPoly":
-        return cls({0: c})
 
     @property
     def degree(self) -> int:
@@ -300,21 +296,22 @@ class TrigPoly:
         factor = 1 << n
         return TrigPoly({m * factor: c for m, c in self.coeffs.items()})
 
-    def grid_max(self, grid: int = TRIG_GRID) -> float:
+    def grid_max(self) -> float:
+        """The maximum of |f| over the TRIG_GRID roots of unity."""
         if not self.coeffs:
             return 0.0
-        theta = 2.0 * np.pi * np.arange(grid) / grid
+        theta = 2.0 * np.pi * np.arange(TRIG_GRID) / TRIG_GRID
         z = np.exp(1j * theta)
-        vals = np.zeros(grid, dtype=np.complex128)
+        vals = np.zeros(TRIG_GRID, dtype=np.complex128)
         for m, c in self.coeffs.items():
             vals += c * z**m
         return float(np.max(np.abs(vals)))
 
-    def norm(self, grid: int = TRIG_GRID) -> float:
+    def norm(self) -> float:
         """Certified upper bound for the sup norm: grid maximum divided by
-        the Bernstein defect 1 - pi d / grid (valid while pi d < grid)."""
-        base = self.grid_max(grid)
-        defect = np.pi * self.degree / grid
+        the Bernstein defect 1 - pi d / TRIG_GRID (valid while pi d < TRIG_GRID)."""
+        base = self.grid_max()
+        defect = np.pi * self.degree / TRIG_GRID
         if defect >= 0.5:
             raise InputValidationError("degree too high for the certification grid")
         return base / (1.0 - defect)
@@ -327,10 +324,11 @@ class TrigPoly:
         )
 
 
-def random_trig(rng: np.random.Generator, degree: int = 3, scale: float = 1.0) -> TrigPoly:
+def random_trig(rng: np.random.Generator) -> TrigPoly:
+    """Random trig polynomial of degree TRIG_DEGREE, complex Gaussian coefficients."""
     coeffs = {}
-    for m in range(-degree, degree + 1):
-        coeffs[m] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
+    for m in range(-TRIG_DEGREE, TRIG_DEGREE + 1):
+        coeffs[m] = rng.standard_normal() + 1j * rng.standard_normal()
     return TrigPoly(coeffs)
 
 
@@ -358,10 +356,10 @@ def dilation_promote(e: DilationElement, level: int) -> TrigPoly:
     return e.payload.dilate(level - e.level)
 
 
-def dilation_equal(e1: DilationElement, e2: DilationElement, tol: float = DEFAULT_TOL) -> bool:
-    """Promote both to the common level and compare coefficients."""
+def dilation_equal(e1: DilationElement, e2: DilationElement) -> bool:
+    """Promote both to the common level and compare coefficients within DEFAULT_TOL."""
     m = max(e1.level, e2.level)
-    return dilation_promote(e1, m).coeff_distance(dilation_promote(e2, m)) <= tol
+    return dilation_promote(e1, m).coeff_distance(dilation_promote(e2, m)) <= DEFAULT_TOL
 
 
 @dataclass
@@ -373,7 +371,7 @@ class FiberCertificate:
     element: DilationElement
     witnesses: list
 
-    def check(self, tol: float = DEFAULT_TOL) -> bool:
+    def check(self) -> bool:
         v = discrete_value(self.x)
         for g, _ in self.witnesses:
             if not (v == INF or g <= v):
@@ -389,7 +387,7 @@ class FiberCertificate:
             total = DilationElement(
                 m, dilation_promote(total, m) + dilation_promote(piece, m)
             )
-        return dilation_equal(total, self.element, tol=tol)
+        return dilation_equal(total, self.element)
 
 
 def fiber_section_F(x: TrigPoly, f: dict, X) -> FiberCertificate:

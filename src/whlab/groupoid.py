@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputValidationError, WindowOverflowError
-from .fell import INF, discrete_value
+from .fell import INF, discrete_value, integer_value
 from .toeplitz import EndomorphismAction, SymbolFunction, TruncatedOperator
 
 
@@ -48,10 +48,12 @@ class GroupoidElement:
     g: int
 
     def __post_init__(self):
-        # elements are built in inner loops, and a plain int >= 0 (what every
-        # builder below passes) needs no call
+        # elements are built in inner loops, and plain ints (what every
+        # builder below passes) need no call
         if type(self.x) is not int or self.x < 0:
             object.__setattr__(self, "x", discrete_value(self.x))
+        if type(self.g) is not int:
+            object.__setattr__(self, "g", integer_value(self.g))
         if not in_groupoid(self.x, self.g):
             raise InputValidationError(f"({self.x}, {self.g}) leaves the unit space")
 
@@ -116,14 +118,14 @@ def _element(e) -> GroupoidElement:
     return e if isinstance(e, GroupoidElement) else GroupoidElement(*e)
 
 
-def convolve(phi: GroupoidSection, psi: GroupoidSection, window: Window | None = None) -> GroupoidSection:
-    """Counting-measure convolution; support-driven, so the integral over each
-    unit fiber (including the one at infinity) is a finite sum.  Both sections
-    must carry the same action (equal generators)."""
+def convolve(phi: GroupoidSection, psi: GroupoidSection) -> GroupoidSection:
+    """Counting-measure convolution inside phi's window; support-driven, so
+    the integral over each unit fiber (including the one at infinity) is a
+    finite sum.  Both sections must carry the same action (equal generators)."""
     act = phi.action
     if act is not psi.action and not np.array_equal(act.generator, psi.action.generator):
         raise InputValidationError("sections live over different actions")
-    window = window or phi.window
+    window = phi.window
     out = GroupoidSection(act, window)
     for e1, v1 in phi.values.items():
         if not np.any(v1):

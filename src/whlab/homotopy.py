@@ -1,15 +1,17 @@
 """Contracting-homotopy verification for order compactifications.
 
 A homotopy specification packages a family phi_t together with the model's
-boundary test, orbit test and order test.  The verifier checks, on a t-grid
-and a sample set, the three clauses of the contracting-homotopy condition:
+boundary test, orbit test and order test.  The verifier checks, on the
+uniform grid of T_GRID_POINTS values of t and a sample set, the three clauses
+of the contracting-homotopy condition:
 
   (1) every phi_t maps boundary samples back into the boundary,
   (2) for t in (0, 1], phi_t lands in the semigroup orbit and phi_t(X) is
       contained in X in the model order,
   (3) phi_0 is the identity and phi_1 lands in the boundary,
 
-plus a continuity probe (adjacent grid jumps in the model metric).
+plus a continuity probe (adjacent grid jumps in the model metric, each at
+most CONTINUITY_THRESHOLD).
 
 Path tables: ``spec.path(t, x)`` gives phi_t(x) for a whole array of t, a
 row per t, and every test maps a table to one boolean per row.  The verifier
@@ -49,7 +51,11 @@ from .fell import INF
 from .moebius import ZPoint, _in_z
 from .spectra import CLUSTER_TOL, _frobenius
 
-DEFAULT_T_GRID = 65
+T_GRID_POINTS = 65
+IDENTITY_TOL = 1e-9  # how far phi_0 may move a sample in the model metric
+CONTINUITY_THRESHOLD = 0.25  # the largest jump allowed between adjacent grid points
+# slack of the unitary order test; its square root bounds the shared-frame residual
+ORDER_TOL = 1e-9
 
 # the per-t failures, in the order the verifier reports them at one t
 _PER_T_FAILURES = (
@@ -64,7 +70,9 @@ _PER_T_FAILURES = (
 class HomotopySpec:
     """A candidate contracting homotopy together with its model's tests: the
     boundary test takes a table or a sample, the orbit test a table,
-    ``order_test`` a table and its sample; ``distance`` goes row by row."""
+    ``order_test`` a table and its sample; ``distance`` goes row by row.
+    ``describe`` labels a sample in failure messages, and ``sample_check``
+    tells whether a sample lies in the model."""
 
     name: str
     model: str
@@ -73,35 +81,22 @@ class HomotopySpec:
     orbit_test: Callable
     order_test: Callable
     distance: Callable
-    describe: Callable = staticmethod(lambda x: repr(x))
-    sample_check: Callable | None = None
+    describe: Callable
+    sample_check: Callable
 
 
-def uniform_grid(points: int = DEFAULT_T_GRID) -> np.ndarray:
-    if points < 2:
-        raise InputValidationError("need at least the endpoints 0 and 1")
-    return np.linspace(0.0, 1.0, points)
+def uniform_grid() -> np.ndarray:
+    """T_GRID_POINTS evenly spaced values of t from 0 to 1."""
+    return np.linspace(0.0, 1.0, T_GRID_POINTS)
 
 
-def verify_condition_h(
-    spec: HomotopySpec,
-    t_grid=None,
-    samples=None,
-    tol: float = 1e-9,
-    continuity_threshold: float = 0.25,
-) -> dict:
+def verify_condition_h(spec: HomotopySpec, samples) -> dict:
     """Run all clauses on the grid and samples; returns the report dict."""
-    t_grid = uniform_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    if abs(t_grid[0]) > 1e-15 or abs(t_grid[-1] - 1.0) > 1e-15:
-        raise InputValidationError("t grid must include 0 and 1")
-    if samples is None:
-        raise InputValidationError("samples are required")
+    t_grid = uniform_grid()
     samples = list(samples)
-
-    if spec.sample_check is not None:
-        for x in samples:
-            if not spec.sample_check(x):
-                raise InputValidationError(f"sample {x!r} lies outside the model")
+    for x in samples:
+        if not spec.sample_check(x):
+            raise InputValidationError(f"sample {x!r} lies outside the model")
 
     failures = []
     endpoints_ok = True
@@ -115,7 +110,7 @@ def verify_condition_h(
         table = spec.path(t_all, x)
         boundary = spec.boundary_test(table)
         # clause (3): phi_0 = id, and phi_1 lands in the boundary
-        if spec.distance(table[0], x) > tol:
+        if spec.distance(table[0], x) > IDENTITY_TOL:
             endpoints_ok = False
             failures.append(f"phi_0 differs from the identity at sample {label}")
         if not boundary[1]:
@@ -129,7 +124,7 @@ def verify_condition_h(
             bad[:, 0] = ~boundary[2:]
         bad[later, 1] = ~spec.orbit_test(grid[later])
         bad[later, 2] = ~spec.order_test(grid[later], x)
-        bad[1:, 3] = jumps > continuity_threshold
+        bad[1:, 3] = jumps > CONTINUITY_THRESHOLD
         failed |= bad.any(axis=0)
         for i, kind in zip(*bad.nonzero()):  # row-major: t by t, each t's failures in order
             failures.append(_PER_T_FAILURES[kind].format(t=t_grid[i], jump=jumps[i - 1], label=label))
@@ -217,11 +212,11 @@ class UnitaryPath:
 
 def principal_angles(z: ZPoint) -> np.ndarray:
     """The angle g of each eigenvalue of U, unwrapped into [-s, pi + s] with
-    s = sqrt(max(tol, CLUSTER_TOL)) and not clamped, so exp(i g) is U's own
-    eigenvalue even just below the real axis."""
+    s = sqrt(CLUSTER_TOL) and not clamped, so exp(i g) is U's own eigenvalue
+    even just below the real axis."""
     eigenvalues = np.asarray(z.dec.eigenvalues)
     theta = np.angle(eigenvalues)
-    slack = math.sqrt(max(z.tol, CLUSTER_TOL))
+    slack = math.sqrt(CLUSTER_TOL)
     theta = np.where(theta <= slack - math.pi, theta + 2.0 * math.pi, theta)
     outside = theta < -slack
     if outside.any():
@@ -243,41 +238,42 @@ def _eigenvalue_table(p) -> np.ndarray:
     return np.asarray(p.dec.eigenvalues)[None] if isinstance(p, ZPoint) else p.eigenvalues
 
 
-def order_containment_table(path: UnitaryPath, z: ZPoint, tol: float = 1e-9) -> np.ndarray:
+def order_containment_table(path: UnitaryPath, z: ZPoint) -> np.ndarray:
     """Row by row, whether U_t lies in U in the model order: U_t acts on each
     nonzero projection E_j of U as lambda_j = trace(E_j U_t) / trace(E_j),
-    and Re lambda_j <= Re(U's eigenvalue on E_j).  A row with
-    ||U_t E_j - lambda_j E_j||_F > sqrt(tol) shares no frame with U: raises."""
+    and Re lambda_j <= Re(U's eigenvalue on E_j) + ORDER_TOL.  A row with
+    ||U_t E_j - lambda_j E_j||_F > sqrt(ORDER_TOL) shares no frame with U:
+    raises."""
     projections = np.array(z.dec.projections)
     traces = np.trace(projections, axis1=1, axis2=2).real
     keep = traces >= 0.5
     projections, own = projections[keep], np.asarray(z.dec.eigenvalues)[keep]
     scalars = np.einsum("jab,tba->tj", projections, path.u) / traces[keep]
     residual = _frobenius(path.u[:, None] @ projections - scalars[..., None, None] * projections)
-    if (residual > math.sqrt(tol)).any():
+    if (residual > math.sqrt(ORDER_TOL)).any():
         raise DomainError("not comparable via a shared spectral frame")
-    return (scalars.real <= own.real + tol).all(axis=1)
+    return (scalars.real <= own.real + ORDER_TOL).all(axis=1)
 
 
-def make_unitary_homotopy(tol: float = 1e-9) -> HomotopySpec:
+def make_unitary_homotopy() -> HomotopySpec:
     return HomotopySpec(
         name="unitary-angle-rotation",
         model="unitary",
         path=_rotation(lambda t, theta: (1.0 - t) * theta + t * math.pi),
         boundary_test=lambda p: (np.abs(_eigenvalue_table(p) + 1.0) <= math.sqrt(CLUSTER_TOL)).any(axis=-1),
         orbit_test=lambda p: (np.abs(_eigenvalue_table(p) - 1.0) > CLUSTER_TOL).all(axis=-1),
-        order_test=lambda p, z: order_containment_table(p, z, tol=tol),
+        order_test=order_containment_table,
         distance=lambda a, b: spectra.operator_norm(a.u - b.u),
         describe=lambda z: f"U(dim={z.dim})",
-        sample_check=lambda z: isinstance(z, ZPoint) and _in_z(z.dec.eigenvalues, z.tol, CLUSTER_TOL),
+        sample_check=lambda z: isinstance(z, ZPoint) and _in_z(z.dec.eigenvalues),
     )
 
 
-def make_unitary_mutant(tol: float = 1e-9) -> HomotopySpec:
+def make_unitary_mutant() -> HomotopySpec:
     """Broken variant: the t*pi drift is dropped, so phi_1 collapses to the
     identity instead of -1 and the boundary is not preserved."""
     return replace(
-        make_unitary_homotopy(tol=tol),
+        make_unitary_homotopy(),
         name="unitary-mutant-no-drift",
         path=_rotation(lambda t, theta: (1.0 - t) * theta),
     )

@@ -8,6 +8,8 @@ row view turns inner products into dot products; it tests membership by
 projection distance and classifies elements against the positive cone
 Q = {a in V : a >= 0}.  Closure rounds multiply only the elements the
 previous round added, with block Gram-Schmidt (CGS2) against the frame.
+Membership, the rank of a closure, the cone classes and the order relations
+are all judged at DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class OrderRelation(str, Enum):
     INCOMPARABLE_OR_GT = "incomparable-or-gt"
 
 
-# order_compare's answer for lambda_min(B - A) > tol, in [-tol, tol], and below -tol or NaN
+# order_compare's answer for lambda_min(B - A) above DEFAULT_TOL, within it of 0, and below -DEFAULT_TOL or NaN
 _RELATIONS = (OrderRelation.LT, OrderRelation.LEQ, OrderRelation.INCOMPARABLE_OR_GT)
 
 
@@ -56,7 +58,6 @@ class JordanAlgebra:
 
     dim: int
     basis: np.ndarray
-    tol: float = DEFAULT_TOL
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -80,35 +81,34 @@ class JordanAlgebra:
         return float(np.linalg.norm(self.project(m) - np.asarray(m, dtype=np.complex128)))
 
     def contains(self, m) -> bool:
-        return self.distance(m) <= self.tol
+        return self.distance(m) <= DEFAULT_TOL
 
 
-def _orthonormalize(candidates: np.ndarray, frame: np.ndarray, tol: float) -> np.ndarray:
+def _orthonormalize(candidates: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Orthonormal rows extending the orthonormal frame rows to span the
     candidates: two block projections on the frame (CGS2), then each survivor
     in order, projected twice on the rows added so far.  A residual of norm
-    <= max(tol, 1e-12) is dropped."""
+    <= DEFAULT_TOL is dropped."""
     for _ in range(2):
         candidates = candidates - (candidates @ frame.T) @ frame
-    floor = max(tol, 1e-12)
     added = np.empty((0, frame.shape[1]))
-    for v in candidates[np.linalg.norm(candidates, axis=1) > floor]:
+    for v in candidates[np.linalg.norm(candidates, axis=1) > DEFAULT_TOL]:
         for _ in range(2):
             v = v - (added @ v) @ added
         norm = np.linalg.norm(v)
-        if norm > floor:
+        if norm > DEFAULT_TOL:
             added = np.vstack([added, v / norm])
     return added
 
 
-def generate_algebra(generators, dim: int | None = None, tol: float = DEFAULT_TOL) -> JordanAlgebra:
+def generate_algebra(generators, dim: int | None = None) -> JordanAlgebra:
     """Smallest Jordan algebra containing the identity and the generators.
 
     Each round multiplies the elements the previous round added with every
     basis element (old x old products are already in the span) until a round
     adds nothing, for at most dim^2 rounds: the real dimension of the Hermitians.
     """
-    generators = [spectra.assert_hermitian(g, tol=tol) for g in generators]
+    generators = [spectra.assert_hermitian(g, tol=DEFAULT_TOL) for g in generators]
     if dim is None:
         if not generators:
             raise InputValidationError("dimension required when no generators are given")
@@ -117,52 +117,51 @@ def generate_algebra(generators, dim: int | None = None, tol: float = DEFAULT_TO
         raise InputValidationError("the algebra dimension must be positive and shared by the generators")
 
     seeds = np.array([np.eye(dim)] + generators, dtype=np.complex128)
-    frame = new = _orthonormalize(_rows(seeds), np.empty((0, 2 * dim * dim)), tol)
+    frame = new = _orthonormalize(_rows(seeds), np.empty((0, 2 * dim * dim)))
     for _ in range(dim * dim):
         mats = frame.view(np.complex128).reshape(-1, dim, dim)
         i, j = np.triu_indices(len(mats))
         pick = j >= len(mats) - len(new)  # each unordered pair with a new element, once
-        new = _orthonormalize(_rows(_hermitian_part(mats[i[pick]] @ mats[j[pick]])), frame, tol)
+        new = _orthonormalize(_rows(_hermitian_part(mats[i[pick]] @ mats[j[pick]])), frame)
         if not len(new):
             break
         frame = np.vstack([frame, new])
     # the span is Hermitian; strip the rounding skew Gram-Schmidt accumulates
     basis = frame.view(np.complex128).reshape(-1, dim, dim)
-    return JordanAlgebra(dim=dim, basis=_hermitian_part(basis), tol=tol)
+    return JordanAlgebra(dim=dim, basis=_hermitian_part(basis))
 
 
-def hermitian_algebra(dim: int, tol: float = DEFAULT_TOL) -> JordanAlgebra:
+def hermitian_algebra(dim: int) -> JordanAlgebra:
     """The full algebra of dim x dim Hermitians: E_ii, E_ij + E_ji and i(E_ji - E_ij), i < j."""
     eye = np.eye(dim, dtype=np.complex128)
     i, j = np.triu_indices(dim, 1)
     e_ij = eye[i, :, None] * eye[j, None, :]
     e_ji = e_ij.swapaxes(1, 2)
     gens = np.concatenate([eye[:, :, None] * eye[:, None, :], e_ij + e_ji, 1j * (e_ji - e_ij)])
-    return generate_algebra(gens, dim=dim, tol=tol)
+    return generate_algebra(gens, dim=dim)
 
 
-def classify(algebra: JordanAlgebra, m, tol: float | None = None) -> ConeClass:
+def classify(algebra: JordanAlgebra, m) -> ConeClass:
     """Position of a Hermitian matrix relative to the algebra and its cone."""
     a = spectra.as_matrix(m)
-    tol = algebra.tol if tol is None else tol
-    if algebra.distance(a) > tol:
+    if algebra.distance(a) > DEFAULT_TOL:
         return ConeClass.OUTSIDE_ALGEBRA
-    lam = spectra.lambda_min(a, tol=max(tol, spectra.DEFAULT_TOL))
-    if lam > tol:
+    lam = spectra.lambda_min(a, tol=DEFAULT_TOL)
+    if lam > DEFAULT_TOL:
         return ConeClass.INTERIOR
-    if lam >= -tol:
+    if lam >= -DEFAULT_TOL:
         return ConeClass.BOUNDARY
     return ConeClass.OUTSIDE_CONE
 
 
-def order_compare(a, b, tol: float = DEFAULT_TOL):
+def order_compare(a, b):
     """Compare Hermitians in the positive-cone order via lambda_min(B - A); for
     two (T, d, d) stacks, a list of the T relations of matching matrices."""
     ma = spectra.as_matrix(a)
     mb = spectra.as_matrix(b)
     if ma.shape != mb.shape or ma.ndim > 3:
         raise InputValidationError("dimension mismatch: order_compare takes two matrices or two stacks of one shape")
-    lam = np.atleast_1d(spectra.lambda_min(mb - ma, tol=max(tol, spectra.DEFAULT_TOL)))
-    kinds = np.where(lam > tol, 0, np.where(lam >= -tol, 1, 2)).tolist()
+    lam = np.atleast_1d(spectra.lambda_min(mb - ma, tol=DEFAULT_TOL))
+    kinds = np.where(lam > DEFAULT_TOL, 0, np.where(lam >= -DEFAULT_TOL, 1, 2)).tolist()
     relations = [_RELATIONS[k] for k in kinds]
     return relations if ma.ndim == 3 else relations[0]

@@ -41,7 +41,6 @@ from .errors import (
     NumericalError,
     WitnessNotFoundError,
 )
-from .jordan import JordanAlgebra
 from .sampling import random_complex, random_hermitian
 from .spectra import (
     CLUSTER_TOL,
@@ -58,6 +57,9 @@ from .spectra import (
     assert_unitary,
     operator_norm,
 )
+
+UNITARY_TOL = 100 * DEFAULT_TOL  # the unitary guard of Z points and of psi_inv (Frobenius)
+ENTRY_TOL = np.sqrt(DEFAULT_TOL)  # the Hermitian guard of the chart-side maps and of pairs
 
 
 class ZClass(str, Enum):
@@ -87,39 +89,37 @@ class ZPoint:
 
     u: np.ndarray
     dec: SpectralDecomposition | list
-    tol: float = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
         return self.u.shape[-1]
 
 
-def _in_z(eigs, tol: float, cluster: float) -> bool:
+def _in_z(eigs) -> bool:
     """Whether a spectrum lies in the closed upper half circle as pair_encode
-    reads it.  Below the equator, the -1 side (Re < 0) gets sqrt(tol) of
+    reads it.  Below the equator, the -1 side (Re < 0) gets ENTRY_TOL of
     slack: pair encodings are validated at that resolution, so their Cayley
     images dip that far, and the inverse Cayley value there is about Im / 2.
-    The +1 side gets only `cluster`, the radius that pair_encode folds into
+    The +1 side gets only CLUSTER_TOL, the radius that pair_encode folds into
     E; beyond it the inverse Cayley value is about 2 / Im, large and
     negative, so no positive A encodes it."""
-    root = np.sqrt(tol)
     return all(
-        lam.imag >= 0 or (lam.imag >= -root if lam.real < 0 else abs(lam - 1.0) <= cluster)
+        lam.imag >= 0 or (lam.imag >= -ENTRY_TOL if lam.real < 0 else abs(lam - 1.0) <= CLUSTER_TOL)
         for lam in np.asarray(eigs, dtype=complex).tolist()
     )
 
 
-def zpoint(u, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
+def zpoint(u) -> ZPoint:
     """Validate Z membership (see _in_z) and cache the spectral decomposition."""
     m = as_matrix(u)
-    # unitary_eig runs the unitary guard on m at the same 100 * tol
-    dec = spectra.unitary_eig(m, tol=100 * tol, seed=seed)
+    # unitary_eig runs the unitary guard on m
+    dec = spectra.unitary_eig(m, tol=UNITARY_TOL)
     decs = _decompositions(dec)
-    inside = np.reshape([_in_z(d.eigenvalues, tol, CLUSTER_TOL) for d in decs], m.shape[:-2])
+    inside = np.reshape([_in_z(d.eigenvalues) for d in decs], m.shape[:-2])
     if not inside.all():
         worst = np.reshape([np.min(np.imag(d.eigenvalues)) for d in decs], m.shape[:-2])
         _require(inside, worst, DomainError, "spectrum leaves the upper half circle: Im = {:.3e}")
-    return ZPoint(u=m, dec=dec, tol=tol)
+    return ZPoint(u=m, dec=dec)
 
 
 @dataclass
@@ -128,29 +128,26 @@ class PairRep:
     inverse Cayley transform of the compression to range(1-E); or a stack of
     them, which indexes like an array of pairs.
 
-    Invariants within tol: E is an orthogonal projection, A is positive, and
-    (1-E) A (1-E) = A.
+    Invariants within ENTRY_TOL: E is an orthogonal projection, A is
+    positive, and (1-E) A (1-E) = A.
     """
 
     e: np.ndarray
     a: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        tol = max(self.tol, DEFAULT_TOL)
-        check = np.sqrt(tol)
-        self.e = assert_hermitian(self.e, tol=check)
+        self.e = assert_hermitian(self.e, tol=ENTRY_TOL)
         self.a = as_matrix(self.a)
         if self.e.shape != self.a.shape:
             raise InputValidationError("dimension mismatch")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or NaN, which fails
             defect = _frobenius(self.e @ self.e - self.e)
-        _require(defect <= check, defect, InputValidationError, "E is not an orthogonal projection")
+        _require(defect <= ENTRY_TOL, defect, InputValidationError, "E is not an orthogonal projection")
         comp = np.eye(self.dim) - self.e
         defect = _frobenius(comp @ self.a @ comp - self.a)
-        _require(defect <= check, defect, InputValidationError, "(1-E) A (1-E) != A beyond tolerance")
-        lam = spectra.lambda_min(self.a, tol=check)
-        _require(np.asarray(lam) >= -check, lam, InputValidationError, "A is not positive")
+        _require(defect <= ENTRY_TOL, defect, InputValidationError, "(1-E) A (1-E) != A beyond tolerance")
+        lam = spectra.lambda_min(self.a, tol=ENTRY_TOL)
+        _require(np.asarray(lam) >= -ENTRY_TOL, lam, InputValidationError, "A is not positive")
 
     @property
     def dim(self) -> int:
@@ -159,7 +156,7 @@ class PairRep:
     def __getitem__(self, index) -> "PairRep":
         """The pairs of a stack at ``index``; the stack's checks cover them."""
         pair = object.__new__(PairRep)
-        pair.e, pair.a, pair.tol = self.e[index], self.a[index], self.tol
+        pair.e, pair.a = self.e[index], self.a[index]
         if pair.e.ndim < 2:
             raise IndexError("a pair index selects matrices of the stack, not entries")
         return pair
@@ -170,7 +167,7 @@ class PairRep:
         )
 
 
-def boxplus(u, b, tol: float = DEFAULT_TOL) -> np.ndarray:
+def boxplus(u, b) -> np.ndarray:
     """Moebius action U [+] B = ((2i+B)U - B)(BU + 2i - B)^{-1}.
 
     The denominator is invertible for every unitary U and Hermitian B; a
@@ -184,118 +181,110 @@ def boxplus(u, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     numer = (2j * eye + mb) @ mu - mb
     denom = mb @ mu + 2j * eye - mb
     smin = _smin(denom)
-    _require(smin >= tol, smin, NumericalError, "BU + 2i - B nearly singular (sigma_min = {:.3e})")
+    _require(smin >= DEFAULT_TOL, smin, NumericalError, "BU + 2i - B nearly singular (sigma_min = {:.3e})")
     return _right_solve(denom, numer)
 
 
-def classify_zpoint(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL, seed: int = 0):
-    """Locate a unitary relative to Z: outside, on the -1 boundary, or in the
-    dense -1-free part; a list of classes for a stack."""
-    dec = spectra.unitary_eig(u, tol=100 * tol, seed=seed)
-    classes = [_zclass(d.eigenvalues, tol, cluster) for d in _decompositions(dec)]
+def classify_zpoint(u):
+    """Locate a unitary relative to Z: outside, on the -1 boundary (within
+    CLUSTER_TOL of -1), or in the dense -1-free part; a list of classes for a
+    stack."""
+    dec = spectra.unitary_eig(u, tol=UNITARY_TOL)
+    classes = [_zclass(d.eigenvalues) for d in _decompositions(dec)]
     return classes if isinstance(dec, list) else classes[0]
 
 
-def _zclass(eigs, tol: float, cluster: float) -> ZClass:
-    if not _in_z(eigs, tol, cluster):
+def _zclass(eigs) -> ZClass:
+    if not _in_z(eigs):
         return ZClass.OUTSIDE
-    if min(abs(lam + 1.0) for lam in eigs) <= cluster:
+    if min(abs(lam + 1.0) for lam in eigs) <= CLUSTER_TOL:
         return ZClass.BOUNDARY
     return ZClass.INTERIOR_ORBIT
 
 
-def psi(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psi(a) -> np.ndarray:
     """psi(A) = (-A + i)(A + i)^{-1}, mapping the positive cone into Z."""
-    m = assert_hermitian(a, tol=tol)
+    m = assert_hermitian(a)
     eye = np.eye(m.shape[-1])
     return _right_solve(m + 1j * eye, -m + 1j * eye)
 
 
-def psi_inv(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL) -> np.ndarray:
-    """Inverse chart psi^{-1}(U) = i(1 - U)(1 + U)^{-1}; needs -1 off the spectrum."""
-    m = assert_unitary(u, tol=100 * tol)
+def psi_inv(u) -> np.ndarray:
+    """Inverse chart psi^{-1}(U) = i(1 - U)(1 + U)^{-1}; needs the spectrum
+    farther than CLUSTER_TOL from -1."""
+    m = assert_unitary(u, tol=UNITARY_TOL)
     eye = np.eye(m.shape[-1])
     denom = eye + m
     smin = _smin(denom)
-    _require(smin >= cluster, smin, DomainError, "not in the -1-free part: spectrum within {:.3e} of -1")
+    _require(smin >= CLUSTER_TOL, smin, DomainError, "not in the -1-free part: spectrum within {:.3e} of -1")
     h = _right_solve(denom, 1j * (eye - m))
     return 0.5 * (h + _H(h))
 
 
-def moebius_contraction(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
+def moebius_contraction(a, b) -> np.ndarray:
     """The chart-side form A(BA + 1)^{-1} of the Moebius translate psi(A)[+]B."""
-    ma = assert_hermitian(a, tol=np.sqrt(tol))
-    mb = assert_hermitian(b, tol=np.sqrt(tol))
+    ma = assert_hermitian(a, tol=ENTRY_TOL)
+    mb = assert_hermitian(b, tol=ENTRY_TOL)
     _shared_shape(ma, mb)
     denom = mb @ ma + np.eye(ma.shape[-1])
     smin = _smin(denom)
-    _require(smin >= tol, smin, NumericalError, "BA + 1 nearly singular (sigma_min = {:.3e})")
+    _require(smin >= DEFAULT_TOL, smin, NumericalError, "BA + 1 nearly singular (sigma_min = {:.3e})")
     out = _right_solve(denom, ma)
     return 0.5 * (out + _H(out))
 
 
-def contraction_inverse(c, b, tol: float = DEFAULT_TOL) -> np.ndarray:
+def contraction_inverse(c, b) -> np.ndarray:
     """Inverse of A -> A(BA+1)^{-1} on its range {C in Q : C < B^{-1}}.
 
     Returns (1 - CB)^{-1} C.  The strict order precondition C < B^{-1} is
     enforced; outside the range the formula leaves the cone.
     """
-    entry = np.sqrt(tol)
-    mc = assert_hermitian(c, tol=entry)
-    mb = assert_hermitian(b, tol=entry)
+    mc = assert_hermitian(c, tol=ENTRY_TOL)
+    mb = assert_hermitian(b, tol=ENTRY_TOL)
     shape = _shared_shape(mc, mb)
-    lam = spectra.lambda_min(mb, tol=entry)
-    _require(np.asarray(lam) > tol, lam, DomainError, "B is not interior (not positive definite)")
+    # both eigenvalue reads are of matrices guarded above or Hermitian by
+    # construction, so they skip lambda_min's guard
+    lam = np.linalg.eigvalsh(mb)[..., 0]
+    _require(lam > DEFAULT_TOL, lam, DomainError, "B is not interior (not positive definite)")
     b_inv = np.linalg.inv(mb)
-    lam = spectra.lambda_min(0.5 * (b_inv + _H(b_inv)) - mc, tol=entry)
-    _require(np.asarray(lam) > tol, lam, DomainError, "C not strictly below B^{{-1}}")
+    lam = np.linalg.eigvalsh(0.5 * (b_inv + _H(b_inv)) - mc)[..., 0]
+    _require(lam > DEFAULT_TOL, lam, DomainError, "C not strictly below B^{{-1}}")
     denom = np.eye(shape[-1]) - mc @ mb
     smin = _smin(denom)
-    _require(smin >= tol, smin, NumericalError, "1 - CB nearly singular (sigma_min = {:.3e})")
+    _require(smin >= DEFAULT_TOL, smin, NumericalError, "1 - CB nearly singular (sigma_min = {:.3e})")
     out = np.linalg.solve(denom, np.broadcast_to(mc, shape))
     return 0.5 * (out + _H(out))
 
 
-def pair_encode(z: ZPoint, cluster: float = CLUSTER_TOL) -> PairRep:
+def pair_encode(z: ZPoint) -> PairRep:
     """Collapse a Z point to (E, A): E sums the spectral projections of
-    eigenvalues clustered at 1, A carries the inverse Cayley transform of the
-    rest on range(1-E)."""
+    eigenvalues within CLUSTER_TOL of 1, A carries the inverse Cayley
+    transform of the rest on range(1-E)."""
     decs = _decompositions(z.dec)
     e = np.zeros((len(decs), z.dim, z.dim), dtype=np.complex128)
     a = np.zeros_like(e)
     for t, dec in enumerate(decs):
         for lam, proj in zip(dec.eigenvalues, dec.projections):
-            if abs(lam - 1.0) <= cluster:
+            if abs(lam - 1.0) <= CLUSTER_TOL:
                 e[t] += proj
             else:
                 a[t] += np.real(spectra.scalar_inverse_cayley(lam)) * proj
     e, a = e.reshape(z.u.shape), a.reshape(z.u.shape)
-    return PairRep(e=e, a=0.5 * (a + _H(a)), tol=z.tol)
+    return PairRep(e=e, a=0.5 * (a + _H(a)))
 
 
-def pair_decode(p: PairRep, tol: float = DEFAULT_TOL, seed: int = 0) -> ZPoint:
+def pair_decode(p: PairRep) -> ZPoint:
     """Rebuild the unitary E + (1-E) cayley(A) (1-E) from its pair encoding."""
     comp = np.eye(p.dim) - p.e
-    u = p.e + comp @ spectra.cayley(0.5 * (p.a + _H(p.a)), tol=np.sqrt(tol)) @ comp
-    return zpoint(u, tol=tol, seed=seed)
+    u = p.e + comp @ spectra.cayley(0.5 * (p.a + _H(p.a)), tol=ENTRY_TOL) @ comp
+    return zpoint(u)
 
 
-def _check_algebra(algebra: JordanAlgebra | None, dim: int, mb: np.ndarray) -> None:
-    """Every matrix of mb must lie in the ambient algebra, when there is one."""
-    if algebra is None:
-        return
-    if algebra.dim != dim:
-        raise InputValidationError("dimension mismatch")
-    inside = np.reshape([algebra.contains(m) for m in mb.reshape(-1, dim, dim)], mb.shape[:-2])
-    _require(inside, inside, DomainError, "B lies outside the ambient Jordan algebra")
-
-
-def qset_contains(p: PairRep, b, algebra: JordanAlgebra | None = None, tol: float = DEFAULT_TOL):
+def qset_contains(p: PairRep, b, tol: float = DEFAULT_TOL):
     """Membership of B in Q_{(E,A)} = {B : A + (1-E) B (1-E) >= 0}; a bool
     array for a stack of pairs or of B's."""
     mb = assert_hermitian(b, tol=np.sqrt(tol))
     _shared_shape(p.e, mb)
-    _check_algebra(algebra, p.dim, mb)
     comp = np.eye(p.dim) - p.e
     probe = p.a + comp @ mb @ comp
     # Hermitian by construction: read the eigenvalue without a second guard
@@ -306,25 +295,19 @@ PROBE_EXPONENTS = range(-8, 9)
 PROBE_SCALES = np.array([sign * 2.0**k for k in PROBE_EXPONENTS for sign in (1.0, -1.0)])
 
 
-def separate_points(
-    p1: PairRep,
-    p2: PairRep,
-    algebra: JordanAlgebra | None = None,
-    tol: float = DEFAULT_TOL,
-):
+def separate_points(p1: PairRep, p2: PairRep):
     """Find a Hermitian witness whose Q-set membership differs between two
-    pair encodings, or None when the pairs agree within tolerance.
+    pair encodings, or None when the pairs agree within 10 DEFAULT_TOL.
 
     Probes scaled projections alpha*E over a geometric two-sided grid, then
     the -A probes, and returns the first that separates.  The probes are
-    judged as one stack per pair; the algebra check covers the probes up to
-    the witness.  The probe grid has no completeness guarantee, so an
-    exhausted sweep on genuinely distinct pairs raises WitnessNotFoundError
-    instead of guessing.
+    judged as one stack per pair.  The probe grid has no completeness
+    guarantee, so an exhausted sweep on genuinely distinct pairs raises
+    WitnessNotFoundError instead of guessing.
     """
     if p1.e.shape != p2.e.shape or p1.e.ndim != 2:
         raise InputValidationError("dimension mismatch: separate_points takes one pair on each side")
-    if p1.close_to(p2, tol=max(tol, 1e-12) * 10):
+    if p1.close_to(p2, tol=DEFAULT_TOL * 10):
         return None
 
     dim = p1.dim
@@ -332,12 +315,10 @@ def separate_points(
     probes = np.concatenate([scaled.reshape(-1, dim, dim), [-p1.a, -p2.a]])
     nonzero = operator_norm(probes) != 0.0
     probes = 0.5 * (probes + _H(probes))
-    separates = nonzero & (qset_contains(p1, probes, tol=tol) != qset_contains(p2, probes, tol=tol))
-    last = int(np.argmax(separates)) if separates.any() else len(probes) - 1
-    _check_algebra(algebra, dim, probes[: last + 1][nonzero[: last + 1]])
+    separates = nonzero & (qset_contains(p1, probes) != qset_contains(p2, probes))
     if not separates.any():
         raise WitnessNotFoundError("probe sweep exhausted without a separating witness")
-    return probes[last].copy()
+    return probes[np.argmax(separates)].copy()
 
 
 @dataclass
@@ -351,8 +332,8 @@ class PairDraw:
     h: np.ndarray
     chosen: list
     g: np.ndarray
-    direction: np.ndarray | None = None
-    force_boundary: bool = False
+    direction: np.ndarray | None
+    force_boundary: bool
 
 
 def draw_pair(rng: np.random.Generator, dim: int, force_boundary: bool = False) -> PairDraw:
@@ -370,7 +351,7 @@ def draw_pair(rng: np.random.Generator, dim: int, force_boundary: bool = False) 
     return PairDraw(h, chosen, g, direction, force_boundary)
 
 
-def build_pairs(draws: list, tol: float = DEFAULT_TOL) -> PairRep:
+def build_pairs(draws: list) -> PairRep:
     """The stack of (E, A) pairs of ``draw_pair`` draws.
 
     E sums the chosen spectral projections of the Hermitian, A is G*G
@@ -393,7 +374,7 @@ def build_pairs(draws: list, tol: float = DEFAULT_TOL) -> PairRep:
     for t, draw in enumerate(draws):
         if draw.force_boundary:
             a[t] = _plant_boundary(comp[t], a[t], draw.direction)
-    return PairRep(e=e, a=a, tol=tol)
+    return PairRep(e=e, a=a)
 
 
 def _plant_boundary(comp: np.ndarray, a: np.ndarray, direction) -> np.ndarray:
@@ -418,15 +399,9 @@ def _plant_boundary(comp: np.ndarray, a: np.ndarray, direction) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def random_zpoint(
-    rng: np.random.Generator,
-    dim: int,
-    tol: float = DEFAULT_TOL,
-    force_boundary: bool = False,
-    size: int | None = None,
-) -> ZPoint:
+def random_zpoint(rng: np.random.Generator, dim: int, size: int | None = None) -> ZPoint:
     """Random Z point sampled through the (E, A) parameterization of
     ``draw_pair`` and ``build_pairs``; with ``size`` a stack of that many,
     drawn one after another and decoded together."""
-    pairs = build_pairs([draw_pair(rng, dim, force_boundary) for _ in range(1 if size is None else size)], tol=tol)
-    return pair_decode(pairs if size is not None else pairs[0], tol=tol)
+    pairs = build_pairs([draw_pair(rng, dim) for _ in range(1 if size is None else size)])
+    return pair_decode(pairs if size is not None else pairs[0])

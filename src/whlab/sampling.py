@@ -8,13 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 
+# the spectrum range of random_positive_definite
+EIG_LOW = 0.25
+EIG_HIGH = 4.0
 
-def random_complex(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    g = random_complex(rng, n, scale)
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    g = random_complex(rng, n)
     return 0.5 * (g + g.conj().T)
 
 
@@ -32,20 +36,18 @@ def haar_unitary(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_positive(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def random_positive(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random positive semidefinite matrix G*G."""
-    g = random_complex(rng, n, scale)
+    g = random_complex(rng, n)
     return g.conj().T @ g
 
 
-def random_positive_definite(
-    rng: np.random.Generator, n: int, eig_low: float = 0.25, eig_high: float = 4.0
-) -> np.ndarray:
-    """Positive definite with eigenvalues drawn uniformly from [eig_low, eig_high].
+def random_positive_definite(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Positive definite with eigenvalues drawn uniformly from [EIG_LOW, EIG_HIGH].
 
     The controlled spectrum keeps inverses and the products built on top of
     them well conditioned in property sweeps.
     """
     u = random_unitary(rng, n)
-    eigs = rng.uniform(eig_low, eig_high, size=n)
+    eigs = rng.uniform(EIG_LOW, EIG_HIGH, size=n)
     return u @ np.diag(eigs).astype(np.complex128) @ u.conj().T

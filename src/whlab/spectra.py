@@ -5,11 +5,14 @@ the Cayley transform A -> (A+i)(A-i)^{-1} and its inverse, and spectral
 functional calculus.  Everything else in the package funnels its linear
 algebra through this module.
 
-Unitary spectra are reduced to the Hermitian case: pick a random phase theta
-whose rotation e^{i theta}U keeps the spectrum away from 1, pull back through
-the inverse Cayley transform, decompose the resulting Hermitian matrix, and
-push the eigenvalues forward again.  This avoids a general (non-normal)
-eigensolver entirely.
+Unitary spectra are reduced to the Hermitian case: pick a phase theta, from a
+fixed pseudo-random sequence, whose rotation e^{i theta}U keeps the spectrum
+away from 1, pull back through the inverse Cayley transform, decompose the
+resulting Hermitian matrix, and push the eigenvalues forward again.  This
+avoids a general (non-normal) eigensolver entirely.
+
+Eigenvalues closer than ``CLUSTER_TOL`` share one projection, and a unitary
+whose spectrum comes within ``CLUSTER_TOL`` of 1 is outside the Cayley image.
 
 Validation: a public function guards each matrix it receives once; no caller
 repeats a guard its callee runs on the same matrix, though a matrix computed
@@ -34,7 +37,7 @@ fails, NaN included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +50,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 CLUSTER_TOL = 1e-8
+PHASE_ATTEMPTS = 32  # phases unitary_eig tries before it gives up
 
 __all__ = [
     "DEFAULT_TOL",
@@ -166,11 +170,11 @@ class SpectralDecomposition:
     Invariants, each within ``tol``: the projections are Hermitian idempotents,
     mutually orthogonal, sum to the identity, and ``sum_k lambda_k E_k``
     reconstructs the decomposed matrix.  Eigenvalues are pairwise distinct
-    beyond the clustering threshold used to build the decomposition.
+    beyond ``CLUSTER_TOL``.
     """
 
     eigenvalues: np.ndarray
-    projections: list = field(default_factory=list)
+    projections: list
     tol: float = DEFAULT_TOL
 
     @property
@@ -256,20 +260,20 @@ def _reconstruction_defects(decs: list, stack: np.ndarray) -> np.ndarray:
     return _frobenius(np.add.reduceat(values[:, None, None] * projections, offsets) - stack)
 
 
-def hermitian_eig(a, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL):
+def hermitian_eig(a):
     """Spectral decomposition of a Hermitian matrix; a list of them, in C
     order, for a stack.
 
-    Eigenvalues come back real and ascending; eigenvalues closer than the
-    clustering threshold are merged into a single projection, which keeps the
+    Eigenvalues come back real and ascending; eigenvalues closer than
+    ``CLUSTER_TOL`` are merged into a single projection, which keeps the
     projections well conditioned near degeneracies.
     """
-    m = assert_hermitian(a, tol=tol)
+    m = assert_hermitian(a)
     dim = m.shape[-1]
     stack = m.reshape(-1, dim, dim)
     evals, evecs = _eigh(stack)
-    merged = _merge(evals, evecs, cluster)
-    decs = [SpectralDecomposition(values, projections, tol=tol) for values, projections, _ in merged]
+    merged = _merge(evals, evecs, CLUSTER_TOL)
+    decs = [SpectralDecomposition(values, projections) for values, projections, _ in merged]
     # averaging moves each merged eigenvalue to its cluster mean, which costs
     # exactly the 2-norm of those moves in Frobenius; eigh itself is backward
     # stable, hence the relative term, sqrt(dim) times for Frobenius
@@ -277,7 +281,7 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL):
     shift = np.sqrt(np.square(evals - means).sum(axis=-1))
     scale = np.maximum(1.0, np.maximum(np.abs(evals[:, 0]), np.abs(evals[:, -1])))
     defect = _reconstruction_defects(decs, stack)
-    ok, defect = (x.reshape(m.shape[:-2]) for x in (defect <= 10 * tol * scale * np.sqrt(dim) + shift, defect))
+    ok, defect = (x.reshape(m.shape[:-2]) for x in (defect <= 10 * DEFAULT_TOL * scale * np.sqrt(dim) + shift, defect))
     _require(ok, defect, NumericalError, "reconstruction error {:.3e} exceeds tolerance")
     return decs[0] if m.ndim == 2 else decs
 
@@ -306,53 +310,47 @@ def cayley(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     return _right_solve(denom, m + 1j * eye)
 
 
-def inverse_cayley(u, tol: float = DEFAULT_TOL, cluster: float = CLUSTER_TOL) -> np.ndarray:
+def inverse_cayley(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Inverse Cayley transform i(U+I)(U-I)^{-1}.
 
     Defined for unitaries with 1 outside the spectrum; for a unitary the
     smallest singular value of U-I equals the distance of the spectrum to 1,
-    so proximity below the clustering threshold is rejected as a domain error.
+    so proximity below ``CLUSTER_TOL`` is rejected as a domain error.
     """
     m = assert_unitary(u, tol=tol)
     eye = np.eye(m.shape[-1])
     denom = m - eye
     smin = _smin(denom)
-    _require(smin >= cluster, smin, DomainError, "not in Cayley image: spectrum within {:.3e} of 1")
+    _require(smin >= CLUSTER_TOL, smin, DomainError, "not in Cayley image: spectrum within {:.3e} of 1")
     h = _right_solve(denom, 1j * (m + eye))
     # symmetrize away the O(tol) skew part left by the solve
     return 0.5 * (h + _H(h))
 
 
-def unitary_eig(
-    u,
-    tol: float = DEFAULT_TOL,
-    cluster: float = CLUSTER_TOL,
-    seed: int = 0,
-    max_attempts: int = 32,
-):
+def unitary_eig(u, tol: float = DEFAULT_TOL):
     """Spectral decomposition of a unitary matrix; a list of them, in C
     order, for a stack.
 
-    Samples a phase theta (explicit seed, no global state), rejects it while
-    e^{i theta}U has spectrum within the clustering threshold of 1, then
-    decomposes inverse_cayley(e^{i theta}U) and maps the eigenvalues back.
-    All returned eigenvalues lie on the unit circle; the projections are the
-    Hermitian ones, reused verbatim.  Every matrix of a stack draws from the
-    same seeded phase sequence and takes its first acceptable phase, so it
+    Draws phases theta from one fixed pseudo-random sequence (no global
+    state), rejects each while e^{i theta}U has spectrum within 10
+    ``CLUSTER_TOL`` of 1, then decomposes inverse_cayley(e^{i theta}U) and
+    maps the eigenvalues back.  All returned eigenvalues lie on the unit
+    circle; the projections are the Hermitian ones, reused verbatim.  Every
+    matrix of a stack takes the first acceptable phase of the sequence, so it
     gets the theta it gets alone.
     """
     m = assert_unitary(u, tol=tol)
     dim = m.shape[-1]
     stack = m.reshape(-1, dim, dim)
     eye = np.eye(dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     thetas = np.empty(len(stack))
     rotated = np.empty_like(stack)
     pending = np.arange(len(stack))
-    for _ in range(max_attempts):
+    for _ in range(PHASE_ATTEMPTS):
         candidate = rng.uniform(0.0, 2.0 * np.pi)
         trial = np.exp(1j * candidate) * stack[pending]
-        accept = _smin(trial - eye) > 10 * cluster
+        accept = _smin(trial - eye) > 10 * CLUSTER_TOL
         thetas[pending[accept]] = candidate
         rotated[pending[accept]] = trial[accept]
         pending = pending[~accept]
@@ -362,11 +360,11 @@ def unitary_eig(
         found = np.ones(len(stack), dtype=bool)
         found[pending] = False
         found = found.reshape(m.shape[:-2])
-        _require(found, found, NumericalError, "no spectrum-avoiding phase found in {1} attempts", max_attempts)
+        _require(found, found, NumericalError, "no spectrum-avoiding phase found in {1} attempts", PHASE_ATTEMPTS)
 
-    evals, evecs = _eigh(inverse_cayley(rotated, tol=tol, cluster=cluster))
+    evals, evecs = _eigh(inverse_cayley(rotated, tol=tol))
     decs, targets = zip(
-        *(_on_circle(*merged, thetas[i], tol, cluster) for i, merged in enumerate(_merge(evals, evecs, cluster)))
+        *(_on_circle(*merged, thetas[i], tol) for i, merged in enumerate(_merge(evals, evecs, CLUSTER_TOL)))
     )
     # each eigh eigenvalue, pushed to the circle, moved to its merged value on
     # either side of the pullback; a chord is no longer than its angle
@@ -378,7 +376,7 @@ def unitary_eig(
     return decs[0] if m.ndim == 2 else list(decs)
 
 
-def _on_circle(values, hermitian_projections, owner, theta, tol, cluster):
+def _on_circle(values, hermitian_projections, owner, theta, tol):
     """One matrix's decomposition from the merged eigh of
     inverse_cayley(e^{i theta} U), and the merged circle value of each eigh
     eigenvalue."""
@@ -391,8 +389,8 @@ def _on_circle(values, hermitian_projections, owner, theta, tol, cluster):
 
     # the Moebius pullback can spread circle-close eigenvalues far apart on
     # the Hermitian side, so re-cluster on the circle (wraparound included)
-    groups = _cluster(angles, cluster)
-    if len(groups) > 1 and (angles[0] + 2.0 * np.pi - angles[-1]) <= cluster:
+    groups = _cluster(angles, CLUSTER_TOL)
+    if len(groups) > 1 and (angles[0] + 2.0 * np.pi - angles[-1]) <= CLUSTER_TOL:
         groups[0] = groups.pop() + groups[0]
     merged_vals = []
     merged_projs = []

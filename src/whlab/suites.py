@@ -300,7 +300,7 @@ def _pair_translation(rng, dim, _, trials):
     draws, b = _stack(trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
     pair = moebius.pair_encode(_zpoints(draws))
     comp = np.eye(dim) - pair.e
-    shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp, tol=pair.tol)
+    shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp)
     lhs = moebius.boxplus(moebius.pair_decode(pair).u, b)
     return spectra.operator_norm(lhs - moebius.pair_decode(shifted).u)
 
@@ -380,11 +380,11 @@ def _cone_axioms(rng, dim, alg):
     return bad + (jordan.classify(alg, a - eps * np.eye(dim)) != jordan.ConeClass.INTERIOR)
 
 
-def _broken_order(a, b, tol=1e-9):
+def _broken_order(a, b):
     lam = spectra.lambda_min(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
-    if lam > tol:
+    if lam > jordan.DEFAULT_TOL:
         return jordan.OrderRelation.LT
-    if lam >= -tol:
+    if lam >= -jordan.DEFAULT_TOL:
         return jordan.OrderRelation.LEQ
     return jordan.OrderRelation.INCOMPARABLE_OR_GT
 
@@ -685,15 +685,15 @@ def _kernel_identity(rng, _, cfg):
     cut = 2.0 ** (-n)
     member = _kernel_member(f, cut)
     # Ker(alpha_n) -> ideal: the flattened function is in both
-    bad = (not fibers.ideal_contains(n, member, tol=cfg.tol)) + (member.sup_abs(0.0, cut) > cfg.tol)
+    bad = (not fibers.ideal_contains(n, member, tol=cfg.tol)) + (member.sup_abs(cut) > cfg.tol)
     # ideal -> Ker(alpha_n): production membership against the direct-sup oracle
-    return bad + (fibers.ideal_contains(n, f, tol=cfg.tol) != (f.sup_abs(0.0, cut) <= cfg.tol))
+    return bad + (fibers.ideal_contains(n, f, tol=cfg.tol) != (f.sup_abs(cut) <= cfg.tol))
 
 
 @_sweep(dims=_no_dim, trials=lambda t: max(t, 30))
 def _quotient_oracle(rng, _, cfg):
     f = fibers.random_dyadic_pl(rng, level=4)
-    gaps = [abs(fibers.quotient_norm(n, f) - f.sup_abs(0.0, 2.0 ** (-n))) for n in range(0, 11)]
+    gaps = [abs(fibers.quotient_norm(n, f) - f.sup_abs(2.0 ** (-n))) for n in range(0, 11)]
     return _worst(gaps + [abs(fibers.quotient_norm(INF, f) - abs(f(0.0)))])
 
 
@@ -739,10 +739,10 @@ def _fiber_action(rng, _, cfg):
 @_sweep(dims=_no_dim, trials=lambda t: max(t // 2, 10))
 def _dilation(rng, _, cfg):
     broken = []
-    x = fibers.random_trig(rng, degree=3)
+    x = fibers.random_trig(rng)
     if not fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(1, x.dilate(1))):
         broken.append("defining identification broken")
-    y = fibers.random_trig(rng, degree=3)
+    y = fibers.random_trig(rng)
     if fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(0, x + y)) and y.coeffs:
         broken.append("distinct payloads compared equal")
     # alpha_5 is isometric: the certified brackets [grid max, norm] of x and alpha_5(x) must overlap
@@ -764,7 +764,7 @@ def _dilation(rng, _, cfg):
 
 def _fibers_mutation(rng, cfg):
     def broken_quotient_norm(n, f):
-        return f.sup_abs(0.0, 2.0 ** (-max(n - 1, 0)))  # sups over twice the window
+        return f.sup_abs(2.0 ** (-max(n - 1, 0)))  # sups over twice the window
 
     f = fibers.random_dyadic_pl(rng, level=3)
     vals = np.where(f.breaks <= 0.25 + 1e-15, 0.0, 1.0 + np.abs(f(f.breaks)))
@@ -784,7 +784,7 @@ def unitary_samples(rng, count=50, dim=3):
     samples = [moebius.zpoint(-np.eye(dim)), moebius.zpoint(np.eye(dim))]
     if count > 2:
         z = _zpoints([moebius.draw_pair(rng, dim, force_boundary=i % 3 == 0) for i in range(2, count)])
-        samples += [moebius.ZPoint(u, dec, z.tol) for u, dec in zip(z.u, z.dec)]
+        samples += [moebius.ZPoint(u, dec) for u, dec in zip(z.u, z.dec)]
     return samples
 
 

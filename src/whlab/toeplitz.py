@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputValidationError, WindowOverflowError
+from .fell import integer_value
 
 __all__ = [
     "EndomorphismAction",
@@ -126,7 +127,8 @@ def conjugation_action(u: np.ndarray) -> EndomorphismAction:
 
 @dataclass
 class SymbolFunction:
-    """Finitely supported k x k matrix valued function on Z."""
+    """Finitely supported k x k matrix valued function on Z; each key must be
+    an integer (``fell.integer_value``)."""
 
     k: int
     values: dict
@@ -137,7 +139,7 @@ class SymbolFunction:
             arr = np.asarray(v, dtype=np.complex128)
             if arr.shape != (self.k, self.k):
                 raise InputValidationError(f"value at {g} is not {self.k}x{self.k}")
-            cleaned[int(g)] = arr
+            cleaned[integer_value(g)] = arr
         self.values = cleaned
 
     @property

@@ -19,6 +19,11 @@ def pl(breaks, vals):
     return PiecewisePoly.from_breakpoints(breaks, vals)
 
 
+def trig(rng, degree):
+    """A random trig polynomial of any degree, drawn as random_trig draws its own."""
+    return TrigPoly({m: rng.standard_normal() + 1j * rng.standard_normal() for m in range(-degree, degree + 1)})
+
+
 # ---------------------------------------------------------------------------
 # piecewise polynomials
 
@@ -46,14 +51,14 @@ def test_product_sup_can_live_between_breakpoints():
     g = pl([0.0, 1.0], [1.0, 0.0])       # 1 - t
     prod = f * g                          # t(1-t), max 1/4 at t = 1/2
     assert prod.sup_abs() == pytest.approx(0.25)
-    assert prod.sup_abs(0.0, 0.25) == pytest.approx(0.25 * 0.75)
+    assert prod.sup_abs(0.25) == pytest.approx(0.25 * 0.75)
     # the vertex 1/2 sits on a breakpoint: the endpoints carry the sup
     split = pl([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]) * g
     assert split.sup_abs() == 0.25
     # (1 + t)^2 has its vertex at -1, outside every piece
     up = pl([0.0, 0.5, 1.0], [1.0, 1.5, 2.0])
     assert (up * up).sup_abs() == 4.0
-    assert (up * up).sup_abs(0.0, 0.5) == 2.25
+    assert (up * up).sup_abs(0.5) == 2.25
 
 
 def test_halving_action_examples():
@@ -112,7 +117,7 @@ def test_quotient_norm_matches_direct_sup_oracle(rng):
         f = fibers.random_dyadic_pl(rng, level=4)
         for n in range(0, 11):
             assert fibers.quotient_norm(n, f) == pytest.approx(
-                f.sup_abs(0.0, 2.0 ** (-n)), abs=1e-12
+                f.sup_abs(2.0 ** (-n)), abs=1e-12
             )
 
 
@@ -191,13 +196,13 @@ def test_fiber_action_rejects_non_groupoid_pairs():
 
 def test_dilation_defining_identification(rng):
     for _ in range(20):
-        x = fibers.random_trig(rng, degree=3)
+        x = fibers.random_trig(rng)
         assert fibers.dilation_equal(DilationElement(0, x), DilationElement(1, x.dilate(1)))
         assert fibers.dilation_equal(DilationElement(2, x), DilationElement(4, x.dilate(2)))
 
 
 def test_dilation_distinguishes_payloads(rng):
-    x = fibers.random_trig(rng, degree=2)
+    x = trig(rng, 2)
     y = x + TrigPoly({1: 0.5})
     assert not fibers.dilation_equal(DilationElement(0, x), DilationElement(0, y))
 
@@ -207,7 +212,7 @@ def test_dilation_case_flags_an_uncertified_norm(monkeypatch):
     # undershoots the sup of a dilated payload: the brackets stop overlapping
     cfg = suites.SuiteConfig(suite="fibers")
     assert suites.run_case(suites.CASES["fibers.dilation"], cfg).status == "pass"
-    monkeypatch.setattr(TrigPoly, "norm", lambda self, grid=fibers.TRIG_GRID: self.grid_max(grid))
+    monkeypatch.setattr(TrigPoly, "norm", TrigPoly.grid_max)
     result = suites.run_case(suites.CASES["fibers.dilation"], cfg)
     assert result.status == "fail"
     assert "level promotion changed the norm" in result.details
@@ -215,20 +220,20 @@ def test_dilation_case_flags_an_uncertified_norm(monkeypatch):
 
 def test_trig_norm_certificate_brackets_true_sup(rng):
     for _ in range(20):
-        x = fibers.random_trig(rng, degree=4)
+        x = trig(rng, 4)
         dense = max(abs(x(np.exp(1j * t))) for t in np.linspace(0, 2 * np.pi, 4097))
         assert x.grid_max() <= dense + 1e-12
         assert x.norm() >= dense - 1e-12
 
 
 def test_trig_star_is_pointwise_conjugate(rng):
-    x = fibers.random_trig(rng, degree=3)
+    x = fibers.random_trig(rng)
     z = np.exp(0.7j)
     assert x.star()(z) == pytest.approx(np.conj(x(z)))
 
 
 def test_fiber_section_examples(rng):
-    x = fibers.random_trig(rng, degree=2)
+    x = trig(rng, 2)
     # delta at 0: the element is x itself at level 0
     cert = fibers.fiber_section_F(x, {0: 1.0}, 4)
     assert cert.element.level == 0
@@ -244,7 +249,7 @@ def test_fiber_section_examples(rng):
 
 def test_fiber_over_finite_point_is_single_payload(rng):
     # everything over P^{-1}a collapses to one element at level a
-    x = fibers.random_trig(rng, degree=2)
+    x = trig(rng, 2)
     supp = {g: complex(rng.standard_normal(), rng.standard_normal()) for g in range(-2, 4)}
     cert = fibers.fiber_section_F(x, supp, 3)
     assert cert.element.level <= 3
@@ -254,7 +259,7 @@ def test_fiber_over_finite_point_is_single_payload(rng):
 
 
 def test_certificates_remain_valid_over_larger_fibers(rng):
-    x = fibers.random_trig(rng, degree=2)
+    x = trig(rng, 2)
     supp = {g: 1.0 + 0j for g in range(0, 3)}
     cert = fibers.fiber_section_F(x, supp, 2)
     assert all(g <= 2 for g, _ in cert.witnesses)

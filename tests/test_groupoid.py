@@ -37,6 +37,17 @@ def test_groupoid_element_validity():
     GroupoidElement(INF, -100)
     with pytest.raises(InputValidationError):
         GroupoidElement(2, -3)
+    # an integral float or numpy integer is the int it equals
+    for g in (3.0, np.int64(3)):
+        e = GroupoidElement(2, g)
+        assert type(e.g) is int and e == GroupoidElement(2, 3)
+
+
+@pytest.mark.parametrize("g", [0.5, -2.5, True, False, "1", None, float("inf"), float("nan")])
+def test_groupoid_element_rejects_a_g_that_is_not_an_integer(g):
+    # (2, 0.5) would have the source 2.5, and (2, True) would stand for (2, 1)
+    with pytest.raises(InputValidationError):
+        GroupoidElement(2, g)
 
 
 def test_inverse_and_source():

@@ -167,7 +167,7 @@ def test_closure_matches_reference(kind, dim, rng):
     if kind == "diagonal":
         assert alg.rank == dim
     assert all(alg.contains(b) for b in ref)
-    assert all(np.linalg.norm(b - _reference_project(ref, b)) <= alg.tol for b in alg.basis)
+    assert all(np.linalg.norm(b - _reference_project(ref, b)) <= jordan.DEFAULT_TOL for b in alg.basis)
     basis = np.asarray(alg.basis)
     gram = np.real(np.einsum("aij,bij->ab", basis.conj(), basis))
     assert np.abs(gram - np.eye(alg.rank)).max() <= 1e-12

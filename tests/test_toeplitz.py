@@ -208,6 +208,14 @@ def test_truncated_operator_roundtrip(rng):
 def test_symbol_validation():
     with pytest.raises(InputValidationError):
         SymbolFunction(k=2, values={0: [[1.0]]})
+    assert list(SymbolFunction(k=1, values={2.0: [[1.0]], np.int64(-1): [[2.0]]}).values) == [2, -1]
+
+
+@pytest.mark.parametrize("key", [2.5, True, "2", float("inf")])
+def test_symbol_rejects_a_key_that_is_not_an_integer(key):
+    # int() would store 2.5 at g = 2 and True at g = 1
+    with pytest.raises(InputValidationError):
+        SymbolFunction(k=1, values={key: [[1.0]]})
 
 
 def test_symbols_split_into_interior_convolutions(rng):
