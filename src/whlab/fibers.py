@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InputValidationError
-from .fell import INF, discrete_value
+from .fell import INF, discrete_value, integer_value
 
 DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
@@ -231,7 +231,7 @@ def fiber_action(x, g: int, q: QuotientElement, decomposition=None) -> QuotientE
     if decomposition is None:
         a, b = max(g, 0), max(-g, 0)
     else:
-        a, b = decomposition
+        a, b = (integer_value(m) for m in decomposition)
         if a < 0 or b < 0 or a - b != g:
             raise InputValidationError(f"bad decomposition {decomposition} of {g}")
     rep = halving_apply(a, halving_section(b, q.rep))
@@ -243,7 +243,8 @@ def fiber_action(x, g: int, q: QuotientElement, decomposition=None) -> QuotientE
 
 
 class TrigPoly:
-    """Trigonometric polynomial sum_m c_m z^m on the unit circle."""
+    """Trigonometric polynomial sum_m c_m z^m on the unit circle; each exponent
+    must be an integer (``fell.integer_value``)."""
 
     __slots__ = ("coeffs",)
 
@@ -252,7 +253,8 @@ class TrigPoly:
         for m, c in (coeffs or {}).items():
             c = complex(c)
             if c != 0:
-                self.coeffs[int(m)] = c
+                # the operations below build int keys, which need no call
+                self.coeffs[m if type(m) is int else integer_value(m)] = c
 
     @property
     def degree(self) -> int:

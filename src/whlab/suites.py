@@ -563,7 +563,7 @@ def _random_section(rng, act, window, points=6, x_bound=None, g_bound=None):
             continue
         g = int(rng.integers(lo, hi + 1))
         s.set((x, g), random_complex(rng, act.k))
-    if not s.values:
+    if not s.support().any():
         s.set((0, 0), random_complex(rng, act.k))
     return s
 
@@ -575,7 +575,8 @@ def _groupoid_actions(rng):
 
 
 def _section_gap(s, t) -> float:
-    return _worst(float(np.linalg.norm(s(e) - t(e), 2)) for e in set(s.values) | set(t.values))
+    cells = s.support() | t.support()
+    return _worst(np.linalg.norm(s.values[cells] - t.values[cells], 2, axis=(-2, -1)))
 
 
 def _groupoid_algebra(rng, cfg):
@@ -625,7 +626,7 @@ def _star_hom_interior(rng, _, env):
     n, window, act = env
     phi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
     psi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
-    margin = max(abs(e.g) for s in (phi, psi) for e in s.values)  # <= 4 < n / 2
+    margin = int(np.abs(np.nonzero(phi.support() | psi.support())[1] - window.max_g).max())  # <= 4 < n / 2
     lhs = groupoid.lambda_rep(groupoid.convolve(phi, psi), n)
     rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
     return float(np.linalg.norm(lhs.interior(margin) - rhs.interior(margin), 2))

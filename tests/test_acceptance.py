@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from whlab import fell, fibers, groupoid, homotopy, jordan, moebius, spectra, suites, toeplitz
+from whlab.errors import WindowOverflowError
 from whlab.fell import INF
 from whlab.jordan import OrderRelation
 from whlab.sampling import random_complex, random_positive, random_positive_definite, random_unitary
@@ -165,10 +166,12 @@ def test_criterion_09_groupoid_algebra():
             x = units[int(rng.integers(len(units)))]
             lo = -g_bound if x == INF else -min(int(x), g_bound)
             g = int(rng.integers(lo, g_bound + 1))
-            e = groupoid.GroupoidElement(x, g)
-            if win.contains(e):
-                s.set(e, random_complex(rng, act.k))
-        if not s.values:
+            try:
+                win.cell(x, g)
+            except WindowOverflowError:
+                continue
+            s.set((x, g), random_complex(rng, act.k))
+        if not s.support().any():
             s.set((0, 0), random_complex(rng, act.k))
         return s
 
@@ -181,8 +184,7 @@ def test_criterion_09_groupoid_algebra():
             chi = rand_section(act, window, 3, 8, 4)
             lhs = groupoid.convolve(groupoid.convolve(phi, psi), chi)
             rhs = groupoid.convolve(phi, groupoid.convolve(psi, chi))
-            for e in set(lhs.values) | set(rhs.values):
-                worst = max(worst, float(np.linalg.norm(lhs(e) - rhs(e), 2)))
+            worst = max(worst, float(np.linalg.norm(lhs.values - rhs.values, 2, axis=(-2, -1)).max()))
             if abs(groupoid.i_norm(groupoid.involute(phi)) - groupoid.i_norm(phi)) > 1e-10:
                 ok = False
             lam_phi = rand_section(act, lam_window, 5, 12, 4)

@@ -38,18 +38,19 @@ def test_omega_point_validation():
 
 
 def test_discrete_units_share_one_validator():
-    # fell's points, groupoid elements and the quotient fibers read a discrete
-    # unit by one rule: a nonnegative integer or inf, nothing rounded or cast
+    # fell's points, the groupoid's window cells and the quotient fibers read a
+    # discrete unit by one rule: a nonnegative integer or inf, nothing rounded or cast
     f = fibers.PiecewisePoly.from_breakpoints([0.0, 1.0], [1.0, 0.0])
-    readers = (fell.discrete, lambda x: groupoid.GroupoidElement(x, 0), lambda x: fibers.quotient_norm(x, f))
+    window = groupoid.Window(max_x=4, max_g=4)
+    readers = (fell.discrete, lambda x: window.cell(x, 0), lambda x: fibers.quotient_norm(x, f))
     for bad in (2.5, -1, -INF, float("nan"), True, np.True_, "3", None):
         for read in readers:
             with pytest.raises(InputValidationError, match="nonnegative integer or inf"):
                 read(bad)
     for good, value in ((2.0, 2), (np.int64(2), 2), (np.float64(INF), INF)):
         assert fell.discrete(good) == fell.OmegaPoint("discrete", value)
-        assert groupoid.GroupoidElement(good, 0) == groupoid.GroupoidElement(value, 0)
-        assert type(groupoid.GroupoidElement(good, 0).x) is type(value)
+        assert window.cell(good, 0) == window.cell(value, 0)
+        assert all(type(i) is int for i in window.cell(good, 0))
 
 
 def test_fell_limit_constant_sequence():

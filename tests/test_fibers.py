@@ -190,6 +190,16 @@ def test_fiber_action_rejects_non_groupoid_pairs():
         fibers.fiber_action(3, 1, q)  # q lives over 0, expected over 4
 
 
+@pytest.mark.parametrize("decomposition", [(1.5, 0.5), (True, False), ("1", "0"), (np.inf, np.inf)])
+def test_fiber_action_rejects_a_decomposition_that_is_not_integral(decomposition):
+    q = QuotientElement(x=3, rep=pl([0.0, 1.0], [1.0, 0.0]))
+    with pytest.raises(InputValidationError):
+        fibers.fiber_action(2, 1, q, decomposition=decomposition)
+    # an integral float is the int it equals
+    out, ref = (fibers.fiber_action(2, 1, q, decomposition=d) for d in ((2.0, 1.0), (2, 1)))
+    assert np.array_equal(out.rep.breaks, ref.rep.breaks) and np.array_equal(out.rep.coefs, ref.rep.coefs)
+
+
 # ---------------------------------------------------------------------------
 # dilation of the injective system
 
@@ -199,6 +209,18 @@ def test_dilation_defining_identification(rng):
         x = fibers.random_trig(rng)
         assert fibers.dilation_equal(DilationElement(0, x), DilationElement(1, x.dilate(1)))
         assert fibers.dilation_equal(DilationElement(2, x), DilationElement(4, x.dilate(2)))
+
+
+@pytest.mark.parametrize("m", [2.5, True, "2", None, float("nan")])
+def test_trig_poly_rejects_an_exponent_that_is_not_an_integer(m):
+    # int() would store 2.5 at z^2 and True at z^1
+    with pytest.raises(InputValidationError):
+        TrigPoly({m: 1.0})
+
+
+def test_trig_poly_reads_an_integral_exponent_as_an_int():
+    p = TrigPoly({2.0: 1.0, np.int64(-1): 2.0})
+    assert p.coeffs == {2: 1.0, -1: 2.0} and all(type(m) is int for m in p.coeffs)
 
 
 def test_dilation_distinguishes_payloads(rng):
