@@ -107,7 +107,6 @@ def _run_verify(args) -> int:
             n=args.n,
             grid_step=args.grid_step,
             model=args.model,
-            out=args.out,
         )
         outcome = suites.run(cfg, inject_failure=args.inject_failure)
     except InputValidationError as exc:

@@ -1,9 +1,10 @@
 """Named verification suites behind the command-line driver.
 
 Every case is one row of the `CASES` table: a name, a kind, a tolerance, a
-detail line and a draw function.  One runner, `run_case`, seeds the case's
-generator from (config seed, case name), sweeps the dimensions and trials,
-reduces the drawn values and gives the verdict, so cases are
+detail line and a draw.  Every draw is a generator that runs its own
+dimensions and trials and yields its values in order.  One runner,
+`run_case`, seeds the case's random generator from (config seed, case name),
+iterates the draw, reduces the values and gives the verdict, so cases are
 order-independent and a report is a pure function of its configuration.
 Every suite ships at least one deliberately broken variant (wrong sign,
 dropped normalizer, wrong shift direction, missing reflection) and the
@@ -60,7 +61,6 @@ class SuiteConfig:
     n: int = 16
     grid_step: float = 0.25
     model: str | None = None
-    out: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -99,21 +99,15 @@ class CaseResult:
         }
 
 
-def _no_dim(cfg):
-    return (None,)
-
-
 @dataclass(frozen=True)
 class Case:
     """One verification case.
 
-    draw -- decorated with @_sweep, called as draw(rng, dim, env) once per
-        trial at every dim of the sweep, or with @_sweep(stacked=True) as
-        draw(rng, dim, env, trials) once per dim, returning the trials'
-        values in order as an array or a list; otherwise a generator
-        draw(rng, cfg) that yields every value itself.  A value is a number,
-        a list of violation messages (count kind), or a tuple of one of those
-        followed by violation tallies; None is a skipped draw.
+    draw -- a generator draw(rng, cfg) that runs the case's dims and
+        trials and yields its values in order; a draw that computes a dim's
+        trials as one stack yields them as Python scalars.  A value is a
+        number, a list of violation messages (count kind), or a tuple of one
+        of those followed by violation tallies; None is a skipped draw.
     details -- a str.format template (literal braces doubled) given the
         reduced value, the violation tallies and `draws=`, or a callable
         given the same arguments plus `messages=`.
@@ -148,33 +142,8 @@ def case_rng(cfg: SuiteConfig, name: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def _sweep(
-    dims=lambda cfg: range(1, cfg.dim + 1), trials=lambda t: t, setup=lambda cfg, dim: cfg, stacked: bool = False
-):
-    """Mark a sweep draw: the dims it runs at, its number of trials per dim
-    as a function of --trials, the per-dim setup it gets as env, and whether
-    it draws one trial per call or all trials of a dim (stacked)."""
-
-    def mark(draw):
-        draw.sweep = (dims, trials, setup, stacked)
-        return draw
-
-    return mark
-
-
-def _draws(case: Case, cfg: SuiteConfig, rng):
-    if not hasattr(case.draw, "sweep"):
-        yield from case.draw(rng, cfg)
-        return
-    dims, trials, setup, stacked = case.draw.sweep
-    for dim in dims(cfg):
-        env = setup(cfg, dim)
-        if stacked:
-            values = case.draw(rng, dim, env, trials(cfg.trials))
-            yield from values.tolist() if isinstance(values, np.ndarray) else values
-        else:
-            for _ in range(trials(cfg.trials)):
-                yield case.draw(rng, dim, env)
+def _dims(cfg: SuiteConfig) -> range:
+    return range(1, cfg.dim + 1)
 
 
 def _stack(trials: int, draw) -> list:
@@ -190,7 +159,7 @@ def run_case(case: Case, cfg: SuiteConfig) -> CaseResult:
     rng = case_rng(cfg, case.seed_label or case.name)
     reduce, acc, holds = _KINDS[case.kind]
     tallies, messages, draws = [], [], 0
-    for value in _draws(case, cfg, rng):
+    for value in case.draw(rng, cfg):
         if value is None:
             continue
         head, *more = value if isinstance(value, tuple) else (value,)
@@ -231,30 +200,27 @@ def _listed(fallback, pick=lambda messages: messages):
 # moebius
 
 
-@_sweep(stacked=True)
-def _action_law(rng, dim, _, trials):
-    g, a, b = _stack(trials, lambda: (random_complex(rng, dim), random_hermitian(rng, dim), random_hermitian(rng, dim)))
-    u = haar_unitary(g)
-    lhs = moebius.boxplus(moebius.boxplus(u, a), b)
-    return spectra.operator_norm(lhs - moebius.boxplus(u, a + b))
+def _action_law(rng, cfg):
+    for dim in _dims(cfg):
+        g, a, b = _stack(
+            cfg.trials, lambda: (random_complex(rng, dim), random_hermitian(rng, dim), random_hermitian(rng, dim))
+        )
+        u = haar_unitary(g)
+        lhs = moebius.boxplus(moebius.boxplus(u, a), b)
+        yield from spectra.operator_norm(lhs - moebius.boxplus(u, a + b)).tolist()
 
 
-@_sweep(stacked=True)
-def _cayley_equivariance(rng, dim, _, trials):
-    a, b = _stack(trials, lambda: (random_hermitian(rng, dim), random_hermitian(rng, dim)))
-    return spectra.operator_norm(moebius.boxplus(spectra.cayley(a), b) - spectra.cayley(a + b))
+def _cayley_equivariance(rng, cfg):
+    for dim in _dims(cfg):
+        a, b = _stack(cfg.trials, lambda: (random_hermitian(rng, dim), random_hermitian(rng, dim)))
+        yield from spectra.operator_norm(moebius.boxplus(spectra.cayley(a), b) - spectra.cayley(a + b)).tolist()
 
 
-@_sweep(
-    dims=lambda cfg: range(1, max(cfg.dim, 6) + 1),
-    trials=lambda t: max(t * 5, 100),
-    setup=lambda cfg, dim: np.eye(dim),
-    stacked=True,
-)
-def _invertibility_margin(rng, dim, eye, trials):
-    g, b = _stack(trials, lambda: (random_complex(rng, dim), random_hermitian(rng, dim)))
-    u = haar_unitary(g)
-    return np.linalg.svd(b @ u + 2j * eye - b, compute_uv=False)[:, -1]
+def _invertibility_margin(rng, cfg):
+    for dim in range(1, max(cfg.dim, 6) + 1):
+        g, b = _stack(max(cfg.trials * 5, 100), lambda: (random_complex(rng, dim), random_hermitian(rng, dim)))
+        u = haar_unitary(g)
+        yield from np.linalg.svd(b @ u + 2j * np.eye(dim) - b, compute_uv=False)[:, -1].tolist()
 
 
 def _zpoints(draws) -> moebius.ZPoint:
@@ -262,74 +228,70 @@ def _zpoints(draws) -> moebius.ZPoint:
     return moebius.pair_decode(moebius.build_pairs(draws))
 
 
-@_sweep(stacked=True)
-def _z_stability(rng, dim, _, trials):
-    draws, b = _stack(trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
-    translated = moebius.boxplus(_zpoints(draws).u, b)
-    return [zclass == moebius.ZClass.OUTSIDE for zclass in moebius.classify_zpoint(translated)]
+def _z_stability(rng, cfg):
+    for dim in _dims(cfg):
+        draws, b = _stack(cfg.trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
+        translated = moebius.boxplus(_zpoints(draws).u, b)
+        yield from (zclass == moebius.ZClass.OUTSIDE for zclass in moebius.classify_zpoint(translated))
 
 
-@_sweep(stacked=True)
-def _contraction_range(rng, dim, _, trials):
-    b, a = _stack(trials, lambda: (random_positive_definite(rng, dim), random_positive(rng, dim)))
-    b_inv = np.linalg.inv(b)
-    c = moebius.moebius_contraction(a, b)
-    bound = 0.5 * (b_inv + _H(b_inv))
-    outside = [rel != jordan.OrderRelation.LT for rel in jordan.order_compare(c, bound)]
-    recovered = moebius.contraction_inverse(c, b)
-    gaps = (moebius.moebius_contraction(recovered, b) - c, recovered - a)
-    worst = np.maximum(*(spectra.operator_norm(gap) for gap in gaps))
-    return list(zip(worst.tolist(), outside))
+def _contraction_range(rng, cfg):
+    for dim in _dims(cfg):
+        b, a = _stack(cfg.trials, lambda: (random_positive_definite(rng, dim), random_positive(rng, dim)))
+        b_inv = np.linalg.inv(b)
+        c = moebius.moebius_contraction(a, b)
+        bound = 0.5 * (b_inv + _H(b_inv))
+        outside = [rel != jordan.OrderRelation.LT for rel in jordan.order_compare(c, bound)]
+        recovered = moebius.contraction_inverse(c, b)
+        gaps = (moebius.moebius_contraction(recovered, b) - c, recovered - a)
+        worst = np.maximum(*(spectra.operator_norm(gap) for gap in gaps))
+        yield from zip(worst.tolist(), outside)
 
 
-@_sweep(trials=lambda t: max(t // 2, 5), stacked=True)
-def _contraction_chart(rng, dim, _, trials):
-    a, b = _stack(trials, lambda: (random_positive(rng, dim), random_positive(rng, dim)))
-    via_chart = moebius.moebius_contraction(a, b)
-    return spectra.operator_norm(via_chart - moebius.psi_inv(moebius.boxplus(moebius.psi(a), b)))
+def _contraction_chart(rng, cfg):
+    for dim in _dims(cfg):
+        a, b = _stack(max(cfg.trials // 2, 5), lambda: (random_positive(rng, dim), random_positive(rng, dim)))
+        via_chart = moebius.moebius_contraction(a, b)
+        yield from spectra.operator_norm(via_chart - moebius.psi_inv(moebius.boxplus(moebius.psi(a), b))).tolist()
 
 
-@_sweep(stacked=True)
-def _pair_roundtrip(rng, dim, _, trials):
-    z = moebius.random_zpoint(rng, dim, size=trials)
-    return spectra.operator_norm(moebius.pair_decode(moebius.pair_encode(z)).u - z.u)
+def _pair_roundtrip(rng, cfg):
+    for dim in _dims(cfg):
+        z = moebius.random_zpoint(rng, dim, size=cfg.trials)
+        yield from spectra.operator_norm(moebius.pair_decode(moebius.pair_encode(z)).u - z.u).tolist()
 
 
-@_sweep(stacked=True)
-def _pair_translation(rng, dim, _, trials):
-    draws, b = _stack(trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
-    pair = moebius.pair_encode(_zpoints(draws))
-    comp = np.eye(dim) - pair.e
-    shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp)
-    lhs = moebius.boxplus(moebius.pair_decode(pair).u, b)
-    return spectra.operator_norm(lhs - moebius.pair_decode(shifted).u)
+def _pair_translation(rng, cfg):
+    for dim in _dims(cfg):
+        draws, b = _stack(cfg.trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
+        pair = moebius.pair_encode(_zpoints(draws))
+        comp = np.eye(dim) - pair.e
+        shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp)
+        lhs = moebius.boxplus(moebius.pair_decode(pair).u, b)
+        yield from spectra.operator_norm(lhs - moebius.pair_decode(shifted).u).tolist()
 
 
-def _zero_pair(cfg, dim):
-    return moebius.PairRep(e=np.zeros((dim, dim)), a=np.zeros((dim, dim))), cfg.tol
+def _qset_a2(rng, cfg):
+    for dim in _dims(cfg):
+
+        def draw():
+            kind = rng.integers(3)
+            return kind, random_hermitian(rng, dim) if kind == 1 else random_positive(rng, dim)
+
+        kind, b = _stack(cfg.trials * 4, draw)
+        planted = kind == 2  # plant a zero eigenvalue
+        b[planted] -= spectra.lambda_min(b)[planted, None, None] * np.eye(dim)
+        origin = moebius.PairRep(e=np.zeros((dim, dim)), a=np.zeros((dim, dim)))
+        in_qset = moebius.qset_contains(origin, b, tol=cfg.tol)
+        yield from (in_qset != (spectra.lambda_min(0.5 * (b + _H(b))) >= -cfg.tol)).tolist()
 
 
-@_sweep(trials=lambda t: t * 4, setup=_zero_pair, stacked=True)
-def _qset_a2(rng, dim, env, trials):
-    origin, tol = env
-
-    def draw():
-        kind = rng.integers(3)
-        return kind, random_hermitian(rng, dim) if kind == 1 else random_positive(rng, dim)
-
-    kind, b = _stack(trials, draw)
-    planted = kind == 2  # plant a zero eigenvalue
-    b[planted] -= spectra.lambda_min(b)[planted, None, None] * np.eye(dim)
-    in_qset = moebius.qset_contains(origin, b, tol=tol)
-    return in_qset != (spectra.lambda_min(0.5 * (b + _H(b))) >= -tol)
-
-
-@_sweep(stacked=True)
-def _separate_points(rng, dim, _, trials):
-    pairs = moebius.pair_encode(moebius.random_zpoint(rng, dim, size=2 * trials))
-    firsts, seconds = pairs[0::2], pairs[1::2]
-    one_point = firsts.close_to(seconds, tol=PAIR_TOL)
-    return [None if one_point[t] else _separate(firsts[t], seconds[t]) for t in range(trials)]
+def _separate_points(rng, cfg):
+    for dim in _dims(cfg):
+        pairs = moebius.pair_encode(moebius.random_zpoint(rng, dim, size=2 * cfg.trials))
+        firsts, seconds = pairs[0::2], pairs[1::2]
+        one_point = firsts.close_to(seconds, tol=PAIR_TOL)
+        yield from (None if one_point[t] else _separate(firsts[t], seconds[t]) for t in range(cfg.trials))
 
 
 def _separate(p1, p2):
@@ -347,37 +309,38 @@ def _sign_flipped_boxplus(u, b):
     return _right_solve(denom, numer)
 
 
-@_sweep(dims=lambda cfg: (3,), stacked=True)
-def _moebius_mutation(rng, dim, _, trials):
-    a, b = _stack(trials, lambda: (random_hermitian(rng, dim), random_hermitian(rng, dim)))
-    return spectra.operator_norm(_sign_flipped_boxplus(spectra.cayley(a), b) - spectra.cayley(a + b))
+def _moebius_mutation(rng, cfg):
+    a, b = _stack(cfg.trials, lambda: (random_hermitian(rng, 3), random_hermitian(rng, 3)))
+    yield from spectra.operator_norm(_sign_flipped_boxplus(spectra.cayley(a), b) - spectra.cayley(a + b)).tolist()
 
 
 # ---------------------------------------------------------------------------
 # jordan
 
 
-@_sweep(dims=lambda cfg: range(2, max(cfg.dim, 2) + 1), trials=lambda t: 1)
-def _closure_idempotent(rng, dim, _):
-    gens = [random_hermitian(rng, dim) for _ in range(2)]
-    alg = jordan.generate_algebra(gens, dim=dim)
-    again = jordan.generate_algebra(alg.basis, dim=dim)
-    broken = []
-    if alg.rank != again.rank:
-        broken.append(f"dim {dim}: rank {alg.rank} -> {again.rank}")
-    if any(not again.contains(b) for b in alg.basis):
-        broken.append(f"dim {dim}: containment broken")
-    return broken
+def _closure_idempotent(rng, cfg):
+    for dim in range(2, max(cfg.dim, 2) + 1):
+        gens = [random_hermitian(rng, dim) for _ in range(2)]
+        alg = jordan.generate_algebra(gens, dim=dim)
+        again = jordan.generate_algebra(alg.basis, dim=dim)
+        broken = []
+        if alg.rank != again.rank:
+            broken.append(f"dim {dim}: rank {alg.rank} -> {again.rank}")
+        if any(not again.contains(b) for b in alg.basis):
+            broken.append(f"dim {dim}: containment broken")
+        yield broken
 
 
-@_sweep(setup=lambda cfg, dim: jordan.hermitian_algebra(dim))
-def _cone_axioms(rng, dim, alg):
-    a = random_positive(rng, dim) + 0.1 * np.eye(dim)
-    b = random_positive(rng, dim) + 0.1 * np.eye(dim)
-    t = float(rng.uniform(0.1, 5.0))
-    bad = sum(jordan.classify(alg, p) != jordan.ConeClass.INTERIOR for p in (a, a + b, t * a))
-    eps = 0.5 * spectra.lambda_min(a)
-    return bad + (jordan.classify(alg, a - eps * np.eye(dim)) != jordan.ConeClass.INTERIOR)
+def _cone_axioms(rng, cfg):
+    for dim in _dims(cfg):
+        alg = jordan.hermitian_algebra(dim)
+        for _ in range(cfg.trials):
+            a = random_positive(rng, dim) + 0.1 * np.eye(dim)
+            b = random_positive(rng, dim) + 0.1 * np.eye(dim)
+            t = float(rng.uniform(0.1, 5.0))
+            bad = sum(jordan.classify(alg, p) != jordan.ConeClass.INTERIOR for p in (a, a + b, t * a))
+            eps = 0.5 * spectra.lambda_min(a)
+            yield bad + (jordan.classify(alg, a - eps * np.eye(dim)) != jordan.ConeClass.INTERIOR)
 
 
 def _broken_order(a, b):
@@ -510,17 +473,16 @@ def _random_symbol(rng, k, radius):
     return toeplitz.SymbolFunction(k=k, values=values)
 
 
-@_sweep(
-    dims=_no_dim, trials=lambda t: max(t // 4, 5), setup=lambda cfg, _: (toeplitz.trivial_action(1), max(cfg.n, 24))
-)
-def _symbol_product_interior(rng, _, env):
-    act, n = env
-    f = _random_symbol(rng, 1, 3)
-    h = _random_symbol(rng, 1, 3)
+def _symbol_product_interior(rng, cfg):
+    act = toeplitz.trivial_action(1)
+    n = max(cfg.n, 24)
     margin = 6
-    lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
-    rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
-    return float(np.linalg.norm(lhs.interior(margin) - rhs.interior(margin), 2))
+    for _ in range(max(cfg.trials // 4, 5)):
+        f = _random_symbol(rng, 1, 3)
+        h = _random_symbol(rng, 1, 3)
+        lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
+        rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
+        yield float(np.linalg.norm(lhs.interior(margin) - rhs.interior(margin), 2))
 
 
 def _adjoint_symbol(rng, cfg):
@@ -580,20 +542,31 @@ def _section_gap(s, t) -> float:
 
 
 def _groupoid_algebra(rng, cfg):
-    window = groupoid.Window(max_x=20, max_g=14)
+    # supports stay in units 0..8 with |g| <= 4, so products and R_2-shifts
+    # stay in units 0..12 and the Lambda identities are exact at n = 14
+    n = 14
+    window = groupoid.Window(max_x=20, max_g=n)
     for act in _groupoid_actions(rng):
+        v2_adjoint = toeplitz.isometry_V(2, n, act.k).adjoint()
         for _ in range(max(cfg.trials // 2, 10)):
             phi = _random_section(rng, act, window, points=4, x_bound=8, g_bound=4)
             psi = _random_section(rng, act, window, points=4, x_bound=8, g_bound=4)
             chi = _random_section(rng, act, window, points=3, x_bound=8, g_bound=4)
-            lhs = groupoid.convolve(groupoid.convolve(phi, psi), chi)
+            phi_psi = groupoid.convolve(phi, psi)
+            phi_star = groupoid.involute(phi)
+            lhs = groupoid.convolve(phi_psi, chi)
             rhs = groupoid.convolve(phi, groupoid.convolve(psi, chi))
             associativity = _section_gap(lhs, rhs)
             bound = groupoid.i_norm(phi) * groupoid.i_norm(psi) + ALGEBRA_TOL
-            banach = groupoid.i_norm(groupoid.convolve(phi, psi)) > bound
-            isometry = abs(groupoid.i_norm(groupoid.involute(phi)) - groupoid.i_norm(phi)) > ALGEBRA_TOL
-            involution = _section_gap(phi, groupoid.involute(groupoid.involute(phi)))
-            yield _worst((associativity, involution)), banach, isometry
+            banach = groupoid.i_norm(phi_psi) > bound
+            isometry = abs(groupoid.i_norm(phi_star) - groupoid.i_norm(phi)) > ALGEBRA_TOL
+            involution = _section_gap(phi, groupoid.involute(phi_star))
+            # the twist: Lambda is a *-homomorphism that intertwines R_2 with V_2*
+            lam_phi = groupoid.lambda_rep(phi, n)
+            multiplicative = (groupoid.lambda_rep(phi_psi, n) - lam_phi @ groupoid.lambda_rep(psi, n)).norm()
+            adjoint = (groupoid.lambda_rep(phi_star, n) - lam_phi.adjoint()).norm()
+            shift = (groupoid.lambda_rep(groupoid.shift_R(2, phi), n) - v2_adjoint @ lam_phi).norm()
+            yield _worst((associativity, involution, multiplicative, adjoint, shift)), banach, isometry
 
 
 def _lambda_bound(rng, cfg):
@@ -616,20 +589,17 @@ def _central_identity(rng, cfg):
             yield float(np.max(np.abs(lhs.blocks - rhs.blocks)))
 
 
-def _star_hom_setup(cfg, _):
+def _star_hom_interior(rng, cfg):
     n = max(cfg.n, 16)
-    return n, groupoid.Window(max_x=2 * n, max_g=2 * n), toeplitz.trivial_action(1)
-
-
-@_sweep(dims=_no_dim, trials=lambda t: max(t // 4, 5), setup=_star_hom_setup)
-def _star_hom_interior(rng, _, env):
-    n, window, act = env
-    phi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
-    psi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
-    margin = int(np.abs(np.nonzero(phi.support() | psi.support())[1] - window.max_g).max())  # <= 4 < n / 2
-    lhs = groupoid.lambda_rep(groupoid.convolve(phi, psi), n)
-    rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
-    return float(np.linalg.norm(lhs.interior(margin) - rhs.interior(margin), 2))
+    window = groupoid.Window(max_x=2 * n, max_g=2 * n)
+    act = toeplitz.trivial_action(1)
+    for _ in range(max(cfg.trials // 4, 5)):
+        phi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
+        psi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
+        margin = int(np.abs(np.nonzero(phi.support() | psi.support())[1] - window.max_g).max())  # <= 4 < n / 2
+        lhs = groupoid.lambda_rep(groupoid.convolve(phi, psi), n)
+        rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
+        yield float(np.linalg.norm(lhs.interior(margin) - rhs.interior(margin), 2))
 
 
 def _units_agree(rng, cfg):
@@ -637,19 +607,16 @@ def _units_agree(rng, cfg):
         yield sum(groupoid.in_groupoid(x, g) != fell.omega_qset(fell.discrete(x), g) for g in range(-15, 16))
 
 
-def _shift_setup(cfg, _):
-    return groupoid.Window(max_x=14, max_g=14), toeplitz.trivial_action(1)
-
-
-@_sweep(dims=_no_dim, trials=lambda t: max(t // 2, 10), setup=_shift_setup)
-def _shift_laws(rng, _, env):
-    window, act = env
-    # support kept small enough that composed shifts stay in-window
-    psi = _random_section(rng, act, window, points=4, x_bound=6, g_bound=4)
-    identity = _section_gap(psi, groupoid.shift_R(0, psi))
-    a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-    lhs = groupoid.shift_R(a, groupoid.shift_R(b, psi))
-    return _worst((identity, _section_gap(lhs, groupoid.shift_R(a + b, psi))))
+def _shift_laws(rng, cfg):
+    window = groupoid.Window(max_x=14, max_g=14)
+    act = toeplitz.trivial_action(1)
+    for _ in range(max(cfg.trials // 2, 10)):
+        # support kept small enough that composed shifts stay in-window
+        psi = _random_section(rng, act, window, points=4, x_bound=6, g_bound=4)
+        identity = _section_gap(psi, groupoid.shift_R(0, psi))
+        a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        lhs = groupoid.shift_R(a, groupoid.shift_R(b, psi))
+        yield _worst((identity, _section_gap(lhs, groupoid.shift_R(a + b, psi))))
 
 
 def _hat_laws(rng, cfg):
@@ -679,88 +646,88 @@ def _kernel_member(f: "fibers.PiecewisePoly", cut: float) -> "fibers.PiecewisePo
     return fibers.PiecewisePoly.from_breakpoints(breaks, np.where(breaks <= cut + 1e-15, 0.0, f(breaks)))
 
 
-@_sweep(dims=_no_dim, trials=lambda t: max(t * 2, 40))
-def _kernel_identity(rng, _, cfg):
-    n = int(rng.integers(0, 11))
-    f = fibers.random_dyadic_pl(rng, level=4)
-    cut = 2.0 ** (-n)
-    member = _kernel_member(f, cut)
-    # Ker(alpha_n) -> ideal: the flattened function is in both
-    bad = (not fibers.ideal_contains(n, member, tol=cfg.tol)) + (member.sup_abs(cut) > cfg.tol)
-    # ideal -> Ker(alpha_n): production membership against the direct-sup oracle
-    return bad + (fibers.ideal_contains(n, f, tol=cfg.tol) != (f.sup_abs(cut) <= cfg.tol))
+def _kernel_identity(rng, cfg):
+    for _ in range(max(cfg.trials * 2, 40)):
+        n = int(rng.integers(0, 11))
+        f = fibers.random_dyadic_pl(rng, level=4)
+        cut = 2.0 ** (-n)
+        member = _kernel_member(f, cut)
+        # Ker(alpha_n) -> ideal: the flattened function is in both
+        bad = (not fibers.ideal_contains(n, member, tol=cfg.tol)) + (member.sup_abs(cut) > cfg.tol)
+        # ideal -> Ker(alpha_n): production membership against the direct-sup oracle
+        yield bad + (fibers.ideal_contains(n, f, tol=cfg.tol) != (f.sup_abs(cut) <= cfg.tol))
 
 
-@_sweep(dims=_no_dim, trials=lambda t: max(t, 30))
-def _quotient_oracle(rng, _, cfg):
-    f = fibers.random_dyadic_pl(rng, level=4)
-    gaps = [abs(fibers.quotient_norm(n, f) - f.sup_abs(2.0 ** (-n))) for n in range(0, 11)]
-    return _worst(gaps + [abs(fibers.quotient_norm(INF, f) - abs(f(0.0)))])
+def _quotient_oracle(rng, cfg):
+    for _ in range(max(cfg.trials, 30)):
+        f = fibers.random_dyadic_pl(rng, level=4)
+        gaps = [abs(fibers.quotient_norm(n, f) - f.sup_abs(2.0 ** (-n))) for n in range(0, 11)]
+        yield _worst(gaps + [abs(fibers.quotient_norm(INF, f) - abs(f(0.0)))])
 
 
-@_sweep(dims=_no_dim, trials=lambda t: max(t, 30))
-def _cstar_seminorm(rng, _, cfg):
-    x = fibers.random_dyadic_pl(rng, level=3)
-    y = fibers.random_dyadic_pl(rng, level=3)
-    bad = 0
-    for p in [0, 1, 3, 7, INF]:
-        qx = fibers.quotient_norm(p, x)
-        qy = fibers.quotient_norm(p, y)
-        bad += fibers.quotient_norm(p, x + y) > qx + qy + SEMINORM_TOL
-        bad += fibers.quotient_norm(p, x * y) > qx * qy + SEMINORM_TOL
-        bad += abs(fibers.quotient_norm(p, x.star() * x) - qx * qx) > SEMINORM_TOL
-    return bad
+def _cstar_seminorm(rng, cfg):
+    for _ in range(max(cfg.trials, 30)):
+        x = fibers.random_dyadic_pl(rng, level=3)
+        y = fibers.random_dyadic_pl(rng, level=3)
+        bad = 0
+        for p in [0, 1, 3, 7, INF]:
+            qx = fibers.quotient_norm(p, x)
+            qy = fibers.quotient_norm(p, y)
+            bad += fibers.quotient_norm(p, x + y) > qx + qy + SEMINORM_TOL
+            bad += fibers.quotient_norm(p, x * y) > qx * qy + SEMINORM_TOL
+            bad += abs(fibers.quotient_norm(p, x.star() * x) - qx * qx) > SEMINORM_TOL
+        yield bad
 
 
-@_sweep(dims=_no_dim, trials=lambda t: max(t, 20))
-def _usc_infinity(rng, _, cfg):
-    f = fibers.random_dyadic_pl(rng, level=4)
-    limit = fibers.quotient_norm(INF, f)
-    values = [fibers.quotient_norm(n, f) for n in range(0, 41, 5)]
-    # the sequence must be nonincreasing for this action
-    rising = any(values[i] < values[i + 1] - ROUNDING_TOL for i in range(len(values) - 1))
-    return rising + (values[-1] > limit + cfg.tol)
+def _usc_infinity(rng, cfg):
+    for _ in range(max(cfg.trials, 20)):
+        f = fibers.random_dyadic_pl(rng, level=4)
+        limit = fibers.quotient_norm(INF, f)
+        values = [fibers.quotient_norm(n, f) for n in range(0, 41, 5)]
+        # the sequence must be nonincreasing for this action
+        rising = any(values[i] < values[i + 1] - ROUNDING_TOL for i in range(len(values) - 1))
+        yield rising + (values[-1] > limit + cfg.tol)
 
 
-@_sweep(dims=_no_dim, trials=lambda t: max(t, 20))
-def _fiber_action(rng, _, cfg):
-    f = fibers.random_dyadic_pl(rng, level=3)
-    g = int(rng.integers(-5, 6))
-    xv = int(rng.integers(max(0, -g), 8))
-    q = fibers.QuotientElement(x=xv + g, rep=f)
-    base = fibers.fiber_action(xv, g, q)
-    gaps = []
-    for extra in (1, 2, 3):
-        a, b = max(g, 0) + extra, max(-g, 0) + extra
-        other = fibers.fiber_action(xv, g, q, decomposition=(a, b))
-        gaps.append(fibers.quotient_norm(xv, base.rep - other.rep))
-    return _worst(gaps), abs(base.seminorm - q.seminorm) > ALGEBRA_TOL
+def _fiber_action(rng, cfg):
+    for _ in range(max(cfg.trials, 20)):
+        f = fibers.random_dyadic_pl(rng, level=3)
+        g = int(rng.integers(-5, 6))
+        xv = int(rng.integers(max(0, -g), 8))
+        q = fibers.QuotientElement(x=xv + g, rep=f)
+        base = fibers.fiber_action(xv, g, q)
+        gaps = []
+        for extra in (1, 2, 3):
+            a, b = max(g, 0) + extra, max(-g, 0) + extra
+            other = fibers.fiber_action(xv, g, q, decomposition=(a, b))
+            gaps.append(fibers.quotient_norm(xv, base.rep - other.rep))
+        yield _worst(gaps), abs(base.seminorm - q.seminorm) > ALGEBRA_TOL
 
 
-@_sweep(dims=_no_dim, trials=lambda t: max(t // 2, 10))
-def _dilation(rng, _, cfg):
-    broken = []
-    x = fibers.random_trig(rng)
-    if not fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(1, x.dilate(1))):
-        broken.append("defining identification broken")
-    y = fibers.random_trig(rng)
-    if fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(0, x + y)) and y.coeffs:
-        broken.append("distinct payloads compared equal")
-    # alpha_5 is isometric: the certified brackets [grid max, norm] of x and alpha_5(x) must overlap
-    x5 = x.dilate(5)
-    if max(x.grid_max(), x5.grid_max()) > min(x.norm(), x5.norm()) + ALGEBRA_TOL:
-        broken.append("level promotion changed the norm")
-    # fibers over finite points collapse to a single payload at that level
-    supp = {g: complex(rng.standard_normal(), rng.standard_normal()) for g in range(-3, 4)}
-    cert = fibers.fiber_section_F(x, supp, 3)
-    if cert.element.level > 3 or not cert.check():
-        broken.append("certificate failed")
-    cert_inf = fibers.fiber_section_F(x, supp, INF)
-    if not cert_inf.check():
-        broken.append("infinite-fiber certificate failed")
-    if not all(g <= 5 for g, _ in cert.witnesses):  # monotone into larger fibers
-        broken.append("monotonicity broken")
-    return broken
+def _dilation(rng, cfg):
+    for _ in range(max(cfg.trials // 2, 10)):
+        broken = []
+        x = fibers.random_trig(rng)
+        if not fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(1, x.dilate(1))):
+            broken.append("defining identification broken")
+        y = fibers.random_trig(rng)
+        if fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(0, x + y)) and y.coeffs:
+            broken.append("distinct payloads compared equal")
+        # alpha_5 is isometric: the certified brackets [grid max, norm] of x and alpha_5(x) must overlap
+        x5 = x.dilate(5)
+        if max(x.grid_max(), x5.grid_max()) > min(x.norm(), x5.norm()) + ALGEBRA_TOL:
+            broken.append("level promotion changed the norm")
+        # fibers over finite points collapse to a single payload at that level
+        supp = {g: complex(rng.standard_normal(), rng.standard_normal()) for g in range(-3, 4)}
+        cert = fibers.fiber_section_F(x, supp, 3)
+        if cert.element.level > 3 or not cert.check():
+            broken.append("certificate failed")
+        cert_inf = fibers.fiber_section_F(x, supp, INF)
+        if not cert_inf.check():
+            broken.append("infinite-fiber certificate failed")
+        if not all(g <= 5 for g, _ in cert.witnesses):  # monotone into larger fibers
+            broken.append("monotonicity broken")
+        yield broken
 
 
 def _fibers_mutation(rng, cfg):
@@ -887,7 +854,8 @@ CASES = {
         Case(
             "groupoid.algebra",
             _groupoid_algebra,
-            "associativity/involution; {1} Banach violations, {2} isometry violations",
+            "associativity/involution, Lambda(phi*psi) = Lambda(phi)Lambda(psi), Lambda(phi*) = Lambda(phi)*, "
+            "Lambda(R_2 phi) = V_2* Lambda(phi); {1} Banach violations, {2} isometry violations",
             "bounded",
             ALGEBRA_TOL,
         ),
@@ -1013,11 +981,9 @@ def run(cfg: SuiteConfig, inject_failure: bool = False) -> dict:
     cases.sort(key=lambda c: c.name)
     wall = time.perf_counter() - start
 
-    config_echo = asdict(cfg)
-    config_echo.pop("out", None)  # where the report goes is not what was computed
     report = {
         "suite": cfg.suite,
-        "config": config_echo,
+        "config": asdict(cfg),
         "cases": [c.as_dict() for c in cases],
     }
     return {"report": report, "wall_time": wall, "failed": any(c.status == "fail" for c in cases)}

@@ -209,15 +209,20 @@ class TruncatedOperator:
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(self.n, self.k, self.blocks.transpose(1, 0, 3, 2).conj())
 
-    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+    def _same_shape(self, other: "TruncatedOperator") -> None:
         if (self.n, self.k) != (other.n, other.k):
             raise InputValidationError("operator shapes disagree")
+
+    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+        self._same_shape(other)
         return TruncatedOperator.from_matrix(self.n, self.k, self.matrix @ other.matrix)
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+        self._same_shape(other)
         return TruncatedOperator(self.n, self.k, self.blocks + other.blocks)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+        self._same_shape(other)
         return TruncatedOperator(self.n, self.k, self.blocks - other.blocks)
 
     def norm(self) -> float:

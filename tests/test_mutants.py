@@ -1,0 +1,64 @@
+"""Kernel-mutant catalogue: planted one-line faults the suite cases must flag.
+
+Each row names a kernel function, one line of its source and the edit that
+plants the fault, a case and the verdict that case must give at seeds 0-2.
+The mutant is the function's own source with that one edit, compiled into a
+copy of the module's namespace and monkeypatched over the original, so the
+suites call it where they call the kernel.  A row with no edit runs the
+unpatched kernel: the case must pass at the same seeds.
+"""
+
+import inspect
+
+import pytest
+
+from whlab import groupoid, suites
+
+SEEDS = range(3)
+
+MUTANTS = [
+    pytest.param(None, None, None, "groupoid.algebra", "pass", id="unpatched"),
+    # the crossed-product twist: alpha inside convolve, involute and shift_R
+    pytest.param(
+        groupoid.convolve,
+        "act.alpha(np.full(hi - lo, t), psi.values[src, lo:hi])",
+        "psi.values[src, lo:hi]",
+        "groupoid.algebra",
+        "fail",
+        id="untwisted-convolve",
+    ),
+    pytest.param(
+        groupoid.involute,
+        "phi.action.alpha(np.full(rows.size, s), adjoints)",
+        "adjoints",
+        "groupoid.algebra",
+        "fail",
+        id="untwisted-involute",
+    ),
+    pytest.param(
+        groupoid.shift_R,
+        "psi.action.alpha(np.full(rows.size, a), psi.values[rows, cols])",
+        "psi.values[rows, cols]",
+        "groupoid.algebra",
+        "fail",
+        id="untwisted-shift_R",
+    ),
+]
+
+
+def _mutant(func, line, edit):
+    """func recompiled from its source with `line` replaced by `edit`."""
+    source = inspect.getsource(func)
+    assert source.count(line) == 1, f"{func.__name__} no longer holds {line!r}"
+    namespace = dict(vars(inspect.getmodule(func)))
+    exec(compile(source.replace(line, edit), inspect.getsourcefile(func), "exec"), namespace)
+    return namespace[func.__name__]
+
+
+@pytest.mark.parametrize("func, line, edit, case, verdict", MUTANTS)
+def test_case_verdict_under_mutant(monkeypatch, func, line, edit, case, verdict):
+    if func is not None:
+        monkeypatch.setattr(inspect.getmodule(func), func.__name__, _mutant(func, line, edit))
+    suite = case.split(".")[0]
+    statuses = [suites.run_case(suites.CASES[case], suites.SuiteConfig(suite=suite, seed=seed)).status for seed in SEEDS]
+    assert statuses == [verdict] * len(SEEDS)

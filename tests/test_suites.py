@@ -1,5 +1,6 @@
 """Suite driver smoke tests: every named suite runs green and deterministically."""
 
+import inspect
 import math
 
 import numpy as np
@@ -80,11 +81,11 @@ def test_sweep_case_records_dim_times_trials_draws():
 @pytest.mark.parametrize("kind, good", [("bounded", 0.0), ("margin", 1.0), ("mutant", 1.0), ("count", 0)])
 def test_nan_in_a_stacked_draw_fails_its_case(kind, good):
     def case(nan_dim):
-        @suites._sweep(stacked=True)
-        def draw(rng, dim, env, trials):
-            values = np.full(trials, good, dtype=float)
-            values[-1] = math.nan if dim == nan_dim else good
-            return values
+        def draw(rng, cfg):
+            for dim in suites._dims(cfg):
+                values = np.full(cfg.trials, good, dtype=float)
+                values[-1] = math.nan if dim == nan_dim else good
+                yield from values.tolist()
 
         return suites.Case("demo.nan", draw, "", kind, 0.5)
 
@@ -96,9 +97,9 @@ def test_nan_in_a_stacked_draw_fails_its_case(kind, good):
 
 
 def test_stacked_draw_drops_skipped_trials_and_sums_tallies():
-    @suites._sweep(stacked=True)
-    def draw(rng, dim, env, trials):
-        return [None, (0, 1), (0, 2)][:trials]
+    def draw(rng, cfg):
+        for _ in suites._dims(cfg):
+            yield from [None, (0, 1), (0, 2)][: cfg.trials]
 
     case = suites.Case("demo.skip", draw, "{0} bad, {1} tallied", "count")
     result = suites.run_case(case, suites.SuiteConfig(suite="demo", dim=2, trials=3))
@@ -108,9 +109,10 @@ def test_stacked_draw_drops_skipped_trials_and_sums_tallies():
 @pytest.mark.parametrize("kind, good", [("bounded", 0.0), ("margin", 1.0), ("mutant", 1.0), ("count", 0)])
 def test_nan_draw_fails_its_case(kind, good):
     def case(nan_dim):
-        @suites._sweep()
-        def draw(rng, dim, env):
-            return math.nan if dim == nan_dim else good
+        def draw(rng, cfg):
+            for dim in suites._dims(cfg):
+                for _ in range(cfg.trials):
+                    yield math.nan if dim == nan_dim else good
 
         return suites.Case("demo.nan", draw, "", kind, 0.5)
 
@@ -119,6 +121,11 @@ def test_nan_draw_fails_its_case(kind, good):
     for nan_dim in (1, 2, 3):
         result = suites.run_case(case(nan_dim), cfg)
         assert (result.status, result.draws) == ("fail", 6)
+
+
+def test_every_case_draw_is_a_generator():
+    # one draw protocol: run_case iterates draw(rng, cfg) and nothing else
+    assert [name for name, case in suites.CASES.items() if not inspect.isgeneratorfunction(case.draw)] == []
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))

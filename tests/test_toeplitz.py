@@ -4,6 +4,8 @@ Oracle for the conjugation action: alpha_a(x) = u^a x (u*)^a computed by
 direct a-fold multiplication, independent of the vectorized generator path.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,15 @@ def test_truncated_operator_roundtrip(rng):
     back = TruncatedOperator.from_matrix(2, 2, op.matrix)
     assert np.allclose(op.blocks, back.blocks)
     assert np.allclose(op.adjoint().matrix, op.matrix.conj().T)
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (3, 2)], ids=["other-n", "other-k"])
+def test_operator_arithmetic_rejects_another_shape(n, k):
+    # numpy alone would broadcast a 1x1 block grid or 1x1 blocks over the other operand
+    op = TruncatedOperator.identity(3, 1)
+    for combine in (operator.add, operator.sub, operator.matmul):
+        with pytest.raises(InputValidationError, match="shapes disagree"):
+            combine(op, TruncatedOperator.identity(n, k))
 
 
 def test_symbol_validation():
