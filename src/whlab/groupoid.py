@@ -193,18 +193,21 @@ def lambda_rep(phi: GroupoidSection, n: int) -> TruncatedOperator:
     """Truncated matrix of the induced representation at the base point 0.
 
     Row b, column a carries alpha_b(phi(b, a - b)) for b, a in {0..N}; the
-    section's window must certify the whole sampled triangle.  The blocks are
-    one gather of the section's cells, and alpha_b runs on the nonzero ones,
-    read off one power table.
+    section's window must certify the whole sampled triangle.  Each section
+    column g with a nonzero cell in the triangle gives the band at offset -g,
+    whose row b holds alpha_b(phi(b, g)), read off one power table.
     """
     window = phi.window
     if window.max_x < n or window.max_g < n:
         raise WindowOverflowError(f"window (max_x={window.max_x}, max_g={window.max_g}) cannot certify N={n}")
-    b = np.arange(n + 1)[:, None]
-    blocks = phi.values[b, b.T - b + window.max_g]
-    rows, cols = np.nonzero(np.any(blocks, axis=(-2, -1)))
-    blocks[rows, cols] = phi.action.alpha(rows, blocks[rows, cols])
-    return TruncatedOperator(n, phi.action.k, blocks)
+    cells = phi.values[: n + 1, window.max_g - n : window.max_g + n + 1]  # column j holds g = j - n
+    bands = {}
+    for j in np.flatnonzero(np.any(cells, axis=(0, 2, 3))):
+        g = int(j) - n
+        band = cells[max(0, -g) : n + 1 - max(g, 0), j]
+        if band.any():
+            bands[-g] = band
+    return TruncatedOperator.twisted(n, phi.action, bands)
 
 
 def shift_R(a: int, psi: GroupoidSection) -> GroupoidSection:

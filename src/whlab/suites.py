@@ -444,8 +444,9 @@ def _isometry_laws(rng, cfg):
         wide = toeplitz.isometry_V(a, n + a, k)
         yield ((wide.adjoint() @ wide).subwindow(n) - identity(n, k)).norm()
     v1 = toeplitz.isometry_V(1, n, k)
-    proj0 = toeplitz.TruncatedOperator.zeros(n, k)
-    proj0.blocks[0, 0] = np.eye(k)
+    unit0 = np.zeros((n + 1, k, k))
+    unit0[0] = np.eye(k)
+    proj0 = toeplitz.TruncatedOperator(n, k, {0: unit0})
     yield ((v1 @ v1.adjoint()) - (identity(n, k) - proj0)).norm()
     for a in range(0, 4):
         for b in range(0, 4):
@@ -486,14 +487,13 @@ def _symbol_product_interior(rng, cfg):
 
 
 def _adjoint_symbol(rng, cfg):
+    # compressing an adjoint gives the adjoint of the compression: no boundary term
     n = max(cfg.n, 24)
-    margin = 3
     for act in _toeplitz_actions(rng):
         for _ in range(max(cfg.trials // 8, 3)):
             f = _random_symbol(rng, act.k, 3)
-            lhs = toeplitz.wiener_hopf(f, act, n).adjoint().interior(margin)
-            rhs = toeplitz.wiener_hopf(f.twisted_reflection(act), act, n).interior(margin)
-            yield float(np.linalg.norm(lhs - rhs, 2))
+            lhs = toeplitz.wiener_hopf(f, act, n).adjoint()
+            yield (lhs - toeplitz.wiener_hopf(f.twisted_reflection(act), act, n)).norm()
 
 
 def _toeplitz_mutation(rng, cfg):
@@ -578,6 +578,11 @@ def _lambda_bound(rng, cfg):
             yield groupoid.lambda_rep(phi, n).norm() > groupoid.i_norm(phi) + ALGEBRA_TOL
 
 
+def _entrywise_gap(lhs, rhs) -> float:
+    """The largest entry of |lhs - rhs|, read band by band."""
+    return max((float(np.abs(band).max()) for band in (lhs - rhs).bands.values()), default=0.0)
+
+
 def _central_identity(rng, cfg):
     n = max(cfg.n, 16)
     window = groupoid.Window(max_x=n, max_g=n)
@@ -586,7 +591,7 @@ def _central_identity(rng, cfg):
             f = _random_symbol(rng, act.k, 8)
             lhs = groupoid.lambda_rep(groupoid.lift_symbol(f, window, act), n)
             rhs = toeplitz.wiener_hopf(groupoid.hat_symbol(f), act, n)
-            yield float(np.max(np.abs(lhs.blocks - rhs.blocks)))
+            yield _entrywise_gap(lhs, rhs)
 
 
 def _star_hom_interior(rng, cfg):
@@ -633,7 +638,7 @@ def _groupoid_mutation(rng, cfg):
     lifted = groupoid.lift_symbol(f, window, act)
     lhs = groupoid.lambda_rep(lifted, n)
     rhs = toeplitz.wiener_hopf(f, act, n)  # hat skipped: no reflection
-    yield float(np.max(np.abs(lhs.blocks - rhs.blocks)))
+    yield _entrywise_gap(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -840,9 +845,9 @@ CASES = {
         Case(
             "toeplitz.adjoint_symbol",
             _adjoint_symbol,
-            "W_f* = W_{{f reflected}} on interior blocks",
+            "W_f* = W_{{f reflected}} on the whole window",
             "bounded",
-            INTERIOR_TOL,
+            ROUNDING_TOL,
         ),
         Case(
             "toeplitz.mutation_shift_direction",

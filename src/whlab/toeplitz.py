@@ -1,15 +1,24 @@
 """Truncated Wiener-Hopf operators for the discrete model P = N inside Z.
 
-Operators live on l^2({0..N}) tensor M_k and are stored as (N+1) x (N+1)
-arrays of k x k blocks.  The generators are
+Operators live on l^2({0..N}) tensor M_k and are stored by diagonals: a map
+from each offset o = row - col that carries a block to the (N+1-|o|, k, k)
+stack of the blocks on that diagonal.  The generators are all banded:
 
-* ``rep_pi(x)``      block diagonal with alpha_m(x) at position m,
-* ``isometry_V(a)``  the block shift (V_a xi)(m) = xi(m - a),
+* ``rep_pi(x)``      the band 0 with alpha_m(x) at position m,
+* ``isometry_V(a)``  the block shift (V_a xi)(m) = xi(m - a), the band a,
 * ``wiener_hopf(f)`` the twisted Toeplitz operator with block
-                     alpha_m(f(g)) at row m, column m - g.
+                     alpha_m(f(g)) at row m, column m - g: one band per
+                     point g of the symbol's support.
+
+Products, adjoints, sums and compressions act band by band.  The spectral
+norm of a one-band operator is its largest block norm, because such an
+operator sends distinct columns to distinct rows and so is the direct sum of
+its blocks; with two or more bands the norm takes the SVD of the assembled
+matrix.
 
 Every alpha_m, here and in the groupoid module, is read off one power table:
-the stack G^0..G^n that ``EndomorphismAction.powers`` builds by n products.
+the stack G^0..G^n that ``EndomorphismAction.powers`` keeps on the action and
+extends by one product per new power.
 
 Truncation convention: a TruncatedOperator is the compression of the
 corresponding operator on l^2(N).  Identities about composites (covariance,
@@ -28,6 +37,7 @@ symbol needed for adjoints lives in the groupoid module's hat map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -62,13 +72,18 @@ class EndomorphismAction:
     injective: bool = field(init=False)
 
     def __post_init__(self):
-        self.generator = np.asarray(self.generator, dtype=np.complex128)
+        # read-only copies, so that no edit can leave the power tables stale
+        self.generator = np.array(self.generator, dtype=np.complex128)
         kk = self.k * self.k
         if self.generator.shape != (kk, kk):
             raise InputValidationError(f"generator must be {kk}x{kk}")
         self._validate_star_hom()
         self.injective = bool(np.linalg.matrix_rank(self.generator, tol=1e-9) == kk)
         self._inverse = np.linalg.inv(self.generator) if self.injective else None
+        for base in (self.generator, self._inverse):
+            if base is not None:
+                base.setflags(write=False)
+        self._tables = {sign: np.eye(kk, dtype=np.complex128)[None] for sign in (False, True)}
 
     def _validate_star_hom(self):
         # the image of the matrix unit e_ij is column i*k + j of the generator
@@ -83,15 +98,21 @@ class EndomorphismAction:
             raise InputValidationError("generator is not multiplicative")
 
     def powers(self, n: int, inverse: bool = False) -> np.ndarray:
-        """G^0..G^n for the generator G (its inverse with ``inverse``), stacked by n products."""
+        """G^0..G^n for the generator G (its inverse with ``inverse``): a read-only
+        view of the action's table, which grows on demand by one product per
+        new power, so an entry never depends on when it was first asked for."""
         if inverse and self._inverse is None:
             raise InputValidationError("negative powers need an automorphic action")
-        base = self._inverse if inverse else self.generator
-        table = np.empty((n + 1,) + base.shape, dtype=np.complex128)
-        table[0] = np.eye(len(base))
-        for m in range(n):
-            np.matmul(base, table[m], out=table[m + 1])
-        return table
+        table = self._tables[inverse]
+        if len(table) <= n:
+            base = self._inverse if inverse else self.generator
+            grown = np.empty((n + 1,) + base.shape, dtype=np.complex128)
+            grown[: len(table)] = table
+            for m in range(len(table) - 1, n):
+                np.matmul(base, grown[m], out=grown[m + 1])
+            grown.setflags(write=False)
+            self._tables[inverse] = table = grown
+        return table[: n + 1]
 
     def alpha(self, ms, xs) -> np.ndarray:
         """alpha_m(x) for a stack of exponents ms, all of one sign, and a matching
@@ -105,11 +126,12 @@ class EndomorphismAction:
             raise InputValidationError(f"expected {self.k}x{self.k} matrices") from exc
         if xs.shape not in ((self.k, self.k), ms.shape + (self.k, self.k)):
             raise InputValidationError(f"expected a {self.k}x{self.k} matrix")
-        negative = bool(np.any(ms < 0))
-        if negative and np.any(ms > 0):
+        lo, hi = int(ms.min(initial=0)), int(ms.max(initial=0))
+        if lo < 0 < hi:
             raise InputValidationError("exponents of both signs need two tables")
-        table = self.powers(int(np.max(np.abs(ms), initial=0)), inverse=negative)
-        vecs = np.broadcast_to(xs, ms.shape + (self.k, self.k)).reshape(ms.shape + (self.k * self.k, 1))
+        table = self.powers(max(hi, -lo), inverse=lo < 0)
+        # one value broadcasts over the stack of powers inside the product
+        vecs = xs.reshape(xs.shape[:-2] + (self.k * self.k, 1))
         return (table[np.abs(ms)] @ vecs).reshape(ms.shape + (self.k, self.k))
 
 
@@ -169,31 +191,74 @@ class SymbolFunction:
         return SymbolFunction(self.k, out)
 
 
+def _block_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for two stacks of k x k blocks, summed over the inner index
+    one term at a time: for small k this beats np.matmul, which makes one
+    BLAS call per complex block."""
+    out = a[:, :, :1] * b[:, :1]
+    for j in range(1, a.shape[-1]):
+        out += a[:, :, j : j + 1] * b[:, j : j + 1]
+    return out
+
+
+def _diagonal(cells: np.ndarray, n: int, o: int) -> np.ndarray:
+    """The view of band o in the row-major stack of the (N+1)^2 cells of a
+    window: cell (row, col) is entry row (N+1) + col, so a diagonal steps by N+2."""
+    return cells[max(o, 0) * (n + 1) + max(-o, 0) :: n + 2][: n + 1 - abs(o)]
+
+
 @dataclass
 class TruncatedOperator:
-    """Compression of an operator on l^2(N) tensor M_k to positions {0..N}."""
+    """Compression of an operator on l^2(N) tensor M_k to positions {0..N},
+    stored by diagonals: ``bands`` maps an offset o = row - col to the
+    (N+1-|o|, k, k) stack of the blocks on that diagonal, the block of cell
+    (row, col) at index min(row, col).  An offset with no band is zero."""
 
     n: int
     k: int
-    blocks: np.ndarray
+    bands: dict
 
     def __post_init__(self):
-        self.blocks = np.asarray(self.blocks, dtype=np.complex128)
-        expected = (self.n + 1, self.n + 1, self.k, self.k)
-        if self.blocks.shape != expected:
-            raise InputValidationError(f"blocks must have shape {expected}")
-        if not (np.all(np.isfinite(self.blocks.real)) and np.all(np.isfinite(self.blocks.imag))):
-            raise InputValidationError("non-finite block entries")
+        cleaned = {}
+        for o, band in self.bands.items():
+            o = int(o)
+            if abs(o) > self.n:
+                raise InputValidationError(f"band offset {o} outside -{self.n}..{self.n}")
+            band = np.asarray(band, dtype=np.complex128)
+            expected = (self.n + 1 - abs(o), self.k, self.k)
+            if band.shape != expected:
+                raise InputValidationError(f"band {o} must have shape {expected}")
+            if not np.isfinite(band).all():
+                raise InputValidationError("non-finite block entries")
+            cleaned[o] = band
+        self.bands = cleaned
 
     @classmethod
     def zeros(cls, n: int, k: int) -> "TruncatedOperator":
-        return cls(n, k, np.zeros((n + 1, n + 1, k, k), dtype=np.complex128))
+        return cls(n, k, {})
 
     @classmethod
     def identity(cls, n: int, k: int) -> "TruncatedOperator":
-        out = cls.zeros(n, k)
-        for m in range(n + 1):
-            out.blocks[m, m] = np.eye(k)
+        return cls(n, k, {0: np.broadcast_to(np.eye(k, dtype=np.complex128), (n + 1, k, k))})
+
+    @classmethod
+    def twisted(cls, n: int, act: EndomorphismAction, values: dict) -> "TruncatedOperator":
+        """The operator whose band o holds alpha_r(x) for each value x of the
+        stack values[o], r the row of its block; one alpha call for all bands."""
+        if not values:
+            return cls.zeros(n, act.k)
+        rows = np.concatenate([np.arange(max(o, 0), n + 1 + min(o, 0)) for o in values])
+        blocks = act.alpha(rows, np.concatenate(list(values.values())))
+        ends = accumulate(n + 1 - abs(o) for o in values)
+        return cls(n, act.k, {o: blocks[end - n - 1 + abs(o) : end] for o, end in zip(values, ends)})
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The dense (N+1, N+1, k, k) array of blocks, assembled from the bands."""
+        out = np.zeros((self.n + 1, self.n + 1, self.k, self.k), dtype=np.complex128)
+        cells = out.reshape(-1, self.k, self.k)
+        for o, band in self.bands.items():
+            _diagonal(cells, self.n, o)[...] = band
         return out
 
     @property
@@ -203,11 +268,14 @@ class TruncatedOperator:
 
     @classmethod
     def from_matrix(cls, n: int, k: int, matrix: np.ndarray) -> "TruncatedOperator":
-        blocks = matrix.reshape(n + 1, k, n + 1, k).transpose(0, 2, 1, 3)
-        return cls(n, k, blocks)
+        """Read an assembled matrix into bands, one per diagonal with a nonzero entry."""
+        cells = np.asarray(matrix, dtype=np.complex128).reshape(n + 1, k, n + 1, k).transpose(0, 2, 1, 3)
+        cells = cells.reshape(-1, k, k)
+        bands = {o: _diagonal(cells, n, o).copy() for o in range(-n, n + 1)}
+        return cls(n, k, {o: band for o, band in bands.items() if band.any()})
 
     def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.n, self.k, self.blocks.transpose(1, 0, 3, 2).conj())
+        return TruncatedOperator(self.n, self.k, {-o: band.conj().swapaxes(-2, -1) for o, band in self.bands.items()})
 
     def _same_shape(self, other: "TruncatedOperator") -> None:
         if (self.n, self.k) != (other.n, other.k):
@@ -215,66 +283,84 @@ class TruncatedOperator:
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         self._same_shape(other)
-        return TruncatedOperator.from_matrix(self.n, self.k, self.matrix @ other.matrix)
+        n, k = self.n, self.k
+        out: dict = {}
+        for oa, a in self.bands.items():
+            for ob, b in other.bands.items():
+                # the middle position m runs where row m + oa of self meets column m - ob of other
+                lo, hi = max(0, -oa, ob), min(n, n - oa, n + ob) + 1
+                if lo >= hi:
+                    continue
+                # a cell (row, col) sits at index min(row, col) of its band
+                ia, ib, ic = lo + min(oa, 0), lo - max(ob, 0), lo + min(oa, -ob)
+                o = oa + ob
+                if o not in out:
+                    out[o] = np.zeros((n + 1 - abs(o), k, k), dtype=np.complex128)
+                out[o][ic : ic + hi - lo] += _block_products(a[ia : ia + hi - lo], b[ib : ib + hi - lo])
+        return TruncatedOperator(n, k, out)
+
+    def _combine(self, other: "TruncatedOperator", op) -> "TruncatedOperator":
+        self._same_shape(other)
+        bands = dict(self.bands)
+        for o, band in other.bands.items():
+            bands[o] = op(bands[o], band) if o in bands else op(0, band)
+        return TruncatedOperator(self.n, self.k, bands)
 
     def __add__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        self._same_shape(other)
-        return TruncatedOperator(self.n, self.k, self.blocks + other.blocks)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        self._same_shape(other)
-        return TruncatedOperator(self.n, self.k, self.blocks - other.blocks)
+        return self._combine(other, np.subtract)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
+        """The spectral norm.  A single band sends distinct columns to distinct
+        rows, so the operator is the direct sum of its blocks and the norm is
+        the largest block norm; two or more bands take the dense SVD."""
+        if len(self.bands) > 1:
+            return float(np.linalg.norm(self.matrix, 2))
+        return max((float(np.linalg.svd(band, compute_uv=False).max()) for band in self.bands.values()), default=0.0)
+
+    def _compress(self, lo: int, hi: int) -> "TruncatedOperator":
+        """The compression to positions lo..hi, renumbered from 0."""
+        size = hi - lo
+        return TruncatedOperator(
+            size, self.k, {o: band[lo : hi + 1 - abs(o)] for o, band in self.bands.items() if abs(o) <= size}
+        )
 
     def subwindow(self, m: int) -> "TruncatedOperator":
         """Compress further to positions {0..m}."""
         if m > self.n:
             raise WindowOverflowError(f"cannot grow window from {self.n} to {m}")
-        return TruncatedOperator(m, self.k, self.blocks[: m + 1, : m + 1].copy())
+        return self._compress(0, m)
 
     def interior(self, margin: int) -> np.ndarray:
         """The assembled matrix restricted to rows/columns margin..N-margin."""
         if 2 * margin > self.n:
             raise WindowOverflowError(f"margin {margin} empties the window N={self.n}")
-        sub = self.blocks[margin : self.n + 1 - margin, margin : self.n + 1 - margin]
-        m = sub.shape[0]
-        return sub.transpose(0, 2, 1, 3).reshape(m * self.k, -1)
+        return self._compress(margin, self.n - margin).matrix
 
 
 def rep_pi(x, act: EndomorphismAction, n: int) -> TruncatedOperator:
-    """Block-diagonal representation with alpha_m(x) at position m."""
-    out = TruncatedOperator.zeros(n, act.k)
-    m = np.arange(n + 1)
-    out.blocks[m, m] = act.alpha(m, x)
-    return out
+    """Block-diagonal representation with alpha_m(x) at position m: one band."""
+    return TruncatedOperator(n, act.k, {0: act.alpha(np.arange(n + 1), x)})
 
 
 def isometry_V(a: int, n: int, k: int = 1) -> TruncatedOperator:
-    """Compression of the shift (V_a xi)(m) = xi(m - a)."""
+    """Compression of the shift (V_a xi)(m) = xi(m - a): identity blocks on band a."""
     if a < 0 or a > n:
         raise WindowOverflowError(f"shift {a} outside truncation 0..{n}")
-    out = TruncatedOperator.zeros(n, k)
-    for m in range(a, n + 1):
-        out.blocks[m, m - a] = np.eye(k)
-    return out
+    return TruncatedOperator(n, k, {a: np.broadcast_to(np.eye(k, dtype=np.complex128), (n + 1 - a, k, k))})
 
 
 def wiener_hopf(f: SymbolFunction, act: EndomorphismAction, n: int) -> TruncatedOperator:
-    """Twisted Toeplitz operator: row m, column m-g carries alpha_m(f(g))."""
+    """Twisted Toeplitz operator: row m, column m-g carries alpha_m(f(g)),
+    one band per point g of the symbol's support."""
     if f.k != act.k:
         raise InputValidationError("symbol and action fiber dimensions disagree")
     supp = f.support
     if supp and (supp[0] < -n or supp[-1] > n):
         raise WindowOverflowError(f"symbol support {supp[0]}..{supp[-1]} exceeds window [-{n}, {n}]")
-    out = TruncatedOperator.zeros(n, act.k)
-    gs = np.array(list(f.values), dtype=np.int64)
-    values = np.array(list(f.values.values())).reshape(-1, act.k, act.k)
-    m = np.arange(n + 1)[:, None]
-    rows, which = np.nonzero((m >= gs) & (m - gs <= n))
-    out.blocks[rows, rows - gs[which]] = act.alpha(rows, values[which])
-    return out
+    return TruncatedOperator.twisted(n, act, {g: f(g)[None].repeat(n + 1 - abs(g), axis=0) for g in supp})
 
 
 def covariance_residual(x, a: int, act: EndomorphismAction, n: int) -> float:

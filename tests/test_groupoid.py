@@ -275,13 +275,14 @@ def test_lambda_rep_is_multiplicative_on_interior(rng):
 
 
 def _lambda_rep_by_cell_scan(phi, n):
-    """Reference: visit all (N+1)^2 cells and apply alpha_b one cell at a time."""
-    out = toeplitz.TruncatedOperator.zeros(n, phi.action.k)
+    """Reference blocks: visit all (N+1)^2 cells and apply alpha_b one cell at a time."""
+    k = phi.action.k
+    out = np.zeros((n + 1, n + 1, k, k), dtype=complex)
     for b in range(n + 1):
         for a in range(n + 1):
             v = phi((b, a - b))
             if np.any(v):
-                out.blocks[b, a] = phi.action.alpha(b, v)
+                out[b, a] = phi.action.alpha(b, v)
     return out
 
 
@@ -298,7 +299,7 @@ def test_lambda_rep_matches_the_cell_scan(rng):
             phi.set((n + 1, -2), random_complex(rng, act.k))
             phi.set((n - 1, 3), random_complex(rng, act.k))
             phi.set((2, 1), np.zeros((act.k, act.k)))
-            reference = _lambda_rep_by_cell_scan(phi, n).blocks
+            reference = _lambda_rep_by_cell_scan(phi, n)
             np.testing.assert_allclose(groupoid.lambda_rep(phi, n).blocks, reference, rtol=0, atol=1e-12)
 
 

@@ -1,18 +1,20 @@
 """Kernel-mutant catalogue: planted one-line faults the suite cases must flag.
 
-Each row names a kernel function, one line of its source and the edit that
-plants the fault, a case and the verdict that case must give at seeds 0-2.
-The mutant is the function's own source with that one edit, compiled into a
-copy of the module's namespace and monkeypatched over the original, so the
-suites call it where they call the kernel.  A row with no edit runs the
-unpatched kernel: the case must pass at the same seeds.
+Each row names a kernel function or method, one line of its source and the
+edit that plants the fault, a case and the verdict that case must give at
+seeds 0-2.  The mutant is the function's own source with that one edit,
+compiled into a copy of the module's namespace and monkeypatched over the
+original on its module or class, so the suites call it where they call the
+kernel.  A row with no edit runs the unpatched kernel: the case must pass at
+the same seeds.
 """
 
 import inspect
+import textwrap
 
 import pytest
 
-from whlab import groupoid, suites
+from whlab import groupoid, suites, toeplitz
 
 SEEDS = range(3)
 
@@ -43,22 +45,47 @@ MUTANTS = [
         "fail",
         id="untwisted-shift_R",
     ),
+    # the band product of TruncatedOperator
+    pytest.param(
+        toeplitz.TruncatedOperator.__matmul__,
+        "min(n, n - oa, n + ob) + 1",
+        "min(n, n - oa, n + ob)",
+        "toeplitz.covariance",
+        "fail",
+        id="band-product-row-range-off-by-one",
+    ),
+    pytest.param(
+        toeplitz.TruncatedOperator.__matmul__,
+        "out[o][ic : ic + hi - lo] += ",
+        "out[o][ic : ic + hi - lo] = ",
+        "toeplitz.symbol_product_interior",
+        "fail",
+        id="band-product-overwrites-earlier-pairs",
+    ),
 ]
 
 
 def _mutant(func, line, edit):
     """func recompiled from its source with `line` replaced by `edit`."""
-    source = inspect.getsource(func)
-    assert source.count(line) == 1, f"{func.__name__} no longer holds {line!r}"
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(line) == 1, f"{func.__qualname__} no longer holds {line!r}"
     namespace = dict(vars(inspect.getmodule(func)))
     exec(compile(source.replace(line, edit), inspect.getsourcefile(func), "exec"), namespace)
     return namespace[func.__name__]
 
 
+def _owner(func):
+    """The module, or the class inside it, that holds func under its name."""
+    owner = inspect.getmodule(func)
+    for name in func.__qualname__.split(".")[:-1]:
+        owner = getattr(owner, name)
+    return owner
+
+
 @pytest.mark.parametrize("func, line, edit, case, verdict", MUTANTS)
 def test_case_verdict_under_mutant(monkeypatch, func, line, edit, case, verdict):
     if func is not None:
-        monkeypatch.setattr(inspect.getmodule(func), func.__name__, _mutant(func, line, edit))
+        monkeypatch.setattr(_owner(func), func.__name__, _mutant(func, line, edit))
     suite = case.split(".")[0]
     statuses = [suites.run_case(suites.CASES[case], suites.SuiteConfig(suite=suite, seed=seed)).status for seed in SEEDS]
     assert statuses == [verdict] * len(SEEDS)

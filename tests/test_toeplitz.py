@@ -201,7 +201,9 @@ def test_adjoint_symbol_on_interior_blocks(rng):
 
 
 def test_truncated_operator_roundtrip(rng):
-    op = TruncatedOperator(2, 2, rng.standard_normal((3, 3, 2, 2)))
+    blocks = rng.standard_normal((3, 3, 2, 2))
+    op = TruncatedOperator.from_matrix(2, 2, blocks.transpose(0, 2, 1, 3).reshape(6, 6))
+    assert np.allclose(op.blocks, blocks)
     back = TruncatedOperator.from_matrix(2, 2, op.matrix)
     assert np.allclose(op.blocks, back.blocks)
     assert np.allclose(op.adjoint().matrix, op.matrix.conj().T)
@@ -248,3 +250,98 @@ def test_symbols_split_into_interior_convolutions(rng):
         )
     for g in range(-8, 9):
         assert total(g) == pytest.approx(f(g))
+
+
+def test_power_table_grown_in_steps_equals_one_pass(rng):
+    # the table kept on the action grows on demand; every entry must be the
+    # same bits as in a table built by one sequential pass
+    u = random_unitary(rng, 2)
+    stepped, single = toeplitz.conjugation_action(u), toeplitz.conjugation_action(u)
+    for n in (0, 3, 4, 11, 30):
+        stepped.powers(n)
+        stepped.powers(n, inverse=True)
+    for inverse, base in ((False, single.generator), (True, np.linalg.inv(single.generator))):
+        reference = [np.eye(4, dtype=complex)]
+        for _ in range(30):
+            reference.append(np.matmul(base, reference[-1]))
+        assert np.array_equal(stepped.powers(30, inverse=inverse), single.powers(30, inverse=inverse))
+        assert np.array_equal(single.powers(30, inverse=inverse), np.array(reference))
+        assert np.array_equal(stepped.powers(7, inverse=inverse), single.powers(30, inverse=inverse)[:8])
+
+
+def test_action_generator_and_power_table_are_read_only(rng):
+    act = toeplitz.conjugation_action(random_unitary(rng, 2))
+    for array in (act.generator, act.powers(5), act.powers(5, inverse=True)):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+    # the action keeps its own copy of the generator it was given
+    generator = np.eye(4, dtype=complex)
+    trivial = toeplitz.EndomorphismAction(k=2, generator=generator)
+    generator[0, 0] = 2.0
+    assert trivial.generator[0, 0] == 1.0
+
+
+def _dense(op):
+    """Reference assembly: each band's blocks written cell by cell."""
+    k = op.k
+    out = np.zeros(((op.n + 1) * k, (op.n + 1) * k), dtype=complex)
+    for o, band in op.bands.items():
+        for i, block in enumerate(band):
+            row, col = i + max(o, 0), i + max(-o, 0)
+            out[row * k : (row + 1) * k, col * k : (col + 1) * k] = block
+    return out
+
+
+def _random_operators(rng, n, k):
+    """Empty, one band at +N, at -N and at a random offset (its norm is the
+    largest block norm), random multi-band sets and exact-zero bands."""
+    def band(o):
+        shape = (n + 1 - abs(o), k, k)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    offsets = [[], [n], [-n], [int(rng.integers(-n, n + 1))], [0, n]]
+    for size in (2, 4):
+        offsets.append(sorted(rng.choice(np.arange(-n, n + 1), size=min(size, 2 * n + 1), replace=False).tolist()))
+    ops = [TruncatedOperator(n, k, {o: band(o) for o in offs}) for offs in offsets]
+    ops.append(TruncatedOperator(n, k, {0: np.zeros((n + 1, k, k)), n: band(n)}))
+    ops.append(TruncatedOperator(n, k, {-n: np.zeros((1, k, k))}))
+    return ops
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", range(10))
+def test_band_operations_match_dense_numpy(rng, n, k):
+    ops = _random_operators(rng, n, k)
+    for a in ops:
+        dense = _dense(a)
+        assert np.array_equal(a.matrix, dense)
+        assert np.array_equal(a.blocks.transpose(0, 2, 1, 3).reshape(dense.shape), dense)
+        assert np.array_equal(a.adjoint().matrix, dense.conj().T)
+        assert np.array_equal(TruncatedOperator.from_matrix(n, k, dense).matrix, dense)
+        for m in range(n + 1):
+            assert np.array_equal(a.subwindow(m).matrix, dense[: (m + 1) * k, : (m + 1) * k])
+        for margin in range(n // 2 + 1):
+            assert np.array_equal(a.interior(margin), dense[margin * k : (n + 1 - margin) * k, margin * k : (n + 1 - margin) * k])
+        assert abs(a.norm() - np.linalg.norm(dense, 2)) <= 1e-12
+        for b in ops:
+            other = _dense(b)
+            np.testing.assert_allclose((a @ b).matrix, dense @ other, rtol=0, atol=1e-12)
+            np.testing.assert_allclose((a + b).matrix, dense + other, rtol=0, atol=1e-12)
+            np.testing.assert_allclose((a - b).matrix, dense - other, rtol=0, atol=1e-12)
+
+
+def test_rep_pi_stores_one_band_at_large_n(rng):
+    act = toeplitz.conjugation_action(random_unitary(rng, 2))
+    n = 10_000
+    op = toeplitz.rep_pi(random_complex(rng, 2), act, n)
+    assert list(op.bands) == [0]
+    assert sum(band.size for band in op.bands.values()) == (n + 1) * 2 * 2
+
+
+def test_operator_rejects_a_band_of_the_wrong_shape():
+    with pytest.raises(InputValidationError):
+        TruncatedOperator(3, 1, {4: np.ones((1, 1, 1))})
+    with pytest.raises(InputValidationError):
+        TruncatedOperator(3, 1, {1: np.ones((4, 1, 1))})
+    with pytest.raises(InputValidationError):
+        TruncatedOperator(3, 1, {0: np.full((4, 1, 1), np.nan)})
