@@ -2,8 +2,7 @@
 geometry of positive-matrix semigroups.
 
 Modules:
-  spectra   Hermitian/unitary spectral decompositions, Cayley transform,
-            functional calculus
+  spectra   Hermitian/unitary spectral decompositions, Cayley transform
   jordan    special Euclidean Jordan algebras and their positive cones
   moebius   the Moebius action on unitaries, Z geometry, pair encoding
   fell      Fell-topology convergence and order-compactification models

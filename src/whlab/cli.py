@@ -13,7 +13,9 @@ case judges against a named constant of whlab.suites (MARGIN_FLOOR,
 CONTRACTION_TOL, PAIR_TOL, ALGEBRA_TOL, SEMINORM_TOL, INTERIOR_TOL,
 ROUNDING_TOL, ZERO_TOL and the three mutation gaps); the README maps each case
 to its constant.  --N is a floor: the Toeplitz and groupoid cases truncate at
-max(N, 16) or max(N, 24), and groupoid.lambda_bound always at 12.
+max(N, 16) or max(N, 24), groupoid.algebra always at 14 and
+groupoid.lambda_bound always at 12; groupoid.shift_laws ignores --N (its
+window is fixed at 14).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (unknown suite,
 unreadable input, malformed JSON, a --tol, WHLAB_TOL or --grid-step that is not

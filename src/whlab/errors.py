@@ -3,8 +3,8 @@
 The split mirrors the failure modes the operations promise: bad input data,
 numerical breakdown (ill conditioning, lost convergence), domain violations
 (an argument outside the mathematical domain of the map), window overflow in
-truncated/ windowed computations, and failed scalar evaluation inside the
-functional calculus.
+truncated/ windowed computations, and a probe sweep that ends without its
+witness.
 """
 
 
@@ -26,10 +26,6 @@ class DomainError(WhlabError, ValueError):
 
 class WindowOverflowError(WhlabError, ValueError):
     """A windowed computation would need data outside the declared window."""
-
-
-class EvaluationError(WhlabError, ValueError):
-    """A scalar function could not be evaluated at a spectral point."""
 
 
 class WitnessNotFoundError(WhlabError, RuntimeError):

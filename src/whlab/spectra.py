@@ -1,9 +1,8 @@
 """Dense complex spectral kernel.
 
 Hermitian and unitary spectral decompositions with eigenvalue clustering,
-the Cayley transform A -> (A+i)(A-i)^{-1} and its inverse, and spectral
-functional calculus.  Everything else in the package funnels its linear
-algebra through this module.
+and the Cayley transform A -> (A+i)(A-i)^{-1} and its inverse.  Everything
+else in the package funnels its linear algebra through this module.
 
 Unitary spectra are reduced to the Hermitian case: pick a phase theta, from a
 fixed pseudo-random sequence, whose rotation e^{i theta}U keeps the spectrum
@@ -43,7 +42,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    EvaluationError,
     InputValidationError,
     NumericalError,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "inverse_cayley",
     "scalar_cayley",
     "scalar_inverse_cayley",
-    "functional_calculus",
 ]
 
 
@@ -402,16 +399,3 @@ def _on_circle(values, hermitian_projections, owner, theta, tol):
         target[order[group]] = merged_vals[-1]
     return SpectralDecomposition(np.array(merged_vals), merged_projs, tol=tol), target[owner]
 
-
-def functional_calculus(dec: SpectralDecomposition, f) -> np.ndarray:
-    """sum_k f(lambda_k) E_k for a scalar function f defined on the spectrum."""
-    out = np.zeros((dec.dim, dec.dim), dtype=np.complex128)
-    for lam, proj in zip(dec.eigenvalues, dec.projections):
-        try:
-            value = complex(f(lam))
-        except Exception as exc:
-            raise EvaluationError(f"function undefined at eigenvalue {lam}: {exc}") from exc
-        if not np.isfinite(value):
-            raise EvaluationError(f"function non-finite at eigenvalue {lam}: {value}")
-        out += value * proj
-    return out

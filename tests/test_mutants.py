@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 
-from whlab import groupoid, suites, toeplitz
+from whlab import fibers, groupoid, suites, toeplitz
 
 SEEDS = range(3)
 
@@ -44,6 +44,48 @@ MUTANTS = [
         "groupoid.algebra",
         "fail",
         id="untwisted-shift_R",
+    ),
+    # the I-norm: the larger of the l^1 sums along ranges and along sources
+    pytest.param(
+        groupoid.i_norm,
+        "for units in (rows, phi.window.sources(rows, cols))",
+        "for units in (rows,)",
+        "groupoid.algebra",
+        "fail",
+        id="i_norm-ranges-only-algebra",
+    ),
+    pytest.param(
+        groupoid.i_norm,
+        "for units in (rows, phi.window.sources(rows, cols))",
+        "for units in (rows,)",
+        "groupoid.lambda_bound",
+        "fail",
+        id="i_norm-ranges-only-lambda_bound",
+    ),
+    # the halving action f -> f(t / 2^n) and the fiber action built on it
+    pytest.param(
+        fibers.halving_apply,
+        "-n * _POWERS",
+        "-(n - 1) * _POWERS",
+        "fibers.quotient_oracle",
+        "fail",
+        id="halving-one-power-short-quotient_oracle",
+    ),
+    pytest.param(
+        fibers.halving_apply,
+        "-n * _POWERS",
+        "-(n - 1) * _POWERS",
+        "fibers.action_welldefined",
+        "fail",
+        id="halving-one-power-short-action_welldefined",
+    ),
+    pytest.param(
+        fibers.fiber_action,
+        "rep = halving_apply(a, halving_section(b, q.rep))",
+        "rep = halving_apply(a, q.rep)",
+        "fibers.action_welldefined",
+        "fail",
+        id="fiber-action-without-section",
     ),
     # the band product of TruncatedOperator
     pytest.param(

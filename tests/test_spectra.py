@@ -7,15 +7,13 @@ eigenvalues (0+i)/(0-i) = -1 and (2+i)/(2-i) = (3+4i)/5 on the same
 projections.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whlab import jordan, moebius, spectra
-from whlab.errors import DomainError, EvaluationError, InputValidationError
+from whlab.errors import DomainError, InputValidationError
 from whlab.sampling import random_hermitian, random_unitary
 
 ONES = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -148,46 +146,6 @@ def test_unitary_roundtrip_through_cayley(rng):
             assert spectra.operator_norm(dec.reconstruct() - u) <= 1e-9
             dec.validate()
             assert all(abs(abs(lam) - 1.0) <= 1e-9 for lam in dec.eigenvalues)
-
-
-def test_functional_calculus_identity_and_constant(rng):
-    a = random_hermitian(rng, 4)
-    dec = spectra.hermitian_eig(a)
-    assert spectra.operator_norm(spectra.functional_calculus(dec, lambda x: x) - a) <= 1e-10
-    assert spectra.operator_norm(spectra.functional_calculus(dec, lambda x: 1.0) - np.eye(4)) <= 1e-10
-
-
-def test_functional_calculus_square_on_unitary():
-    dec = spectra.unitary_eig(np.diag([-1.0, 1j]))
-    out = spectra.functional_calculus(dec, lambda z: z * z)
-    assert np.allclose(out, np.diag([1.0, -1.0]), atol=1e-12)
-
-
-def test_functional_calculus_composition(rng):
-    a = random_hermitian(rng, 3)
-    dec = spectra.hermitian_eig(a)
-    g = lambda x: x.real ** 2 + 1.0
-    f = lambda x: np.sqrt(x.real)
-    composed = spectra.functional_calculus(dec, lambda x: f(g(x)))
-    staged = spectra.functional_calculus(spectra.hermitian_eig(spectra.functional_calculus(dec, g)), f)
-    assert spectra.operator_norm(composed - staged) <= 1e-9
-
-
-def test_functional_calculus_value_types(rng):
-    a = random_hermitian(rng, 3)
-    dec = spectra.hermitian_eig(a)
-    real_image = spectra.functional_calculus(dec, lambda x: np.tanh(x.real))
-    spectra.assert_hermitian(real_image, tol=1e-10)
-    circle_image = spectra.functional_calculus(dec, lambda x: np.exp(1j * x.real))
-    spectra.assert_unitary(circle_image, tol=1e-10)
-
-
-def test_functional_calculus_rejects_bad_values():
-    dec = spectra.hermitian_eig(np.diag([0.0, 1.0]))
-    with pytest.raises(EvaluationError):
-        spectra.functional_calculus(dec, lambda x: (1.0 / x.real) if x.real != 0 else math.inf)
-    with pytest.raises(EvaluationError):
-        spectra.functional_calculus(dec, lambda x: {}[x])  # raises KeyError inside
 
 
 def test_operator_norm_matches_svd(rng):

@@ -3,7 +3,6 @@
 import inspect
 import math
 
-import numpy as np
 import pytest
 
 from whlab import suites
@@ -76,24 +75,6 @@ def test_sweep_case_records_dim_times_trials_draws():
     result = suites.run_case(suites.CASES["moebius.action_law"], cfg)
     assert result.status == "pass"
     assert result.draws == 3 * 7
-
-
-@pytest.mark.parametrize("kind, good", [("bounded", 0.0), ("margin", 1.0), ("mutant", 1.0), ("count", 0)])
-def test_nan_in_a_stacked_draw_fails_its_case(kind, good):
-    def case(nan_dim):
-        def draw(rng, cfg):
-            for dim in suites._dims(cfg):
-                values = np.full(cfg.trials, good, dtype=float)
-                values[-1] = math.nan if dim == nan_dim else good
-                yield from values.tolist()
-
-        return suites.Case("demo.nan", draw, "", kind, 0.5)
-
-    cfg = suites.SuiteConfig(suite="demo", dim=3, trials=2)
-    assert suites.run_case(case(None), cfg).status == "pass"
-    for nan_dim in (1, 2, 3):
-        result = suites.run_case(case(nan_dim), cfg)
-        assert (result.status, result.draws) == ("fail", 6)
 
 
 def test_stacked_draw_drops_skipped_trials_and_sums_tallies():
