@@ -21,6 +21,16 @@ explicit constant-continuation section.  Two cosets over X are equal when
 quotient_norm(X, difference of representatives) vanishes.  The fibers are
 checked on their own: groupoid sections take matrix values only.
 
+Stacks: one ``PiecewisePoly`` may hold a stack of functions on one
+breakpoint vector, with coefficients of shape (..., m, MAX_DEGREE + 1).
+Arithmetic, evaluation, ``sup_abs``, ``halving_apply``, ``quotient_norm``
+and ``ideal_contains`` act per function, with the same float operations as
+on each function alone; one function gets a float (or bool) where a stack
+gets an array.  An operation with a stack needs shared breakpoints, and two
+stacks one shape; anything else is a dimension mismatch.  The section and
+the fiber action take one function.  ``random_dyadic_pl(..., size=T)`` draws
+the T functions one after another, as T calls would.
+
 Injective side: A is the trig polynomials on the circle with
 alpha_1(f)(z) = f(z^2) (coefficient dilation; injective, unital, not
 surjective).  The dilation of the system is represented exactly by
@@ -38,6 +48,7 @@ import numpy as np
 
 from .errors import DomainError, InputValidationError
 from .fell import INF, discrete_value, integer_value
+from .spectra import _unstack
 
 DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
@@ -58,10 +69,14 @@ def _horner(coefs: np.ndarray, t) -> np.ndarray:
     return out
 
 
+_SHARED_BREAKS = "dimension mismatch: a stack of functions needs the breakpoints of its operands"
+
+
 class PiecewisePoly:
-    """Real piecewise polynomial on [0,1] of degree <= MAX_DEGREE: breakpoints
-    plus a (pieces, MAX_DEGREE + 1) array of coefficients in the global
-    variable (ascending powers)."""
+    """Real piecewise polynomial on [0,1] of degree <= MAX_DEGREE, or a stack
+    of them on one breakpoint vector: the breakpoints plus a
+    (..., pieces, MAX_DEGREE + 1) array of coefficients in the global variable
+    (ascending powers), whose leading axes are the stack's ``shape``."""
 
     __slots__ = ("breaks", "coefs")
 
@@ -74,32 +89,60 @@ class PiecewisePoly:
         if (breaks[1:] <= breaks[:-1]).any():
             raise InputValidationError("breakpoints must be strictly increasing")
         coefs = np.asarray(coefs, dtype=float)
-        if coefs.shape != (len(breaks) - 1, MAX_DEGREE + 1):
+        if coefs.shape[-2:] != (len(breaks) - 1, MAX_DEGREE + 1):
             raise InputValidationError(f"one row of {MAX_DEGREE + 1} coefficients per piece required")
         self.breaks = breaks
         self.coefs = coefs
 
     @classmethod
     def from_breakpoints(cls, breaks, vals) -> "PiecewisePoly":
-        """Piecewise-linear interpolant through (breaks[i], vals[i])."""
+        """Piecewise-linear interpolant through (breaks[i], vals[..., i]): a
+        stack when vals has leading axes."""
         breaks = np.asarray(breaks, dtype=float)
         vals = np.asarray(vals, dtype=float)
-        if breaks.shape != vals.shape:
+        if vals.shape[-1:] != breaks.shape:
             raise InputValidationError("breaks and vals must have equal length")
-        slope = (vals[1:] - vals[:-1]) / (breaks[1:] - breaks[:-1])
-        return cls(breaks, np.stack([vals[:-1] - slope * breaks[:-1], slope, np.zeros_like(slope)], axis=-1))
+        slope = (vals[..., 1:] - vals[..., :-1]) / (breaks[1:] - breaks[:-1])
+        return cls(breaks, np.stack([vals[..., :-1] - slope * breaks[:-1], slope, np.zeros_like(slope)], axis=-1))
+
+    @classmethod
+    def stack(cls, functions) -> "PiecewisePoly":
+        """One stack, along a new first axis, of functions (or stacks) of one
+        shape on shared breakpoints."""
+        first, *rest = functions
+        if any(f.coefs.shape != first.coefs.shape or not np.array_equal(f.breaks, first.breaks) for f in rest):
+            raise InputValidationError(_SHARED_BREAKS)
+        return cls(first.breaks, np.array([f.coefs for f in (first, *rest)]))
+
+    @property
+    def shape(self) -> tuple:
+        """The stack shape; () for one function."""
+        return self.coefs.shape[:-2]
+
+    def __getitem__(self, index) -> "PiecewisePoly":
+        """The function or sub-stack at ``index`` of the stack axes."""
+        return PiecewisePoly(self.breaks, self.coefs[index])
 
     def _piece_index(self, t) -> np.ndarray:
         """The piece holding t: the number of inner breakpoints at or below it."""
         return np.searchsorted(self.breaks[1:-1], t, side="right")
 
     def __call__(self, t):
-        """f(t) for a number t, or elementwise for an array."""
+        """f(t) for a number t, or elementwise for an array; a stack puts its
+        axes first."""
         t = np.asarray(t, dtype=float)
-        out = _horner(self.coefs[self._piece_index(t)], t)
-        return float(out) if out.ndim == 0 else out
+        return _unstack(_horner(self.coefs[..., self._piece_index(t), :], t))
 
     def _aligned(self, other: "PiecewisePoly"):
+        """Common breakpoints and both coefficient arrays on them.  Two single
+        functions refine to the union of their breakpoints; an operation with
+        a stack needs shared breakpoints, and two stacks need one shape."""
+        if self.shape and other.shape and self.shape != other.shape:
+            raise InputValidationError(f"dimension mismatch: stacks of shapes {self.shape} and {other.shape}")
+        if np.array_equal(self.breaks, other.breaks):
+            return self.breaks, self.coefs, other.coefs
+        if self.shape or other.shape:
+            raise InputValidationError(_SHARED_BREAKS)
         breaks = np.union1d(self.breaks, other.breaks)
         return breaks, self._refine(breaks), other._refine(breaks)
 
@@ -120,12 +163,12 @@ class PiecewisePoly:
         if isinstance(other, (int, float, np.integer, np.floating)):
             return PiecewisePoly(self.breaks, float(other) * self.coefs)
         breaks, a, b = self._aligned(other)
-        out = np.zeros((len(a), 2 * MAX_DEGREE + 1))
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * MAX_DEGREE + 1,))
         for k in _POWERS:
-            out[:, k : k + MAX_DEGREE + 1] += a[:, k : k + 1] * b
-        if out[:, MAX_DEGREE + 1 :].any():
+            out[..., k : k + MAX_DEGREE + 1] += a[..., k : k + 1] * b
+        if out[..., MAX_DEGREE + 1 :].any():
             raise InputValidationError(f"product of degree above the cap {MAX_DEGREE}")
-        return PiecewisePoly(breaks, out[:, : MAX_DEGREE + 1])
+        return PiecewisePoly(breaks, out[..., : MAX_DEGREE + 1])
 
     __rmul__ = __mul__
 
@@ -133,26 +176,30 @@ class PiecewisePoly:
         """Involution; the identity map on real scalars."""
         return self
 
-    def sup_abs(self, hi: float = 1.0) -> float:
+    def sup_abs(self, hi: float = 1.0):
         """Exact sup of |f| over [0, hi]: piece endpoints plus the vertex
-        -c1 / (2 c2) of each quadratic piece that falls inside it."""
+        -c1 / (2 c2) of each quadratic piece that falls inside it; an array
+        of them for a stack."""
         if not 0.0 < hi <= 1.0 + 1e-15:
             raise InputValidationError(f"bad subinterval [0, {hi}]")
         a = np.maximum(0.0, self.breaks[:-1])
         b = np.minimum(hi, self.breaks[1:])
         live = a < b
-        a, b, c = a[live], b[live], self.coefs[live]
-        quadratic = c[:, 2] != 0
-        vertex = -c[:, 1] / np.where(quadratic, 2.0 * c[:, 2], 1.0)
+        a, b, c = a[live], b[live], self.coefs[..., live, :]
+        quadratic = c[..., 2] != 0
+        vertex = -c[..., 1] / np.where(quadratic, 2.0 * c[..., 2], 1.0)
         inside = quadratic & (a < vertex) & (vertex < b)
-        points = np.array((a, b, np.where(inside, vertex, a)))
-        return float(np.abs(_horner(c, points)).max(initial=0.0))
+        points = np.array(np.broadcast_arrays(a, b, np.where(inside, vertex, a)))
+        return _unstack(np.abs(_horner(c, points)).max(axis=(0, -1), initial=0.0))
 
 
-def random_dyadic_pl(rng: np.random.Generator, level: int = 4) -> PiecewisePoly:
-    """Random piecewise-linear function on the dyadic grid of the given level."""
-    breaks = np.linspace(0.0, 1.0, (1 << level) + 1)
-    vals = rng.standard_normal(len(breaks))
+def random_dyadic_pl(rng: np.random.Generator, level: int = 4, size=None) -> PiecewisePoly:
+    """Random piecewise-linear function on the dyadic grid of the given level;
+    a stack of the given size draws its functions one after another, as that
+    many calls would."""
+    breaks = np.arange((1 << level) + 1) / (1 << level)  # exact, as linspace's would be
+    shape = () if size is None else size if isinstance(size, tuple) else (size,)
+    vals = rng.standard_normal(shape + breaks.shape)
     return PiecewisePoly.from_breakpoints(breaks, vals)
 
 
@@ -168,7 +215,7 @@ def halving_apply(n: int, f: PiecewisePoly) -> PiecewisePoly:
     # ldexp scales by powers of two exactly, and 2^-n underflows to 0 instead of overflowing
     pieces = 1 + np.count_nonzero(f.breaks[1:-1] < np.ldexp(1.0, -n))  # the piece at 0 always reaches in
     breaks = np.concatenate(([0.0], np.ldexp(f.breaks[1:pieces], n), [1.0]))
-    return PiecewisePoly(breaks, np.ldexp(f.coefs[:pieces], -n * _POWERS))
+    return PiecewisePoly(breaks, np.ldexp(f.coefs[..., :pieces, :], -n * _POWERS))
 
 
 def halving_section(n: int, f: PiecewisePoly) -> PiecewisePoly:
@@ -187,17 +234,18 @@ def halving_section(n: int, f: PiecewisePoly) -> PiecewisePoly:
 # quotient fibers
 
 
-def quotient_norm(x, f: PiecewisePoly) -> float:
+def quotient_norm(x, f: PiecewisePoly):
     """||f + I_X||: apply alpha_n and take the sup for finite X = n; at the
     point at infinity the nonincreasing sequence ||alpha_n(f)|| converges to
-    |f(0)|, which is the closed form used."""
+    |f(0)|, which is the closed form used.  An array of them for a stack."""
     v = discrete_value(x)
     if v == INF:
         return abs(f(0.0))
     return halving_apply(v, f).sup_abs()
 
 
-def ideal_contains(x, f: PiecewisePoly, tol: float = DEFAULT_TOL) -> bool:
+def ideal_contains(x, f: PiecewisePoly, tol: float = DEFAULT_TOL):
+    """Whether f lies in I_X within tol; a bool array for a stack."""
     return quotient_norm(x, f) <= tol
 
 

@@ -91,14 +91,16 @@ def uniform_grid() -> np.ndarray:
 
 
 def verify_condition_h(spec: HomotopySpec, samples) -> dict:
-    """Run all clauses on the grid and samples; returns the report dict."""
+    """Run all clauses on the grid and samples; returns the report dict, whose
+    ``failures`` lists every failure message in order and whose
+    ``sample_failures`` holds each sample's messages."""
     t_grid = uniform_grid()
     samples = list(samples)
     for x in samples:
         if not spec.sample_check(x):
             raise InputValidationError(f"sample {x!r} lies outside the model")
 
-    failures = []
+    by_sample = []  # each sample's failure messages
     endpoints_ok = True
     failed = np.zeros(len(_PER_T_FAILURES), dtype=bool)  # per-t failure kinds seen
     max_jump = 0.0
@@ -106,6 +108,8 @@ def verify_condition_h(spec: HomotopySpec, samples) -> dict:
     t_all = np.concatenate(([0.0, 1.0], t_grid))
 
     for x in samples:
+        failures = []
+        by_sample.append(failures)
         label = spec.describe(x)
         table = spec.path(t_all, x)
         boundary = spec.boundary_test(table)
@@ -137,7 +141,8 @@ def verify_condition_h(spec: HomotopySpec, samples) -> dict:
         "clauses": clauses,
         "continuity_probe": {"passed": not failed[3], "max_jump": max_jump},
         "passed": all(clauses.values()) and not failed[3],
-        "failures": failures,
+        "failures": [message for failures in by_sample for message in failures],
+        "sample_failures": by_sample,
         "samples": len(samples),
         "t_points": len(t_grid),
     }

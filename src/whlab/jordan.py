@@ -9,7 +9,10 @@ projection distance and classifies elements against the positive cone
 Q = {a in V : a >= 0}.  Closure rounds multiply only the elements the
 previous round added, with block Gram-Schmidt (CGS2) against the frame.
 Membership, the rank of a closure, the cone classes and the order relations
-are all judged at DEFAULT_TOL.
+are all judged at DEFAULT_TOL.  ``project``, ``distance``, ``classify`` and
+``order_compare`` also take a (T, d, d) stack and answer matrix by matrix
+(``classify`` and ``order_compare`` with a list); ``classify`` runs no
+eigensolve on a matrix off the algebra.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import spectra
+from .spectra import _frobenius
 from .errors import InputValidationError
 
 DEFAULT_TOL = 1e-9
@@ -38,13 +42,15 @@ class OrderRelation(str, Enum):
     INCOMPARABLE_OR_GT = "incomparable-or-gt"
 
 
+# classify's answer for lambda_min above DEFAULT_TOL, within it of 0 and below -DEFAULT_TOL, then off the algebra
+_CLASSES = (ConeClass.INTERIOR, ConeClass.BOUNDARY, ConeClass.OUTSIDE_CONE, ConeClass.OUTSIDE_ALGEBRA)
 # order_compare's answer for lambda_min(B - A) above DEFAULT_TOL, within it of 0, and below -DEFAULT_TOL or NaN
 _RELATIONS = (OrderRelation.LT, OrderRelation.LEQ, OrderRelation.INCOMPARABLE_OR_GT)
 
 
 def _rows(stack: np.ndarray) -> np.ndarray:
-    """(n, d, d) complex stack -> (n, 2d^2) real rows: Re tr(A*B) is a row dot product."""
-    return np.ascontiguousarray(stack).reshape(-1, stack.shape[1] ** 2).view(np.float64)
+    """(..., d, d) complex stack -> (n, 2d^2) real rows: Re tr(A*B) is a row dot product."""
+    return np.ascontiguousarray(stack).reshape(-1, stack.shape[-1] ** 2).view(np.float64)
 
 
 def _hermitian_part(stack: np.ndarray) -> np.ndarray:
@@ -71,14 +77,18 @@ class JordanAlgebra:
         return len(self.basis)
 
     def project(self, m) -> np.ndarray:
-        """Orthogonal projection of m onto span(basis) in the trace inner product."""
+        """Orthogonal projection of m, or of each matrix of a (..., dim, dim)
+        stack, onto span(basis) in the trace inner product."""
         a = np.asarray(m, dtype=np.complex128)
-        if a.shape != (self.dim, self.dim):
+        if a.ndim < 2 or a.shape[-2:] != (self.dim, self.dim):
             raise InputValidationError("dimension mismatch with the algebra")
-        return np.tensordot(self.rows @ _rows(a[None])[0], self.basis, axes=1)
+        return np.tensordot(_rows(a) @ self.rows.T, self.basis, axes=1).reshape(a.shape)
 
-    def distance(self, m) -> float:
-        return float(np.linalg.norm(self.project(m) - np.asarray(m, dtype=np.complex128)))
+    def distance(self, m):
+        """Frobenius distance to the algebra; an array of them for a stack."""
+        a = np.asarray(m, dtype=np.complex128)
+        gap = _frobenius(self.project(a) - a)
+        return float(gap) if a.ndim == 2 else gap
 
     def contains(self, m) -> bool:
         return self.distance(m) <= DEFAULT_TOL
@@ -141,17 +151,21 @@ def hermitian_algebra(dim: int) -> JordanAlgebra:
     return generate_algebra(gens, dim=dim)
 
 
-def classify(algebra: JordanAlgebra, m) -> ConeClass:
-    """Position of a Hermitian matrix relative to the algebra and its cone."""
+def classify(algebra: JordanAlgebra, m):
+    """Position of a Hermitian matrix relative to the algebra and its cone;
+    for a (T, d, d) stack, a list of the T classes.  A matrix outside the
+    algebra gets no eigensolve."""
     a = spectra.as_matrix(m)
-    if algebra.distance(a) > DEFAULT_TOL:
-        return ConeClass.OUTSIDE_ALGEBRA
-    lam = spectra.lambda_min(a, tol=DEFAULT_TOL)
-    if lam > DEFAULT_TOL:
-        return ConeClass.INTERIOR
-    if lam >= -DEFAULT_TOL:
-        return ConeClass.BOUNDARY
-    return ConeClass.OUTSIDE_CONE
+    if a.ndim > 3:
+        raise InputValidationError("dimension mismatch: classify takes a matrix or a stack of them")
+    stack = a.reshape(-1, *a.shape[-2:])
+    inside = algebra.distance(stack) <= DEFAULT_TOL
+    kinds = np.full(len(stack), _CLASSES.index(ConeClass.OUTSIDE_ALGEBRA))
+    if inside.any():
+        lam = spectra.lambda_min(stack[inside], tol=DEFAULT_TOL)
+        kinds[inside] = np.where(lam > DEFAULT_TOL, 0, np.where(lam >= -DEFAULT_TOL, 1, 2))
+    classes = [_CLASSES[k] for k in kinds.tolist()]
+    return classes if a.ndim == 3 else classes[0]
 
 
 def order_compare(a, b):

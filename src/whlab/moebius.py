@@ -25,6 +25,8 @@ goes with any stack; anything else is a dimension mismatch, never a
 broadcast.  Every guard and check judges each matrix of a stack.
 ``random_zpoint(..., size=T)`` draws trial by trial (``draw_pair``) and
 builds, validates and decodes the T points as one stack (``build_pairs``).
+``separate_points`` drops its zero probes by an exact test and judges the
+others as one stack per pair.
 """
 
 from __future__ import annotations
@@ -300,10 +302,11 @@ def separate_points(p1: PairRep, p2: PairRep):
     pair encodings, or None when the pairs agree within 10 DEFAULT_TOL.
 
     Probes scaled projections alpha*E over a geometric two-sided grid, then
-    the -A probes, and returns the first that separates.  The probes are
-    judged as one stack per pair.  The probe grid has no completeness
-    guarantee, so an exhausted sweep on genuinely distinct pairs raises
-    WitnessNotFoundError instead of guessing.
+    the -A probes, and returns the first nonzero one that separates.  Zero
+    probes (every scaled E = 0) are dropped by an exact test before the
+    nonzero ones are judged as one stack per pair.  The probe grid has no
+    completeness guarantee, so an exhausted sweep on genuinely distinct pairs
+    raises WitnessNotFoundError instead of guessing.
     """
     if p1.e.shape != p2.e.shape or p1.e.ndim != 2:
         raise InputValidationError("dimension mismatch: separate_points takes one pair on each side")
@@ -313,9 +316,9 @@ def separate_points(p1: PairRep, p2: PairRep):
     dim = p1.dim
     scaled = PROBE_SCALES[:, None, None, None] * np.array([p1.e, p2.e])
     probes = np.concatenate([scaled.reshape(-1, dim, dim), [-p1.a, -p2.a]])
-    nonzero = operator_norm(probes) != 0.0
+    probes = probes[probes.any(axis=(1, 2))]  # not empty: two pairs with E = A = 0 are close
     probes = 0.5 * (probes + _H(probes))
-    separates = nonzero & (qset_contains(p1, probes) != qset_contains(p2, probes))
+    separates = qset_contains(p1, probes) != qset_contains(p2, probes)
     if not separates.any():
         raise WitnessNotFoundError("probe sweep exhausted without a separating witness")
     return probes[np.argmax(separates)].copy()

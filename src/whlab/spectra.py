@@ -184,22 +184,6 @@ class SpectralDecomposition:
             out += lam * proj
         return out
 
-    def resolution_defect(self) -> float:
-        """|| sum_k E_k - I ||_F."""
-        return float(np.linalg.norm(sum(self.projections) - np.eye(self.dim)))
-
-    def validate(self) -> None:
-        tol = 10 * max(self.tol, DEFAULT_TOL) * np.sqrt(self.dim)
-        if self.resolution_defect() > tol:
-            raise NumericalError("projections do not resolve the identity")
-        for j, ej in enumerate(self.projections):
-            if np.linalg.norm(ej - ej.conj().T) > tol:
-                raise NumericalError(f"projection {j} is not Hermitian")
-            for k, ek in enumerate(self.projections):
-                expected = ej if j == k else 0.0
-                if np.linalg.norm(ej @ ek - expected) > tol:
-                    raise NumericalError(f"projections {j},{k} not orthogonal idempotents")
-
 
 def _cluster(values: np.ndarray, threshold: float) -> list:
     """Group sorted positions whose consecutive gaps are <= threshold."""

@@ -353,13 +353,20 @@ def _closure_idempotent(rng, cfg):
 def _cone_axioms(rng, cfg):
     for dim in _dims(cfg):
         alg = jordan.hermitian_algebra(dim)
-        for _ in range(cfg.trials):
-            a = random_positive(rng, dim) + 0.1 * np.eye(dim)
-            b = random_positive(rng, dim) + 0.1 * np.eye(dim)
-            t = float(rng.uniform(0.1, 5.0))
-            bad = sum(jordan.classify(alg, p) != jordan.ConeClass.INTERIOR for p in (a, a + b, t * a))
-            eps = 0.5 * spectra.lambda_min(a)
-            yield bad + (jordan.classify(alg, a - eps * np.eye(dim)) != jordan.ConeClass.INTERIOR)
+        eye = np.eye(dim)
+        a, b, t = _stack(
+            cfg.trials,
+            lambda: (
+                random_positive(rng, dim) + 0.1 * eye,
+                random_positive(rng, dim) + 0.1 * eye,
+                float(rng.uniform(0.1, 5.0)),
+            ),
+        )
+        eps = 0.5 * spectra.lambda_min(a)
+        # a, a + b, t a and a - eps must all be interior: one stack of the four probes per trial
+        probes = np.concatenate([a, a + b, np.array(t)[:, None, None] * a, a - eps[:, None, None] * eye])
+        outside = np.array([c != jordan.ConeClass.INTERIOR for c in jordan.classify(alg, probes)])
+        yield from outside.reshape(4, -1).sum(axis=0).tolist()
 
 
 def _broken_order(a, b):
@@ -474,6 +481,11 @@ def _isometry_laws(rng, cfg):
         for b in range(0, 4):
             lhs = toeplitz.isometry_V(b, n, k) @ toeplitz.isometry_V(a, n, k)
             yield (lhs - toeplitz.isometry_V(a + b, n, k)).norm()
+    # a one-band operator is the direct sum of its blocks: its norm is the
+    # largest block norm, here planted at a row past 0
+    blocks = np.ones((n, k, k))
+    blocks[n // 2] = 3.0
+    yield abs(toeplitz.TruncatedOperator(n, k, {1: blocks}).norm() - float(np.linalg.norm(blocks[n // 2], 2)))
 
 
 def _intertwine(rng, cfg):
@@ -662,52 +674,55 @@ def _groupoid_mutation(rng, cfg):
 
 
 def _kernel_member(f: "fibers.PiecewisePoly", cut: float) -> "fibers.PiecewisePoly":
-    """Flatten a piecewise-linear function to zero on [0, cut]."""
+    """Flatten each piecewise-linear function of a stack to zero on [0, cut]."""
     breaks = np.union1d(f.breaks, [min(cut, 1.0)])
     return fibers.PiecewisePoly.from_breakpoints(breaks, np.where(breaks <= cut + 1e-15, 0.0, f(breaks)))
 
 
 def _kernel_identity(rng, cfg):
-    for _ in range(max(cfg.trials * 2, 40)):
-        n = int(rng.integers(0, 11))
-        f = fibers.random_dyadic_pl(rng, level=4)
-        cut = 2.0 ** (-n)
+    trials = max(cfg.trials * 2, 40)
+    ns, fs = _stack(trials, lambda: (int(rng.integers(0, 11)), fibers.random_dyadic_pl(rng, level=4)))
+    ns, fs = np.array(ns), fibers.PiecewisePoly.stack(fs)
+    bad = np.zeros(trials, dtype=int)
+    for n in np.unique(ns).tolist():  # the trials that drew n, as one stack
+        pick = ns == n
+        f, cut = fs[pick], 2.0 ** (-n)
         member = _kernel_member(f, cut)
         # Ker(alpha_n) -> ideal: the flattened function is in both
-        bad = (not fibers.ideal_contains(n, member, tol=cfg.tol)) + (member.sup_abs(cut) > cfg.tol)
+        bad[pick] += ~fibers.ideal_contains(n, member, tol=cfg.tol)
+        bad[pick] += member.sup_abs(cut) > cfg.tol
         # ideal -> Ker(alpha_n): production membership against the direct-sup oracle
-        yield bad + (fibers.ideal_contains(n, f, tol=cfg.tol) != (f.sup_abs(cut) <= cfg.tol))
+        bad[pick] += fibers.ideal_contains(n, f, tol=cfg.tol) != (f.sup_abs(cut) <= cfg.tol)
+    yield from bad.tolist()
 
 
 def _quotient_oracle(rng, cfg):
-    for _ in range(max(cfg.trials, 30)):
-        f = fibers.random_dyadic_pl(rng, level=4)
-        gaps = [abs(fibers.quotient_norm(n, f) - f.sup_abs(2.0 ** (-n))) for n in range(0, 11)]
-        yield _worst(gaps + [abs(fibers.quotient_norm(INF, f) - abs(f(0.0)))])
+    f = fibers.random_dyadic_pl(rng, level=4, size=max(cfg.trials, 30))
+    gaps = [np.abs(fibers.quotient_norm(n, f) - f.sup_abs(2.0 ** (-n))) for n in range(0, 11)]
+    gaps.append(np.abs(fibers.quotient_norm(INF, f) - np.abs(f(0.0))))
+    yield from np.max(gaps, axis=0, initial=0.0).tolist()
 
 
 def _cstar_seminorm(rng, cfg):
-    for _ in range(max(cfg.trials, 30)):
-        x = fibers.random_dyadic_pl(rng, level=3)
-        y = fibers.random_dyadic_pl(rng, level=3)
-        bad = 0
-        for p in [0, 1, 3, 7, INF]:
-            qx = fibers.quotient_norm(p, x)
-            qy = fibers.quotient_norm(p, y)
-            bad += fibers.quotient_norm(p, x + y) > qx + qy + SEMINORM_TOL
-            bad += fibers.quotient_norm(p, x * y) > qx * qy + SEMINORM_TOL
-            bad += abs(fibers.quotient_norm(p, x.star() * x) - qx * qx) > SEMINORM_TOL
-        yield bad
+    pairs = fibers.random_dyadic_pl(rng, level=3, size=(max(cfg.trials, 30), 2))  # x then y, trial by trial
+    x, y = pairs[:, 0], pairs[:, 1]
+    bad = np.zeros(x.shape, dtype=int)
+    for p in [0, 1, 3, 7, INF]:
+        qx = fibers.quotient_norm(p, x)
+        qy = fibers.quotient_norm(p, y)
+        bad += fibers.quotient_norm(p, x + y) > qx + qy + SEMINORM_TOL
+        bad += fibers.quotient_norm(p, x * y) > qx * qy + SEMINORM_TOL
+        bad += np.abs(fibers.quotient_norm(p, x.star() * x) - qx * qx) > SEMINORM_TOL
+    yield from bad.tolist()
 
 
 def _usc_infinity(rng, cfg):
-    for _ in range(max(cfg.trials, 20)):
-        f = fibers.random_dyadic_pl(rng, level=4)
-        limit = fibers.quotient_norm(INF, f)
-        values = [fibers.quotient_norm(n, f) for n in range(0, 41, 5)]
-        # the sequence must be nonincreasing for this action
-        rising = any(values[i] < values[i + 1] - ROUNDING_TOL for i in range(len(values) - 1))
-        yield rising + (values[-1] > limit + cfg.tol)
+    f = fibers.random_dyadic_pl(rng, level=4, size=max(cfg.trials, 20))
+    limit = fibers.quotient_norm(INF, f)
+    values = np.array([fibers.quotient_norm(n, f) for n in range(0, 41, 5)])
+    # the sequence must be nonincreasing for this action
+    rising = (values[:-1] < values[1:] - ROUNDING_TOL).any(axis=0)
+    yield from (rising.astype(int) + (values[-1] > limit + cfg.tol)).tolist()
 
 
 def _fiber_action(rng, cfg):
@@ -775,14 +790,14 @@ def unitary_samples(rng, count=50, dim=3):
 
 
 def _homotopy_halfline(rng, cfg):
-    spec = homotopy.make_halfline_homotopy()
-    yield homotopy.verify_condition_h(spec, samples=homotopy.halfline_samples(rng, max(cfg.trials, 50)))["failures"]
+    # one draw per sample: its failure messages
+    samples = homotopy.halfline_samples(rng, max(cfg.trials, 50))
+    yield from homotopy.verify_condition_h(homotopy.make_halfline_homotopy(), samples=samples)["sample_failures"]
 
 
 def _homotopy_unitary(rng, cfg):
-    spec = homotopy.make_unitary_homotopy()
     samples = unitary_samples(rng, count=max(cfg.trials, 50), dim=min(max(cfg.dim, 2), 3))
-    yield homotopy.verify_condition_h(spec, samples=samples)["failures"]
+    yield from homotopy.verify_condition_h(homotopy.make_unitary_homotopy(), samples=samples)["sample_failures"]
 
 
 def _homotopy_mutants(rng, cfg):

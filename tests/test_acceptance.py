@@ -74,9 +74,10 @@ def test_criterion_05_membership_sets():
 
 
 def test_criterion_06_contracting_homotopies():
-    # one draw per case: trials=50 sets 50 samples per model, dim=3 the unitary
-    # samples' size; the mutants run on 20 half-line and 12 unitary samples
-    cases = {"homotopy.halfline": (1, None), "homotopy.unitary": (1, None), "homotopy.mutants_flagged": (1, None)}
+    # one draw per sample: trials=50 sets 50 samples per model, dim=3 the
+    # unitary samples' size; the mutants run on 20 half-line and 12 unitary
+    # samples, judged as one draw
+    cases = {"homotopy.halfline": (50, None), "homotopy.unitary": (50, None), "homotopy.mutants_flagged": (1, None)}
     _pinned(6, "contracting homotopies", 10.0, cases, dim=3, trials=50)
 
 

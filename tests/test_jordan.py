@@ -182,5 +182,6 @@ def test_single_matrix_entry_points_reject_stacks():
     stack = np.array([np.eye(2), np.eye(2)])
     with pytest.raises(InputValidationError):
         jordan.generate_algebra([stack])
-    with pytest.raises(InputValidationError):
-        jordan.classify(jordan.hermitian_algebra(2), stack)
+    # classify takes one stack (T, d, d), not a stack of stacks
+    with pytest.raises(InputValidationError, match="dimension mismatch"):
+        jordan.classify(jordan.hermitian_algebra(2), stack[None])

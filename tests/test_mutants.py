@@ -87,6 +87,15 @@ MUTANTS = [
         "fail",
         id="fiber-action-without-section",
     ),
+    # the norm of a one-band TruncatedOperator: its largest block norm
+    pytest.param(
+        toeplitz.TruncatedOperator.norm,
+        "np.linalg.svd(band, compute_uv=False)",
+        "np.linalg.svd(band[:1], compute_uv=False)",
+        "toeplitz.isometry_laws",
+        "fail",
+        id="one-band-norm-reads-first-block",
+    ),
     # the band product of TruncatedOperator
     pytest.param(
         toeplitz.TruncatedOperator.__matmul__,

@@ -21,6 +21,19 @@ PROJ_MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 PROJ_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
+def _validate(dec):
+    """The invariants of a SpectralDecomposition: its projections resolve the
+    identity and are Hermitian, mutually orthogonal idempotents, each within
+    10 max(tol, DEFAULT_TOL) sqrt(dim) in the Frobenius norm."""
+    tol = 10 * max(dec.tol, spectra.DEFAULT_TOL) * np.sqrt(dec.dim)
+    assert np.linalg.norm(sum(dec.projections) - np.eye(dec.dim)) <= tol, "projections do not resolve the identity"
+    for j, ej in enumerate(dec.projections):
+        assert np.linalg.norm(ej - ej.conj().T) <= tol, f"projection {j} is not Hermitian"
+        for k, ek in enumerate(dec.projections):
+            expected = ej if j == k else 0.0
+            assert np.linalg.norm(ej @ ek - expected) <= tol, f"projections {j},{k} not orthogonal idempotents"
+
+
 def test_hermitian_eig_identity():
     dec = spectra.hermitian_eig(np.eye(2))
     assert len(dec.eigenvalues) == 1
@@ -74,8 +87,8 @@ def test_unitary_eig_merges_near_degenerate():
 
 
 def test_validate_with_a_high_rank_projection():
-    spectra.unitary_eig(np.eye(16)).validate()
-    spectra.hermitian_eig(np.diag([1.0] * 15 + [2.0])).validate()
+    _validate(spectra.unitary_eig(np.eye(16)))
+    _validate(spectra.hermitian_eig(np.diag([1.0] * 15 + [2.0])))
 
 
 def test_unitary_eig_identity_and_diagonal():
@@ -144,7 +157,7 @@ def test_unitary_roundtrip_through_cayley(rng):
             u = random_unitary(rng, dim)
             dec = spectra.unitary_eig(u)
             assert spectra.operator_norm(dec.reconstruct() - u) <= 1e-9
-            dec.validate()
+            _validate(dec)
             assert all(abs(abs(lam) - 1.0) <= 1e-9 for lam in dec.eigenvalues)
 
 

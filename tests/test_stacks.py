@@ -1,17 +1,24 @@
-"""The stack contract of spectra, moebius and jordan.order_compare.
+"""The stack contract of spectra, moebius, jordan and fibers.
 
 A kernel given a stack (T, d, d) must answer, matrix by matrix, what it
 answers for each matrix alone; a guard must judge every matrix of the stack
 and name the one that fails; operands whose shapes do not match must raise
 instead of broadcasting.  Agreement is checked to 1e-13 rather than bitwise,
 since batched and single LAPACK calls need not round alike on every build.
+A stack of piecewise polynomials involves no LAPACK call, so its operations
+must equal the per-function ones bit for bit.
 """
+
+import functools
+import operator
 
 import numpy as np
 import pytest
 
-from whlab import jordan, moebius, spectra
-from whlab.errors import DomainError, InputValidationError, NumericalError
+from whlab import fibers, jordan, moebius, spectra
+from whlab.errors import DomainError, InputValidationError, NumericalError, WitnessNotFoundError
+from whlab.fell import INF
+from whlab.jordan import ConeClass
 from whlab.moebius import PairRep
 from whlab.sampling import random_hermitian, random_positive, random_positive_definite, random_unitary
 
@@ -71,6 +78,11 @@ JORDAN_KERNELS = {
     # random Hermitians against positives for the first three (lt or
     # incomparable), p against itself (leq) for the last two
     "order_compare": lambda h, p, b, u: (jordan.order_compare, (np.concatenate([h[:3], p[3:]]), p)),
+    # random Hermitians (mostly outside the cone) and positives (interior)
+    "classify": lambda h, p, b, u: (
+        functools.partial(jordan.classify, jordan.hermitian_algebra(h.shape[-1])),
+        (np.concatenate([h[:2], p[2:]]),),
+    ),
 }
 
 
@@ -255,3 +267,142 @@ def test_stacked_merge_matches_the_per_matrix_merge(dim):
         np.testing.assert_array_equal(values, ref_values)
         np.testing.assert_array_equal(np.array(projections), np.array(ref_projections))
         np.testing.assert_array_equal(owner, ref_owner)
+
+
+def test_stacked_classify_matches_single_calls_in_every_class():
+    diagonal = jordan.generate_algebra([np.diag([1.0, 0.0])])
+    probes = np.array(
+        [
+            np.eye(2),  # interior
+            np.diag([2.0, 3.0]),  # interior
+            np.diag([1.0, 0.0]),  # boundary
+            np.diag([1.0, -1e-12]),  # boundary, within DEFAULT_TOL of the cone
+            -np.eye(2),  # outside the cone
+            np.array([[0.0, 1.0], [1.0, 0.0]]),  # Hermitian, off the diagonal algebra
+            np.array([[0.0, 1.0], [0.0, 0.0]]),  # not Hermitian: off the algebra, no eigensolve
+        ]
+    )
+    stacked = jordan.classify(diagonal, probes)
+    assert stacked == [jordan.classify(diagonal, m) for m in probes]
+    assert stacked[2:5] == [ConeClass.BOUNDARY, ConeClass.BOUNDARY, ConeClass.OUTSIDE_CONE]
+    assert set(stacked) == set(ConeClass)
+    # a stack with no matrix in the algebra reaches no eigensolve
+    assert jordan.classify(diagonal, probes[5:]) == [ConeClass.OUTSIDE_ALGEBRA] * 2
+    assert jordan.classify(diagonal, np.eye(2)) is ConeClass.INTERIOR
+
+
+def _separate_points_all_probes(p1, p2):
+    """The probe sweep judging all 70 probes and masking the zero ones by
+    their operator norm, as separate_points did before it dropped them."""
+    if p1.close_to(p2, tol=spectra.DEFAULT_TOL * 10):
+        return None
+    dim = p1.dim
+    scaled = moebius.PROBE_SCALES[:, None, None, None] * np.array([p1.e, p2.e])
+    probes = np.concatenate([scaled.reshape(-1, dim, dim), [-p1.a, -p2.a]])
+    nonzero = spectra.operator_norm(probes) != 0.0
+    probes = 0.5 * (probes + probes.conj().swapaxes(-1, -2))
+    separates = nonzero & (moebius.qset_contains(p1, probes) != moebius.qset_contains(p2, probes))
+    if not separates.any():
+        raise WitnessNotFoundError("probe sweep exhausted without a separating witness")
+    return probes[np.argmax(separates)]
+
+
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_separate_points_matches_the_all_probe_sweep(dim):
+    pairs = moebius.pair_encode(moebius.random_zpoint(np.random.default_rng(40 + dim), dim, size=80))
+    projection_witnesses = 0
+    for p1, p2 in zip(pairs[0::2], pairs[1::2]):
+        try:
+            expected = _separate_points_all_probes(p1, p2)
+        except WitnessNotFoundError:
+            with pytest.raises(WitnessNotFoundError):
+                moebius.separate_points(p1, p2)
+            continue
+        witness = moebius.separate_points(p1, p2)
+        if expected is None:
+            assert witness is None
+        else:
+            np.testing.assert_array_equal(witness, expected)
+            projection_witnesses += not any(np.array_equal(witness, -p.a) for p in (p1, p2))
+    assert projection_witnesses  # the scaled-E part of the sweep decided some pairs
+
+
+# ---------------------------------------------------------------------------
+# fibers: stacks of piecewise polynomials on one breakpoint vector
+
+
+def _functions(level, seed):
+    """A seeded stack of COUNT functions and the same draws one at a time."""
+    stack = fibers.random_dyadic_pl(np.random.default_rng(seed), level=level, size=COUNT)
+    rng = np.random.default_rng(seed)
+    return stack, [fibers.random_dyadic_pl(rng, level=level) for _ in range(COUNT)]
+
+
+def _equal_functions(stacked, singles):
+    for t, single in enumerate(singles):
+        np.testing.assert_array_equal(stacked.breaks, single.breaks)
+        np.testing.assert_array_equal(stacked.coefs[t], single.coefs)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_stacked_function_ops_equal_single_ops_bit_for_bit(level):
+    f, fs = _functions(level, level)
+    g, gs = _functions(level, 10 + level)
+    _equal_functions(f, fs)
+    _equal_functions(fibers.PiecewisePoly.stack(fs), fs)
+    for op in (operator.add, operator.sub, operator.mul):
+        _equal_functions(op(f, g), [op(a, b) for a, b in zip(fs, gs)])
+        _equal_functions(op(f, gs[0]), [op(a, gs[0]) for a in fs])  # one function goes with any stack
+    _equal_functions(f.star() * f, [a.star() * a for a in fs])
+    _equal_functions(2.5 * f, [2.5 * a for a in fs])
+    ts = np.linspace(0.0, 1.0, 37)
+    np.testing.assert_array_equal(f(ts), [a(ts) for a in fs])
+    np.testing.assert_array_equal(f(0.3), [a(0.3) for a in fs])
+    for p in (f, f * g):  # piecewise linear, and quadratic with interior vertices
+        ps = [a * b for a, b in zip(fs, gs)] if p is not f else fs
+        for hi in (1.0, 0.3, 2.0**-5):
+            np.testing.assert_array_equal(p.sup_abs(hi), [a.sup_abs(hi) for a in ps])
+        for n in range(13):
+            _equal_functions(fibers.halving_apply(n, p), [fibers.halving_apply(n, a) for a in ps])
+        for x in [*range(13), INF]:
+            np.testing.assert_array_equal(fibers.quotient_norm(x, p), [fibers.quotient_norm(x, a) for a in ps])
+            np.testing.assert_array_equal(
+                fibers.ideal_contains(x, p, tol=0.5), [fibers.ideal_contains(x, a, tol=0.5) for a in ps]
+            )
+
+
+def test_a_stack_of_pairs_draws_trial_by_trial():
+    # (x, y) per trial, as the seminorm case draws them
+    pairs = fibers.random_dyadic_pl(np.random.default_rng(5), level=3, size=(COUNT, 2))
+    rng = np.random.default_rng(5)
+    singles = [fibers.random_dyadic_pl(rng, level=3) for _ in range(2 * COUNT)]
+    _equal_functions(pairs[:, 0], singles[0::2])
+    _equal_functions(pairs[:, 1], singles[1::2])
+    assert pairs.shape == (COUNT, 2) and pairs[:, 0].shape == (COUNT,) and pairs[1, 0].shape == ()
+
+
+def test_stacks_on_other_breakpoints_raise():
+    rng = np.random.default_rng(6)
+    coarse = fibers.random_dyadic_pl(rng, level=3, size=COUNT)
+    fine = fibers.random_dyadic_pl(rng, level=4, size=COUNT)
+    for left, right in [(coarse, fine), (coarse, fine[0]), (coarse[0], fine)]:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(InputValidationError, match="dimension mismatch"):
+                op(left, right)
+    with pytest.raises(InputValidationError, match="dimension mismatch"):
+        coarse + fibers.random_dyadic_pl(rng, level=3, size=COUNT + 1)
+    with pytest.raises(InputValidationError, match="dimension mismatch"):
+        fibers.PiecewisePoly.stack([coarse[0], fine[0]])
+    with pytest.raises(InputValidationError):
+        coarse[0][0]  # one function has no stack axes
+    # two single functions still meet on the union of their breakpoints
+    both = coarse[0] + fine[0]
+    np.testing.assert_array_equal(both.breaks, fine.breaks)
+
+
+def test_one_function_keeps_its_float_answers():
+    f = fibers.random_dyadic_pl(np.random.default_rng(7), level=3)
+    assert f.shape == ()
+    for value in (f(0.5), f.sup_abs(), f.sup_abs(0.25), fibers.quotient_norm(2, f), fibers.quotient_norm(INF, f)):
+        assert type(value) is float
+    assert type(fibers.ideal_contains(2, f)) is bool
