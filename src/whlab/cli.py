@@ -10,9 +10,8 @@ The default tolerance comes from the WHLAB_TOL environment variable when set.
 Cases that take --tol: moebius.action_law, moebius.cayley_equivariance,
 moebius.qset_a2, fibers.kernel_identity and fibers.usc_infinity.  Every other
 case judges against a named constant of whlab.suites (MARGIN_FLOOR,
-CONTRACTION_TOL, PAIR_TOL, ALGEBRA_TOL, SEMINORM_TOL, INTERIOR_TOL,
-ROUNDING_TOL, ZERO_TOL and the three mutation gaps); the README maps each case
-to its constant.  --N is a floor: the Toeplitz and groupoid cases truncate at
+CONTRACTION_TOL, PAIR_TOL, ALGEBRA_TOL, SEMINORM_TOL, ROUNDING_TOL, ZERO_TOL
+and the three mutation gaps); the README maps each case to its constant.  --N is a floor: the Toeplitz and groupoid cases truncate at
 max(N, 16) or max(N, 24), groupoid.algebra always at 14 and
 groupoid.lambda_bound always at 12; groupoid.shift_laws ignores --N (its
 window is fixed at 14).

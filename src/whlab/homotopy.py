@@ -31,9 +31,9 @@ upper-half-circle unitary model the angle rotation
     phi_t(U) = exp(i((1-t) g(U) + t pi)),
 
 with g the eigenvalue angles (``principal_angles``), through the functional
-calculus: the path is the (T, k) table of eigenvalues on U's k spectral
-projections E_k, and the images sum_k lambda_tk E_k are one (T, d, d) stack
-sharing U's spectral frame exactly.  Deliberately broken variants of both
+calculus: the path is the (T, d) table of eigenvalues on the d columns of
+U's spectral frame V, and the images V diag(lambda_t) V* are one (T, d, d)
+stack sharing that frame exactly.  Deliberately broken variants of both
 are shipped for mutation testing of the verifier.
 """
 
@@ -49,7 +49,7 @@ from . import spectra
 from .errors import DomainError, InputValidationError
 from .fell import INF
 from .moebius import ZPoint, _in_z
-from .spectra import CLUSTER_TOL, _frobenius
+from .spectra import CLUSTER_TOL
 
 T_GRID_POINTS = 65
 IDENTITY_TOL = 1e-9  # how far phi_0 may move a sample in the model metric
@@ -205,8 +205,8 @@ def halfline_samples(rng: np.random.Generator, count: int = 50) -> list:
 
 @dataclass
 class UnitaryPath:
-    """phi_t(U) over an array of t: the (T, k) eigenvalue table on U's k
-    spectral projections and the (T, d, d) images; rows index like an array."""
+    """phi_t(U) over an array of t: the (T, d) eigenvalue table on the columns
+    of U's spectral frame and the (T, d, d) images; rows index like an array."""
 
     eigenvalues: np.ndarray
     u: np.ndarray
@@ -216,10 +216,10 @@ class UnitaryPath:
 
 
 def principal_angles(z: ZPoint) -> np.ndarray:
-    """The angle g of each eigenvalue of U, unwrapped into [-s, pi + s] with
-    s = sqrt(CLUSTER_TOL) and not clamped, so exp(i g) is U's own eigenvalue
-    even just below the real axis."""
-    eigenvalues = np.asarray(z.dec.eigenvalues)
+    """The angle g of the eigenvalue of each column of U's frame, unwrapped
+    into [-s, pi + s] with s = sqrt(CLUSTER_TOL) and not clamped, so exp(i g)
+    is U's own eigenvalue even just below the real axis."""
+    eigenvalues = z.dec.values
     theta = np.angle(eigenvalues)
     slack = math.sqrt(CLUSTER_TOL)
     theta = np.where(theta <= slack - math.pi, theta + 2.0 * math.pi, theta)
@@ -233,29 +233,28 @@ def _rotation(phase: Callable) -> Callable:
     """The path t -> exp(i phase(t, g(U))) through U's spectral frame."""
     def path(t: np.ndarray, z: ZPoint) -> UnitaryPath:
         table = np.exp(1j * phase(t[:, None], principal_angles(z)))
-        return UnitaryPath(table, np.einsum("tk,kij->tij", table, np.array(z.dec.projections)))
+        return UnitaryPath(table, replace(z.dec, values=table).reconstruct())
 
     return path
 
 
 def _eigenvalue_table(p) -> np.ndarray:
     """The eigenvalue table of a path; a Z point's spectrum as one row."""
-    return np.asarray(p.dec.eigenvalues)[None] if isinstance(p, ZPoint) else p.eigenvalues
+    return p.dec.values[None] if isinstance(p, ZPoint) else p.eigenvalues
 
 
 def order_containment_table(path: UnitaryPath, z: ZPoint) -> np.ndarray:
-    """Row by row, whether U_t lies in U in the model order: U_t acts on each
-    nonzero projection E_j of U as lambda_j = trace(E_j U_t) / trace(E_j),
-    and Re lambda_j <= Re(U's eigenvalue on E_j) + ORDER_TOL.  A row with
-    ||U_t E_j - lambda_j E_j||_F > sqrt(ORDER_TOL) shares no frame with U:
-    raises."""
-    projections = np.array(z.dec.projections)
-    traces = np.trace(projections, axis1=1, axis2=2).real
-    keep = traces >= 0.5
-    projections, own = projections[keep], np.asarray(z.dec.eigenvalues)[keep]
-    scalars = np.einsum("jab,tba->tj", projections, path.u) / traces[keep]
-    residual = _frobenius(path.u[:, None] @ projections - scalars[..., None, None] * projections)
-    if (residual > math.sqrt(ORDER_TOL)).any():
+    """Row by row, whether U_t lies in U in the model order: U_t acts on the
+    eigenspace of U spanned by the k frame columns V_c of one value as
+    lambda_c = trace(V_c* U_t V_c) / k, and Re lambda_c <= Re(U's eigenvalue
+    there) + ORDER_TOL.  A row with ||U_t V_c - lambda_c V_c||_F >
+    sqrt(ORDER_TOL) shares no frame with U: raises."""
+    v, own = z.dec.vectors, z.dec.values
+    same = own[:, None] == own[None, :]  # same[j, l]: columns j and l hold one eigenvalue
+    images = path.u @ v  # column j: U_t v_j
+    scalars = np.einsum("aj,taj->tj", v.conj(), images) @ same / same.sum(axis=0)
+    squared = np.linalg.norm(images - scalars[:, None, :] * v, axis=1) ** 2 @ same
+    if (squared > ORDER_TOL).any():
         raise DomainError("not comparable via a shared spectral frame")
     return (scalars.real <= own.real + ORDER_TOL).all(axis=1)
 
@@ -270,7 +269,7 @@ def make_unitary_homotopy() -> HomotopySpec:
         order_test=order_containment_table,
         distance=lambda a, b: spectra.operator_norm(a.u - b.u),
         describe=lambda z: f"U(dim={z.dim})",
-        sample_check=lambda z: isinstance(z, ZPoint) and _in_z(z.dec.eigenvalues),
+        sample_check=lambda z: isinstance(z, ZPoint) and _in_z(z.dec.values),
     )
 
 

@@ -19,8 +19,11 @@ Stacks: ``boxplus``, ``psi``, ``psi_inv``, ``moebius_contraction``,
 ``pair_decode`` and ``classify_zpoint`` take stacks ``(T, d, d)`` as well as
 single matrices, as ``spectra`` does: a 2-D input is a stack of one and gets
 back what it always did, a stack gets an array or a list.  A ``ZPoint`` or
-``PairRep`` may hold a stack; ``PairRep`` indexes like one.  Operands of one
-call share d, and their stacks share a length, except that a single matrix
+``PairRep`` may hold a stack; ``PairRep`` indexes like one.  Everything read
+off a spectrum is array code on the cached frame V and its per-column
+values: Z membership and class test the values, and ``pair_encode`` and
+``build_pairs`` form E and A as V diag(w) V* with one weight per column.
+Operands of one call share d, and their stacks share a length, except that a single matrix
 goes with any stack; anything else is a dimension mismatch, never a
 broadcast.  Every guard and check judges each matrix of a stack.
 ``random_zpoint(..., size=T)`` draws trial by trial (``draw_pair``) and
@@ -31,7 +34,7 @@ others as one stack per pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -79,36 +82,29 @@ def _shared_shape(*mats: np.ndarray) -> tuple:
     return shape
 
 
-def _decompositions(dec) -> list:
-    """The decompositions of a ZPoint as a list, one per matrix."""
-    return dec if isinstance(dec, list) else [dec]
-
-
 @dataclass
 class ZPoint:
     """A unitary with spectrum in the closed upper half circle, plus its cached
-    spectral decomposition; a stack of them with a list of decompositions."""
+    spectral decomposition; or a stack of them with the stack's decomposition."""
 
     u: np.ndarray
-    dec: SpectralDecomposition | list
+    dec: SpectralDecomposition
 
     @property
     def dim(self) -> int:
         return self.u.shape[-1]
 
 
-def _in_z(eigs) -> bool:
-    """Whether a spectrum lies in the closed upper half circle as pair_encode
-    reads it.  Below the equator, the -1 side (Re < 0) gets ENTRY_TOL of
-    slack: pair encodings are validated at that resolution, so their Cayley
+def _in_z(values: np.ndarray) -> np.ndarray:
+    """Whether a spectrum ``(..., d)`` lies in the closed upper half circle as
+    pair_encode reads it, one bool per matrix.  Below the equator, the -1
+    side (Re < 0) gets ENTRY_TOL of slack: pair encodings are validated at that resolution, so their Cayley
     images dip that far, and the inverse Cayley value there is about Im / 2.
     The +1 side gets only CLUSTER_TOL, the radius that pair_encode folds into
     E; beyond it the inverse Cayley value is about 2 / Im, large and
     negative, so no positive A encodes it."""
-    return all(
-        lam.imag >= 0 or (lam.imag >= -ENTRY_TOL if lam.real < 0 else abs(lam - 1.0) <= CLUSTER_TOL)
-        for lam in np.asarray(eigs, dtype=complex).tolist()
-    )
+    below = np.where(values.real < 0, values.imag >= -ENTRY_TOL, np.abs(values - 1.0) <= CLUSTER_TOL)
+    return ((values.imag >= 0) | below).all(axis=-1)
 
 
 def zpoint(u) -> ZPoint:
@@ -116,11 +112,8 @@ def zpoint(u) -> ZPoint:
     m = as_matrix(u)
     # unitary_eig runs the unitary guard on m
     dec = spectra.unitary_eig(m, tol=UNITARY_TOL)
-    decs = _decompositions(dec)
-    inside = np.reshape([_in_z(d.eigenvalues) for d in decs], m.shape[:-2])
-    if not inside.all():
-        worst = np.reshape([np.min(np.imag(d.eigenvalues)) for d in decs], m.shape[:-2])
-        _require(inside, worst, DomainError, "spectrum leaves the upper half circle: Im = {:.3e}")
+    worst = dec.values.imag.min(axis=-1)
+    _require(_in_z(dec.values), worst, DomainError, "spectrum leaves the upper half circle: Im = {:.3e}")
     return ZPoint(u=m, dec=dec)
 
 
@@ -189,19 +182,13 @@ def boxplus(u, b) -> np.ndarray:
 
 def classify_zpoint(u):
     """Locate a unitary relative to Z: outside, on the -1 boundary (within
-    CLUSTER_TOL of -1), or in the dense -1-free part; a list of classes for a
-    stack."""
-    dec = spectra.unitary_eig(u, tol=UNITARY_TOL)
-    classes = [_zclass(d.eigenvalues) for d in _decompositions(dec)]
-    return classes if isinstance(dec, list) else classes[0]
-
-
-def _zclass(eigs) -> ZClass:
-    if not _in_z(eigs):
-        return ZClass.OUTSIDE
-    if min(abs(lam + 1.0) for lam in eigs) <= CLUSTER_TOL:
-        return ZClass.BOUNDARY
-    return ZClass.INTERIOR_ORBIT
+    CLUSTER_TOL of -1), or in the dense -1-free part; for a stack, a flat
+    list of classes in C order."""
+    values = spectra.unitary_eig(u, tol=UNITARY_TOL).values
+    boundary = (np.abs(values + 1.0) <= CLUSTER_TOL).any(axis=-1)
+    classes = np.array([ZClass.INTERIOR_ORBIT, ZClass.BOUNDARY, ZClass.OUTSIDE], dtype=object)
+    classes = classes[np.where(_in_z(values), boundary, 2)]
+    return classes.ravel().tolist() if values.ndim > 1 else classes
 
 
 def psi(a) -> np.ndarray:
@@ -261,18 +248,14 @@ def contraction_inverse(c, b) -> np.ndarray:
 def pair_encode(z: ZPoint) -> PairRep:
     """Collapse a Z point to (E, A): E sums the spectral projections of
     eigenvalues within CLUSTER_TOL of 1, A carries the inverse Cayley
-    transform of the rest on range(1-E)."""
-    decs = _decompositions(z.dec)
-    e = np.zeros((len(decs), z.dim, z.dim), dtype=np.complex128)
-    a = np.zeros_like(e)
-    for t, dec in enumerate(decs):
-        for lam, proj in zip(dec.eigenvalues, dec.projections):
-            if abs(lam - 1.0) <= CLUSTER_TOL:
-                e[t] += proj
-            else:
-                a[t] += np.real(spectra.scalar_inverse_cayley(lam)) * proj
-    e, a = e.reshape(z.u.shape), a.reshape(z.u.shape)
-    return PairRep(e=e, a=0.5 * (a + _H(a)))
+    transform of the rest on range(1-E): each is a function of U through its
+    frame, one weight per column."""
+    values = z.dec.values
+    one = np.abs(values - 1.0) <= CLUSTER_TOL
+    # scalar_inverse_cayley(-1) = 0: the columns of E carry no A
+    w = np.real(spectra.scalar_inverse_cayley(np.where(one, -1.0, values)))
+    a = replace(z.dec, values=w).reconstruct()
+    return PairRep(e=replace(z.dec, values=one).reconstruct(), a=0.5 * (a + _H(a)))
 
 
 def pair_decode(p: PairRep) -> ZPoint:
@@ -347,7 +330,7 @@ def draw_pair(rng: np.random.Generator, dim: int, force_boundary: bool = False) 
     cluster left out of E (so range(1-E) is not empty), the direction.
     """
     h = random_hermitian(rng, dim)
-    clusters = len(spectra._cluster(np.linalg.eigh(h)[0], CLUSTER_TOL))
+    clusters = 1 + np.count_nonzero(np.abs(np.diff(np.linalg.eigh(h)[0])) > CLUSTER_TOL)
     chosen = [rng.uniform() < 0.3 for _ in range(clusters)]
     g = random_complex(rng, dim)
     direction = rng.standard_normal(dim) if force_boundary and not all(chosen) else None
@@ -357,19 +340,20 @@ def draw_pair(rng: np.random.Generator, dim: int, force_boundary: bool = False) 
 def build_pairs(draws: list) -> PairRep:
     """The stack of (E, A) pairs of ``draw_pair`` draws.
 
-    E sums the chosen spectral projections of the Hermitian, A is G*G
-    compressed to range(1-E).  A planted boundary gives the compression a
-    kernel vector inside range(1-E), which plants the eigenvalue -1.
+    E sums the chosen spectral projections of the Hermitian: the columns of
+    its frame whose run (cluster) is chosen.  A is G*G compressed to
+    range(1-E).  A planted boundary gives the compression a kernel vector
+    inside range(1-E), which plants the eigenvalue -1.
     """
     dim = len(draws[0].h)
-    decs = spectra.hermitian_eig(np.array([d.h for d in draws]))
-    e = np.zeros((len(draws), dim, dim), dtype=np.complex128)
-    for t, (draw, dec) in enumerate(zip(draws, decs)):
-        if len(dec.projections) != len(draw.chosen):
-            raise NumericalError("the clusters of a drawn Hermitian changed between draw and decomposition")
-        for proj, chosen in zip(dec.projections, draw.chosen):
-            if chosen:
-                e[t] += proj
+    dec = spectra.hermitian_eig(np.array([d.h for d in draws]))
+    # the run of each column: its merged values repeat within a run and rise between runs
+    runs = np.zeros(dec.values.shape, dtype=np.int64)
+    runs[:, 1:] = np.cumsum(np.diff(dec.values, axis=-1) != 0, axis=-1)
+    if (runs[:, -1] + 1 != [len(d.chosen) for d in draws]).any():
+        raise NumericalError("the clusters of a drawn Hermitian changed between draw and decomposition")
+    chosen = np.array([d.chosen + [False] * (dim - len(d.chosen)) for d in draws])
+    e = replace(dec, values=np.take_along_axis(chosen, runs, axis=-1)).reconstruct()
     comp = np.eye(dim) - e
     g = np.array([d.g for d in draws])
     a = comp @ (_H(g) @ g) @ comp
@@ -382,20 +366,16 @@ def build_pairs(draws: list) -> PairRep:
 
 def _plant_boundary(comp: np.ndarray, a: np.ndarray, direction) -> np.ndarray:
     """Compress A off a unit vector of range(comp) along ``direction``; A as
-    it is when range(comp) is empty."""
-    comp_dec = spectra.hermitian_eig(0.5 * (comp + comp.conj().T))
-    vecs = None
-    for lam, proj in zip(comp_dec.eigenvalues, comp_dec.projections):
-        if abs(lam - 1.0) <= 0.5:
-            vecs = proj
-    if (vecs is None) != (direction is None):
+    it is when range(comp) is empty.  comp = 1 - E is the projection onto
+    the unchosen columns of a frame, so it projects onto its own range."""
+    if (direction is None) != (np.trace(comp).real < 0.5):
         raise NumericalError("1 - E is not numerically a projection")
-    if vecs is None:
+    if direction is None:
         # E is the whole space; fall back to a plain boundary-free point
         return a
-    v = vecs @ direction
+    v = comp @ direction
     if np.linalg.norm(v) < 1e-9:
-        v = vecs[:, int(np.argmax(np.linalg.norm(vecs, axis=0)))]
+        v = comp[:, int(np.argmax(np.linalg.norm(comp, axis=0)))]
     v = v / np.linalg.norm(v)
     kill = comp - np.outer(v, v.conj())
     a = kill @ a @ kill

@@ -4,14 +4,22 @@ Hermitian and unitary spectral decompositions with eigenvalue clustering,
 and the Cayley transform A -> (A+i)(A-i)^{-1} and its inverse.  Everything
 else in the package funnels its linear algebra through this module.
 
+A decomposition is the eigh frame V with one merged eigenvalue per column:
+f(M) = V f(values) V* is the functional calculus (Higham, Functions of
+Matrices, SIAM 2008), and a cluster's spectral projection is V_c V_c* over
+the columns that hold its value.
+
 Unitary spectra are reduced to the Hermitian case: pick a phase theta, from a
 fixed pseudo-random sequence, whose rotation e^{i theta}U keeps the spectrum
 away from 1, pull back through the inverse Cayley transform, decompose the
 resulting Hermitian matrix, and push the eigenvalues forward again.  This
 avoids a general (non-normal) eigensolver entirely.
 
-Eigenvalues closer than ``CLUSTER_TOL`` share one projection, and a unitary
-whose spectrum comes within ``CLUSTER_TOL`` of 1 is outside the Cayley image.
+Runs of sorted eigenvalues whose consecutive gaps are at most
+``CLUSTER_TOL`` merge into one cluster, and every column of the run holds the
+run's mean; a unitary's values merge again on the circle, across angle 0
+too.  A unitary whose spectrum comes within ``CLUSTER_TOL`` of 1 is outside
+the Cayley image.
 
 Validation: a public function guards each matrix it receives once; no caller
 repeats a guard its callee runs on the same matrix, though a matrix computed
@@ -27,8 +35,8 @@ spectral norms; ``lambda_min`` is the smallest eigenvalue, not a cluster mean.
 Stacks: ``as_matrix``, the guards, ``operator_norm``, ``lambda_min``,
 ``cayley``, ``inverse_cayley``, ``hermitian_eig`` and ``unitary_eig`` take a
 stack ``(..., d, d)`` as well as one matrix and work on each matrix of it; a
-2-D input is a stack of one and gets back what a single matrix gets, a
-number or a decomposition where a stack gets an array or a list (in C order).
+2-D input is a stack of one and gets back a number where a stack gets an
+array.  A decomposition holds the frames and values of the whole stack.
 A guard or a check judges every matrix of a stack: one failing matrix fails
 the call, and the message names its index.  A defect that is not ``<= tol``
 fails, NaN included.
@@ -162,41 +170,25 @@ def assert_unitary(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues with their (clustered) spectral projections.
+    """The eigh frame of a matrix, or of each matrix of a stack, with one
+    merged eigenvalue per column.
 
-    Invariants, each within ``tol``: the projections are Hermitian idempotents,
-    mutually orthogonal, sum to the identity, and ``sum_k lambda_k E_k``
-    reconstructs the decomposed matrix.  Eigenvalues are pairwise distinct
-    beyond ``CLUSTER_TOL``.
+    ``vectors`` is the unitary frame, shape ``(..., d, d)``; ``values[..., j]``
+    is the eigenvalue of column j, shape ``(..., d)``.  The columns of one
+    cluster hold the same float, and two clusters differ beyond
+    ``CLUSTER_TOL``, so a cluster's spectral projection is V_c V_c* over its
+    columns, and f(M) = V f(values) V* (the functional calculus).
     """
 
-    eigenvalues: np.ndarray
-    projections: list
-    tol: float = DEFAULT_TOL
+    vectors: np.ndarray
+    values: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.projections[0].shape[0]
+    def __getitem__(self, index) -> "SpectralDecomposition":
+        """The decompositions of a stack at ``index``."""
+        return SpectralDecomposition(self.vectors[index], self.values[index])
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            out += lam * proj
-        return out
-
-
-def _cluster(values: np.ndarray, threshold: float) -> list:
-    """Group sorted positions whose consecutive gaps are <= threshold."""
-    groups = []
-    current = [0]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= threshold:
-            current.append(i)
-        else:
-            groups.append(current)
-            current = [i]
-    groups.append(current)
-    return groups
+        return (self.vectors * self.values[..., None, :]) @ _H(self.vectors)
 
 
 def _eigh(m: np.ndarray):
@@ -207,73 +199,69 @@ def _eigh(m: np.ndarray):
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
 
-def _merge(evals: np.ndarray, evecs: np.ndarray, cluster: float) -> list:
-    """eigh output of a stack, (T, d) and (T, d, d), with each matrix's runs
-    of eigenvalues whose consecutive gaps are <= ``cluster`` averaged into
-    one.  Per matrix: the merged eigenvalues, their projections, and the
-    index of the merged eigenvalue each eigh eigenvalue went into."""
-    count, dim = evals.shape
-    starts = np.ones((count, dim), dtype=bool)  # the first eigenvalue of each group
-    starts[:, 1:] = np.abs(evals[:, 1:] - evals[:, :-1]) > cluster
-    owner = starts.cumsum(axis=1) - 1
-    flat = starts.ravel().nonzero()[0]
-    size = np.append(flat[1:], starts.size) - flat
-    flat_evals = evals.ravel()
-    means = flat_evals[flat].astype(np.complex128)
-    for i in (size > 1).nonzero()[0]:
-        # np.mean's own sum: reduceat would add in another order
-        means[i] = np.add.reduce(flat_evals[flat[i] : flat[i] + size[i]]) / size[i]
-    matrix, first = np.divmod(flat, dim)
-    projections = np.empty((len(flat), dim, dim), dtype=np.complex128)
-    for s in set(size.tolist()):
-        pick = (size == s).nonzero()[0]
-        vecs = evecs[matrix[pick, None, None], np.arange(dim)[:, None], first[pick, None, None] + np.arange(s)]
-        projections[pick] = vecs @ _H(vecs)
-    bounds = matrix.searchsorted(np.arange(count + 1))
-    return [(means[lo:hi], list(projections[lo:hi]), owner[t]) for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+def _merge(evals: np.ndarray) -> np.ndarray:
+    """Each eigenvalue of an ascending stack ``(..., d)`` replaced by the mean
+    of its run of consecutive gaps <= ``CLUSTER_TOL``, summed as np.mean sums
+    the run."""
+    starts = np.ones(evals.shape, dtype=bool)  # the first eigenvalue of each run
+    starts[..., 1:] = np.abs(np.diff(evals, axis=-1)) > CLUSTER_TOL
+    flat, starts = evals.ravel(), starts.ravel()
+    first = starts.nonzero()[0]
+    size = np.diff(first, append=flat.size)
+    means = flat[first]
+    for s in set(size[size > 1].tolist()):
+        pick = size == s
+        means[pick] = np.add.reduce(flat[first[pick, None] + np.arange(s)], axis=-1) / s
+    return means[starts.cumsum() - 1].reshape(evals.shape)
 
 
-def _reconstruction_defects(decs: list, stack: np.ndarray) -> np.ndarray:
-    """|| sum_k lambda_k E_k - M ||_F for each decomposition and its matrix."""
-    values = np.concatenate([dec.eigenvalues for dec in decs])
-    projections = np.array([proj for dec in decs for proj in dec.projections])
-    offsets = np.cumsum([0] + [len(dec.eigenvalues) for dec in decs[:-1]])
-    return _frobenius(np.add.reduceat(values[:, None, None] * projections, offsets) - stack)
+def _merge_on_circle(values: np.ndarray) -> np.ndarray:
+    """Each unit value of a stack ``(..., d)`` replaced by the normalized mean
+    of its group: runs of consecutive angular gaps <= ``CLUSTER_TOL``, the
+    last run joining the first across angle 0."""
+    angles = np.mod(np.angle(values), 2.0 * np.pi)
+    order = np.argsort(angles, axis=-1, kind="stable")
+    ascending = np.take_along_axis(angles, order, axis=-1)
+    labels = np.zeros(angles.shape, dtype=np.int64)
+    labels[..., 1:] = np.cumsum(np.diff(ascending, axis=-1) > CLUSTER_TOL, axis=-1)
+    wrap = (labels[..., -1:] > 0) & (ascending[..., :1] + 2.0 * np.pi - ascending[..., -1:] <= CLUSTER_TOL)
+    labels = np.where(wrap & (labels == 0), labels[..., -1:], labels)
+    group = np.empty_like(labels)
+    np.put_along_axis(group, order, labels, axis=-1)
+    same = group[..., :, None] == group[..., None, :]
+    means = np.where(same, values[..., None, :], 0).sum(axis=-1) / same.sum(axis=-1)
+    return means / np.abs(means)
 
 
-def hermitian_eig(a):
-    """Spectral decomposition of a Hermitian matrix; a list of them, in C
-    order, for a stack.
+def hermitian_eig(a) -> SpectralDecomposition:
+    """Spectral decomposition of a Hermitian matrix or of each matrix of a
+    stack.
 
     Eigenvalues come back real and ascending; eigenvalues closer than
-    ``CLUSTER_TOL`` are merged into a single projection, which keeps the
-    projections well conditioned near degeneracies.
+    ``CLUSTER_TOL`` (runs of them) are merged into their mean, which keeps
+    the cluster projections well conditioned near degeneracies.
     """
     m = assert_hermitian(a)
-    dim = m.shape[-1]
-    stack = m.reshape(-1, dim, dim)
-    evals, evecs = _eigh(stack)
-    merged = _merge(evals, evecs, CLUSTER_TOL)
-    decs = [SpectralDecomposition(values, projections) for values, projections, _ in merged]
+    evals, vectors = _eigh(m)
+    dec = SpectralDecomposition(vectors, _merge(evals))
     # averaging moves each merged eigenvalue to its cluster mean, which costs
     # exactly the 2-norm of those moves in Frobenius; eigh itself is backward
     # stable, hence the relative term, sqrt(dim) times for Frobenius
-    means = np.array([values.real[owner] for values, _, owner in merged])
-    shift = np.sqrt(np.square(evals - means).sum(axis=-1))
-    scale = np.maximum(1.0, np.maximum(np.abs(evals[:, 0]), np.abs(evals[:, -1])))
-    defect = _reconstruction_defects(decs, stack)
-    ok, defect = (x.reshape(m.shape[:-2]) for x in (defect <= 10 * DEFAULT_TOL * scale * np.sqrt(dim) + shift, defect))
+    shift = np.sqrt(np.square(evals - dec.values).sum(axis=-1))
+    scale = np.maximum(1.0, np.maximum(np.abs(evals[..., 0]), np.abs(evals[..., -1])))
+    defect = _frobenius(dec.reconstruct() - m)
+    ok = defect <= 10 * DEFAULT_TOL * scale * np.sqrt(m.shape[-1]) + shift
     _require(ok, defect, NumericalError, "reconstruction error {:.3e} exceeds tolerance")
-    return decs[0] if m.ndim == 2 else decs
+    return dec
 
 
 def scalar_cayley(a: complex) -> complex:
-    """(a+i)/(a-i) for a scalar."""
+    """(a+i)/(a-i) for a scalar, or elementwise."""
     return (a + 1j) / (a - 1j)
 
 
 def scalar_inverse_cayley(lam: complex) -> complex:
-    """Inverse of the scalar Cayley map: i(1+lam)/(lam-1)."""
+    """Inverse of the scalar Cayley map: i(1+lam)/(lam-1), elementwise on an array."""
     return 1j * (1 + lam) / (lam - 1)
 
 
@@ -308,17 +296,17 @@ def inverse_cayley(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (h + _H(h))
 
 
-def unitary_eig(u, tol: float = DEFAULT_TOL):
-    """Spectral decomposition of a unitary matrix; a list of them, in C
-    order, for a stack.
+def unitary_eig(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+    """Spectral decomposition of a unitary matrix or of each matrix of a
+    stack.
 
     Draws phases theta from one fixed pseudo-random sequence (no global
     state), rejects each while e^{i theta}U has spectrum within 10
     ``CLUSTER_TOL`` of 1, then decomposes inverse_cayley(e^{i theta}U) and
-    maps the eigenvalues back.  All returned eigenvalues lie on the unit
-    circle; the projections are the Hermitian ones, reused verbatim.  Every
-    matrix of a stack takes the first acceptable phase of the sequence, so it
-    gets the theta it gets alone.
+    maps the merged eigenvalues back.  The frame is the Hermitian one, reused
+    verbatim; every value lies on the unit circle.  Every matrix of a stack
+    takes the first acceptable phase of the sequence, so it gets the theta it
+    gets alone.
     """
     m = assert_unitary(u, tol=tol)
     dim = m.shape[-1]
@@ -343,43 +331,16 @@ def unitary_eig(u, tol: float = DEFAULT_TOL):
         found = found.reshape(m.shape[:-2])
         _require(found, found, NumericalError, "no spectrum-avoiding phase found in {1} attempts", PHASE_ATTEMPTS)
 
-    evals, evecs = _eigh(inverse_cayley(rotated, tol=tol))
-    decs, targets = zip(
-        *(_on_circle(*merged, thetas[i], tol) for i, merged in enumerate(_merge(evals, evecs, CLUSTER_TOL)))
-    )
+    evals, vectors = _eigh(inverse_cayley(rotated, tol=tol))
+    phase = np.exp(-1j * thetas)[:, None]
+    # the Moebius pullback can spread circle-close eigenvalues far apart on
+    # the Hermitian side, so merge again on the circle
+    values = _merge_on_circle(phase * scalar_cayley(_merge(evals)))
+    dec = SpectralDecomposition(vectors.reshape(m.shape), values.reshape(m.shape[:-1]))
     # each eigh eigenvalue, pushed to the circle, moved to its merged value on
     # either side of the pullback; a chord is no longer than its angle
-    pushed = np.exp(-1j * thetas)[:, None] * scalar_cayley(evals)
-    shift = np.sqrt(np.square(np.angle(pushed / np.array(targets))).sum(axis=-1))
-    defect = _reconstruction_defects(decs, stack)
-    ok, defect = (x.reshape(m.shape[:-2]) for x in (defect <= 10 * tol * np.sqrt(dim) + shift, defect))
+    shift = np.sqrt(np.square(np.angle(phase * scalar_cayley(evals) / values)).sum(axis=-1)).reshape(m.shape[:-2])
+    defect = _frobenius(dec.reconstruct() - m)
+    ok = defect <= 10 * tol * np.sqrt(dim) + shift
     _require(ok, defect, NumericalError, "unitary reconstruction error {:.3e} exceeds tolerance")
-    return decs[0] if m.ndim == 2 else list(decs)
-
-
-def _on_circle(values, hermitian_projections, owner, theta, tol):
-    """One matrix's decomposition from the merged eigh of
-    inverse_cayley(e^{i theta} U), and the merged circle value of each eigh
-    eigenvalue."""
-    phase = np.exp(-1j * theta)
-    eigenvalues = np.array([phase * scalar_cayley(lam.real) for lam in values])
-    angles = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
-    order = np.argsort(angles)
-    eigenvalues, angles = eigenvalues[order], angles[order]
-    projections = [hermitian_projections[i] for i in order]
-
-    # the Moebius pullback can spread circle-close eigenvalues far apart on
-    # the Hermitian side, so re-cluster on the circle (wraparound included)
-    groups = _cluster(angles, CLUSTER_TOL)
-    if len(groups) > 1 and (angles[0] + 2.0 * np.pi - angles[-1]) <= CLUSTER_TOL:
-        groups[0] = groups.pop() + groups[0]
-    merged_vals = []
-    merged_projs = []
-    target = np.empty(len(values), dtype=np.complex128)  # the merged value of each Hermitian cluster
-    for group in groups:
-        mean = np.add.reduce(eigenvalues[group]) / len(group)  # np.mean, without its overhead
-        merged_vals.append(mean / abs(mean))
-        merged_projs.append(sum(projections[i] for i in group))
-        target[order[group]] = merged_vals[-1]
-    return SpectralDecomposition(np.array(merged_vals), merged_projs, tol=tol), target[owner]
-
+    return dec

@@ -28,7 +28,7 @@ the top of the window out.  Where an identity closes on the lattice, the
 composite is therefore evaluated with shift headroom (an enlarged internal
 window) and compressed at the end, which reproduces the compression of the
 true product exactly.  Products of symbols do leak at the boundary and are
-only compared on interior blocks.
+only compared on interior positions (``compress(lo, hi)``).
 
 The modular factor is identically 1 here (Z is unimodular); the reflected
 symbol needed for adjoints lives in the groupoid module's hat map.
@@ -320,8 +320,10 @@ class TruncatedOperator:
             return float(np.linalg.norm(self.matrix, 2))
         return max((float(np.linalg.svd(band, compute_uv=False).max()) for band in self.bands.values()), default=0.0)
 
-    def _compress(self, lo: int, hi: int) -> "TruncatedOperator":
+    def compress(self, lo: int, hi: int) -> "TruncatedOperator":
         """The compression to positions lo..hi, renumbered from 0."""
+        if not 0 <= lo <= hi <= self.n:
+            raise WindowOverflowError(f"positions {lo}..{hi} are not a window inside 0..{self.n}")
         size = hi - lo
         return TruncatedOperator(
             size, self.k, {o: band[lo : hi + 1 - abs(o)] for o, band in self.bands.items() if abs(o) <= size}
@@ -329,15 +331,7 @@ class TruncatedOperator:
 
     def subwindow(self, m: int) -> "TruncatedOperator":
         """Compress further to positions {0..m}."""
-        if m > self.n:
-            raise WindowOverflowError(f"cannot grow window from {self.n} to {m}")
-        return self._compress(0, m)
-
-    def interior(self, margin: int) -> np.ndarray:
-        """The assembled matrix restricted to rows/columns margin..N-margin."""
-        if 2 * margin > self.n:
-            raise WindowOverflowError(f"margin {margin} empties the window N={self.n}")
-        return self._compress(margin, self.n - margin).matrix
+        return self.compress(0, m)
 
 
 def rep_pi(x, act: EndomorphismAction, n: int) -> TruncatedOperator:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from frames import clusters
 from whlab import homotopy, moebius, spectra
 from whlab.errors import DomainError, InputValidationError
 from whlab.fell import INF
@@ -91,7 +92,7 @@ def test_order_containment_examples(rng):
     assert homotopy.order_containment_table(_path(spec, z, 0.0), z).all()
     assert homotopy.order_containment_table(_path(spec, z, 0.2, 0.7, 1.0), z).all()
     # strictly rotated points do not contain the original
-    angles = [abs(np.angle(lam)) for lam in z.dec.eigenvalues]
+    angles = [abs(np.angle(lam)) for lam in clusters(z.dec)[0]]
     if any(a < math.pi - 0.1 for a in angles):
         rotated = moebius.zpoint(_path(spec, z, 0.5).u[0])
         assert not homotopy.order_containment_table(_path(spec, z, 0.0), rotated).any()
@@ -103,6 +104,16 @@ def test_order_containment_needs_shared_frame(rng):
     z2 = moebius.random_zpoint(rng, 3)
     with pytest.raises(DomainError):
         homotopy.order_containment_table(_path(spec, z1, 0.0, 0.5), z2)
+
+
+def test_order_containment_needs_one_scalar_per_eigenspace():
+    # U_t keeps every column of U's frame but splits U's double eigenvalue i:
+    # no scalar acts on that eigenspace, so the frames are not shared
+    z = moebius.zpoint(np.diag([1j, 1j, 1.0]))
+    split = np.where(np.isclose(z.dec.values, 1j), 1j * np.exp([0.0, 0.1, 0.2]), z.dec.values)
+    path = homotopy.UnitaryPath(split[None], replace(z.dec, values=split).reconstruct()[None])
+    with pytest.raises(DomainError):
+        homotopy.order_containment_table(path, z)
 
 
 def test_unitary_verifier_passes(rng):

@@ -9,9 +9,10 @@ projections.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frames import clusters, hermitian_reference, unitary_reference
 from whlab import jordan, moebius, spectra
 from whlab.errors import DomainError, InputValidationError
 from whlab.sampling import random_hermitian, random_unitary
@@ -22,37 +23,39 @@ PROJ_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
 def _validate(dec):
-    """The invariants of a SpectralDecomposition: its projections resolve the
-    identity and are Hermitian, mutually orthogonal idempotents, each within
-    10 max(tol, DEFAULT_TOL) sqrt(dim) in the Frobenius norm."""
-    tol = 10 * max(dec.tol, spectra.DEFAULT_TOL) * np.sqrt(dec.dim)
-    assert np.linalg.norm(sum(dec.projections) - np.eye(dec.dim)) <= tol, "projections do not resolve the identity"
-    for j, ej in enumerate(dec.projections):
+    """The invariants of a one-matrix SpectralDecomposition: its cluster
+    projections resolve the identity and are Hermitian, mutually orthogonal
+    idempotents, each within 10 DEFAULT_TOL sqrt(dim) in the Frobenius norm."""
+    dim = dec.vectors.shape[-1]
+    tol = 10 * spectra.DEFAULT_TOL * np.sqrt(dim)
+    _, projections = clusters(dec)
+    assert np.linalg.norm(sum(projections) - np.eye(dim)) <= tol, "projections do not resolve the identity"
+    for j, ej in enumerate(projections):
         assert np.linalg.norm(ej - ej.conj().T) <= tol, f"projection {j} is not Hermitian"
-        for k, ek in enumerate(dec.projections):
+        for k, ek in enumerate(projections):
             expected = ej if j == k else 0.0
             assert np.linalg.norm(ej @ ek - expected) <= tol, f"projections {j},{k} not orthogonal idempotents"
 
 
 def test_hermitian_eig_identity():
-    dec = spectra.hermitian_eig(np.eye(2))
-    assert len(dec.eigenvalues) == 1
-    assert dec.eigenvalues[0] == pytest.approx(1.0)
-    assert np.allclose(dec.projections[0], np.eye(2))
+    values, projections = clusters(spectra.hermitian_eig(np.eye(2)))
+    assert len(values) == 1
+    assert values[0] == pytest.approx(1.0)
+    assert np.allclose(projections[0], np.eye(2))
 
 
 def test_hermitian_eig_diagonal():
-    dec = spectra.hermitian_eig(np.diag([0.0, 1.0]))
-    assert np.allclose(dec.eigenvalues, [0.0, 1.0])
-    assert np.allclose(dec.projections[0], np.diag([1.0, 0.0]))
-    assert np.allclose(dec.projections[1], np.diag([0.0, 1.0]))
+    values, projections = clusters(spectra.hermitian_eig(np.diag([0.0, 1.0])))
+    assert np.allclose(values, [0.0, 1.0])
+    assert np.allclose(projections[0], np.diag([1.0, 0.0]))
+    assert np.allclose(projections[1], np.diag([0.0, 1.0]))
 
 
 def test_hermitian_eig_ones_matrix():
-    dec = spectra.hermitian_eig(ONES)
-    assert np.allclose(dec.eigenvalues, [0.0, 2.0], atol=1e-12)
-    assert np.allclose(dec.projections[0], PROJ_MINUS, atol=1e-12)
-    assert np.allclose(dec.projections[1], PROJ_PLUS, atol=1e-12)
+    values, projections = clusters(spectra.hermitian_eig(ONES))
+    assert np.allclose(values, [0.0, 2.0], atol=1e-12)
+    assert np.allclose(projections[0], PROJ_MINUS, atol=1e-12)
+    assert np.allclose(projections[1], PROJ_PLUS, atol=1e-12)
 
 
 def test_hermitian_eig_rejects_non_hermitian():
@@ -62,28 +65,28 @@ def test_hermitian_eig_rejects_non_hermitian():
 
 def test_hermitian_eig_merges_near_degenerate():
     a = np.diag([1.0, 1.0 + 1e-12, 5.0])
-    dec = spectra.hermitian_eig(a)
-    assert len(dec.eigenvalues) == 2
-    assert np.trace(dec.projections[0]).real == pytest.approx(2.0)
+    values, projections = clusters(spectra.hermitian_eig(a))
+    assert len(values) == 2
+    assert np.trace(projections[0]).real == pytest.approx(2.0)
 
     # a chain of gaps below the threshold merges into one eigenvalue, and the
     # averaging error adds up over the chain and over separate clusters
-    dec = spectra.hermitian_eig(np.diag([0.0, 9e-9, 1.8e-8]))
-    assert dec.eigenvalues == pytest.approx([9e-9])
-    dec = spectra.hermitian_eig(np.diag([0.0, 1e-8, 1.0, 1.0 + 1e-8, 2.0, 2.0 + 1e-8]))
-    assert len(dec.eigenvalues) == 3
+    values, _ = clusters(spectra.hermitian_eig(np.diag([0.0, 9e-9, 1.8e-8])))
+    assert values == pytest.approx([9e-9])
+    values, _ = clusters(spectra.hermitian_eig(np.diag([0.0, 1e-8, 1.0, 1.0 + 1e-8, 2.0, 2.0 + 1e-8])))
+    assert len(values) == 3
     # however long the chain: five eigenvalues 9e-9 apart span 3.6e-8
-    dec = spectra.hermitian_eig(np.diag(np.arange(5) * 9e-9))
-    assert dec.eigenvalues == pytest.approx([1.8e-8])
+    values, _ = clusters(spectra.hermitian_eig(np.diag(np.arange(5) * 9e-9)))
+    assert values == pytest.approx([1.8e-8])
 
 
 def test_unitary_eig_merges_near_degenerate():
-    dec = spectra.unitary_eig(np.diag(np.exp(1j * np.array([0.0, 9e-9, 1.8e-8]))))
-    assert len(dec.eigenvalues) == 1
-    assert dec.eigenvalues[0] == pytest.approx(np.exp(9e-9j))
-    dec = spectra.unitary_eig(np.diag(np.exp(1j * np.arange(6) * 9e-9)))
-    assert len(dec.eigenvalues) == 1
-    assert dec.eigenvalues[0] == pytest.approx(np.exp(2.25e-8j))
+    values, _ = clusters(spectra.unitary_eig(np.diag(np.exp(1j * np.array([0.0, 9e-9, 1.8e-8])))))
+    assert len(values) == 1
+    assert values[0] == pytest.approx(np.exp(9e-9j))
+    values, _ = clusters(spectra.unitary_eig(np.diag(np.exp(1j * np.arange(6) * 9e-9))))
+    assert len(values) == 1
+    assert values[0] == pytest.approx(np.exp(2.25e-8j))
 
 
 def test_validate_with_a_high_rank_projection():
@@ -92,19 +95,20 @@ def test_validate_with_a_high_rank_projection():
 
 
 def test_unitary_eig_identity_and_diagonal():
-    dec = spectra.unitary_eig(np.eye(2))
-    assert len(dec.eigenvalues) == 1
-    assert dec.eigenvalues[0] == pytest.approx(1.0)
+    values, _ = clusters(spectra.unitary_eig(np.eye(2)))
+    assert len(values) == 1
+    assert values[0] == pytest.approx(1.0)
 
-    dec = spectra.unitary_eig(np.diag([-1.0, 1j]))
-    vals = sorted(dec.eigenvalues, key=lambda z: np.angle(z))
+    values, _ = clusters(spectra.unitary_eig(np.diag([-1.0, 1j])))
+    vals = sorted(values, key=lambda z: np.angle(z))
     assert vals[0] == pytest.approx(-1.0)
     assert vals[1] == pytest.approx(1j)
 
 
 def test_unitary_eig_of_cayley_ones():
     dec = spectra.unitary_eig(spectra.cayley(ONES))
-    by_angle = sorted(zip(dec.eigenvalues, dec.projections), key=lambda p: np.angle(p[0]))
+    # angles in [0, 2 pi): -1 may come back with either sign of a rounding-sized imaginary part
+    by_angle = sorted(zip(*clusters(dec)), key=lambda p: np.angle(p[0]) % (2 * np.pi))
     assert by_angle[1][0] == pytest.approx(-1.0)
     assert by_angle[0][0] == pytest.approx((3 + 4j) / 5)
     assert np.allclose(by_angle[1][1], PROJ_MINUS, atol=1e-10)
@@ -158,7 +162,7 @@ def test_unitary_roundtrip_through_cayley(rng):
             dec = spectra.unitary_eig(u)
             assert spectra.operator_norm(dec.reconstruct() - u) <= 1e-9
             _validate(dec)
-            assert all(abs(abs(lam) - 1.0) <= 1e-9 for lam in dec.eigenvalues)
+            assert all(abs(abs(lam) - 1.0) <= 1e-9 for lam in dec.values)
 
 
 def test_operator_norm_matches_svd(rng):
@@ -172,7 +176,7 @@ def test_unitary_eig_projections_come_from_hermitian_side(rng):
     # inverse Cayley transform; reconstruction of both checks that
     u = random_unitary(rng, 4)
     dec = spectra.unitary_eig(u)
-    recon = sum(lam * p for lam, p in zip(dec.eigenvalues, dec.projections))
+    recon = sum(lam * p for lam, p in zip(*clusters(dec)))
     assert spectra.operator_norm(recon - u) <= 1e-9
 
 
@@ -234,3 +238,85 @@ EMPTY = np.zeros((0, 0))
 def test_empty_matrices_are_rejected(entry):
     with pytest.raises(InputValidationError):
         entry()
+
+
+# Planted spectra at the edges where merging decides: chains whose gaps sit
+# just below, at and above CLUSTER_TOL, clusters straddling angle 0 on the
+# circle, eigenvalues within CLUSTER_TOL of 1 and -1, and scales from 1e-6 to
+# 1e6.  The oracle is the per-matrix merge of tests/frames.py.
+GAP_UNITS = [0.0, 0.5, 0.999, 1.001, 2.0]  # consecutive gaps in units of CLUSTER_TOL
+# unitary_eig's first phases: an eigenvalue at e^{-i theta} rejects theta.  The
+# third phase puts the Cayley pole near 1, where the pullback spreads a
+# cluster straddling angle 0 into line clusters that only the circle merge
+# (wraparound included) joins again.
+_phases = np.random.default_rng(0)
+FIRST_PHASES = [_phases.uniform(0.0, 2.0 * np.pi) for _ in range(2)]
+
+
+@st.composite
+def _chain(draw, far):
+    """Consecutive gaps of a planted spectrum: CLUSTER_TOL multiples, or
+    ``far`` apart."""
+    dim = draw(st.integers(1, 6))
+    units = draw(st.lists(st.sampled_from(GAP_UNITS + [None]), min_size=dim - 1, max_size=dim - 1))
+    return np.array([far if unit is None else unit * spectra.CLUSTER_TOL for unit in units])
+
+
+def _conjugate(draw, diagonal):
+    """diagonal in a random orthonormal frame drawn from a hypothesis seed."""
+    q = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), len(diagonal))
+    return (q * diagonal) @ q.conj().T
+
+
+@st.composite
+def planted_hermitian(draw):
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    center = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.integers(-6, 6))
+    gaps = draw(_chain(far=scale))
+    m = _conjugate(draw, center + np.concatenate([[0.0], np.cumsum(gaps)]))
+    return 0.5 * (m + m.conj().T)
+
+
+@st.composite
+def planted_unitary(draw):
+    anchor = draw(st.sampled_from([0.0, np.pi, None]))
+    anchor = draw(st.floats(0.0, 2.0 * np.pi)) if anchor is None else anchor
+    start = draw(st.sampled_from([-2.0, -1.001, -0.999, -0.5, 0.0, 0.5])) * spectra.CLUSTER_TOL
+    gaps = draw(_chain(far=draw(st.floats(0.05, 1.0))))
+    blockers = np.exp(-1j * np.array(FIRST_PHASES[: draw(st.integers(0, 2))]))
+    chain = np.exp(1j * (anchor + start + np.concatenate([[0.0], np.cumsum(gaps)])))
+    return _conjugate(draw, np.concatenate([chain, blockers]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(planted_hermitian())
+def test_hermitian_frame_matches_the_per_matrix_merge(m):
+    dec = spectra.hermitian_eig(m)
+    values, projections = clusters(dec)
+    ref_values, ref_projections = hermitian_reference(m)
+    np.testing.assert_array_equal(values, ref_values)
+    np.testing.assert_allclose(np.array(projections), np.array(ref_projections), rtol=0, atol=1e-12)
+    # every eigenvalue moves at most the span of its chain, below dim CLUSTER_TOL
+    dim = len(m)
+    scale = max(1.0, np.abs(np.linalg.eigvalsh(m)).max())
+    bound = 10 * spectra.DEFAULT_TOL * scale * np.sqrt(dim) + np.sqrt(dim) * dim * spectra.CLUSTER_TOL
+    assert np.linalg.norm(dec.reconstruct() - m) <= bound
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(planted_unitary())
+# two line clusters at the third phase that only the wraparound joins
+@example(np.diag(np.exp(-1j * np.array([*FIRST_PHASES, 0.5e-8, -0.499e-8]))))
+def test_unitary_frame_matches_the_per_matrix_merge(u):
+    dec = spectra.unitary_eig(u)
+    values, projections = clusters(dec)
+    ref_values, ref_projections = unitary_reference(u)
+    assert len(values) == len(ref_values)
+    dim = len(u)
+    for lam, proj in zip(ref_values, ref_projections):
+        gaps = [np.linalg.norm(p - proj) for p in projections]
+        j = int(np.argmin(gaps))
+        assert gaps[j] <= 1e-12
+        # a circle group averages its columns, the oracle its line clusters
+        assert abs(values[j] - lam) <= dim * spectra.CLUSTER_TOL
+    assert np.linalg.norm(dec.reconstruct() - u) <= 10 * spectra.DEFAULT_TOL * np.sqrt(dim) + np.sqrt(dim) * dim * spectra.CLUSTER_TOL

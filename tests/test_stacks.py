@@ -15,6 +15,7 @@ import operator
 import numpy as np
 import pytest
 
+from frames import clusters, line_merge
 from whlab import fibers, jordan, moebius, spectra
 from whlab.errors import DomainError, InputValidationError, NumericalError, WitnessNotFoundError
 from whlab.fell import INF
@@ -32,10 +33,11 @@ def _stack(draw):
 
 def _same(stacked, singles):
     """A stacked result against the list of single results, to 1e-13."""
-    if isinstance(stacked, list) and isinstance(stacked[0], spectra.SpectralDecomposition):
-        for dec, single in zip(stacked, singles, strict=True):
-            np.testing.assert_allclose(dec.eigenvalues, single.eigenvalues, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(dec.projections, single.projections, rtol=0, atol=1e-13)
+    if isinstance(stacked, spectra.SpectralDecomposition):
+        assert len(stacked.values) == len(singles)
+        for t, single in enumerate(singles):
+            for got, want in zip(clusters(stacked[t]), clusters(single), strict=True):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
     elif isinstance(stacked, list):
         assert stacked == singles
     else:
@@ -131,6 +133,13 @@ def test_two_d_inputs_keep_their_scalar_answers():
     assert moebius.qset_contains(zero, np.eye(2)) is True
     assert zero.close_to(zero, 1e-12) is True
     assert moebius.classify_zpoint(np.eye(2)) == moebius.ZClass.INTERIOR_ORBIT
+
+
+def test_a_stack_of_stacks_classifies_into_one_flat_list_in_c_order():
+    grid = np.stack([np.eye(3), -np.eye(3), np.diag([1.0, 1.0, np.exp(-0.5j)]), np.diag([1j, -1j, 1.0])]).reshape(2, 2, 3, 3)
+    assert moebius.classify_zpoint(grid) == [moebius.classify_zpoint(u) for u in grid.reshape(4, 3, 3)]
+    assert moebius.classify_zpoint(grid) == [
+        moebius.ZClass.INTERIOR_ORBIT, moebius.ZClass.BOUNDARY, moebius.ZClass.OUTSIDE, moebius.ZClass.OUTSIDE]
 
 
 def test_column_major_and_strided_inputs_are_judged_like_row_major_ones():
@@ -234,19 +243,6 @@ def test_stacked_error_paths_keep_single_behaviour(monkeypatch):
         spectra.unitary_eig(np.eye(2))
 
 
-def _merge_reference(evals, evecs, cluster):
-    """The per-matrix merge: each run of eigenvalues with gaps <= cluster
-    averaged with np.mean, its projection V V* from the run's eigenvectors."""
-    eigenvalues, projections = [], []
-    owner = np.empty(len(evals), dtype=np.int64)
-    for index, group in enumerate(spectra._cluster(evals, cluster)):
-        vecs = evecs[:, group]
-        projections.append(vecs @ vecs.conj().T)
-        eigenvalues.append(complex(np.mean(evals[group])))
-        owner[group] = index
-    return np.array(eigenvalues), projections, owner
-
-
 @pytest.mark.parametrize("dim", DIMS)
 def test_stacked_merge_matches_the_per_matrix_merge(dim):
     # spectra with runs of near-equal eigenvalues of every length, chains
@@ -261,12 +257,15 @@ def test_stacked_merge_matches_the_per_matrix_merge(dim):
     ]
     mats = np.array([u @ np.diag(s) @ u.conj().T for s in spectra_list for u in [random_unitary(rng, dim)]])
     evals, evecs = np.linalg.eigh(mats)
-    merged = spectra._merge(evals, evecs, spectra.CLUSTER_TOL)
-    for t, (values, projections, owner) in enumerate(merged):
-        ref_values, ref_projections, ref_owner = _merge_reference(evals[t], evecs[t], spectra.CLUSTER_TOL)
-        np.testing.assert_array_equal(values, ref_values)
+    dec = spectra.hermitian_eig(mats)
+    np.testing.assert_array_equal(dec.vectors, evecs)
+    for t in range(len(mats)):
+        ref_values, ref_projections, ref_owner = line_merge(evals[t], evecs[t])
+        # each column holds its run's np.mean, bit for bit
+        np.testing.assert_array_equal(dec.values[t], ref_values.real[ref_owner])
+        values, projections = clusters(dec[t])
+        np.testing.assert_array_equal(values, ref_values.real)
         np.testing.assert_array_equal(np.array(projections), np.array(ref_projections))
-        np.testing.assert_array_equal(owner, ref_owner)
 
 
 def test_stacked_classify_matches_single_calls_in_every_class():

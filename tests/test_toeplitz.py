@@ -121,6 +121,15 @@ def test_isometry_range_error():
         toeplitz.isometry_V(5, 4)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 5), (5, 5)])
+def test_compress_rejects_windows_outside_the_operator(lo, hi):
+    with pytest.raises(WindowOverflowError):
+        toeplitz.isometry_V(1, 4).compress(lo, hi)
+    if lo == 0:
+        with pytest.raises(WindowOverflowError):
+            toeplitz.isometry_V(1, 4).subwindow(hi)
+
+
 def test_wiener_hopf_delta_zero_is_identity():
     act = toeplitz.trivial_action(1)
     f = SymbolFunction(k=1, values={0: [[1.0]]})
@@ -186,8 +195,7 @@ def test_symbol_product_on_interior_blocks(rng):
         h = SymbolFunction(k=1, values=hvals)
         lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
         rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
-        diff = lhs.interior(6) - rhs.interior(6)
-        assert np.linalg.norm(diff, 2) <= 1e-10
+        assert (lhs - rhs).compress(6, n - 6).norm() <= 1e-12
 
 
 def test_adjoint_symbol_on_interior_blocks(rng):
@@ -195,9 +203,9 @@ def test_adjoint_symbol_on_interior_blocks(rng):
     act = toeplitz.conjugation_action(u)
     n = 20
     f = SymbolFunction(k=2, values={g: random_complex(rng, 2) for g in range(-2, 3)})
-    lhs = toeplitz.wiener_hopf(f, act, n).adjoint().interior(2)
-    rhs = toeplitz.wiener_hopf(f.twisted_reflection(act), act, n).interior(2)
-    assert np.linalg.norm(lhs - rhs, 2) <= 1e-10
+    lhs = toeplitz.wiener_hopf(f, act, n).adjoint().compress(2, n - 2)
+    rhs = toeplitz.wiener_hopf(f.twisted_reflection(act), act, n).compress(2, n - 2)
+    assert (lhs - rhs).norm() <= 1e-10
 
 
 def test_truncated_operator_roundtrip(rng):
@@ -320,8 +328,9 @@ def test_band_operations_match_dense_numpy(rng, n, k):
         assert np.array_equal(TruncatedOperator.from_matrix(n, k, dense).matrix, dense)
         for m in range(n + 1):
             assert np.array_equal(a.subwindow(m).matrix, dense[: (m + 1) * k, : (m + 1) * k])
-        for margin in range(n // 2 + 1):
-            assert np.array_equal(a.interior(margin), dense[margin * k : (n + 1 - margin) * k, margin * k : (n + 1 - margin) * k])
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                assert np.array_equal(a.compress(lo, hi).matrix, dense[lo * k : (hi + 1) * k, lo * k : (hi + 1) * k])
         assert abs(a.norm() - np.linalg.norm(dense, 2)) <= 1e-12
         for b in ops:
             other = _dense(b)
