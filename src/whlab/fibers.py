@@ -48,11 +48,11 @@ import numpy as np
 
 from .errors import DomainError, InputValidationError
 from .fell import INF, discrete_value, integer_value
+from .sampling import _shape
 from .spectra import _unstack
 
 DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
-TRIG_DEGREE = 3  # the degree random_trig draws
 MAX_DEGREE = 2  # a product of two piecewise-linear functions, the most any caller forms
 _POWERS = np.arange(MAX_DEGREE + 1)
 
@@ -104,15 +104,6 @@ class PiecewisePoly:
             raise InputValidationError("breaks and vals must have equal length")
         slope = (vals[..., 1:] - vals[..., :-1]) / (breaks[1:] - breaks[:-1])
         return cls(breaks, np.stack([vals[..., :-1] - slope * breaks[:-1], slope, np.zeros_like(slope)], axis=-1))
-
-    @classmethod
-    def stack(cls, functions) -> "PiecewisePoly":
-        """One stack, along a new first axis, of functions (or stacks) of one
-        shape on shared breakpoints."""
-        first, *rest = functions
-        if any(f.coefs.shape != first.coefs.shape or not np.array_equal(f.breaks, first.breaks) for f in rest):
-            raise InputValidationError(_SHARED_BREAKS)
-        return cls(first.breaks, np.array([f.coefs for f in (first, *rest)]))
 
     @property
     def shape(self) -> tuple:
@@ -198,8 +189,7 @@ def random_dyadic_pl(rng: np.random.Generator, level: int = 4, size=None) -> Pie
     a stack of the given size draws its functions one after another, as that
     many calls would."""
     breaks = np.arange((1 << level) + 1) / (1 << level)  # exact, as linspace's would be
-    shape = () if size is None else size if isinstance(size, tuple) else (size,)
-    vals = rng.standard_normal(shape + breaks.shape)
+    vals = rng.standard_normal(_shape(size) + breaks.shape)
     return PiecewisePoly.from_breakpoints(breaks, vals)
 
 
@@ -372,14 +362,6 @@ class TrigPoly:
             (abs(self.coeffs.get(m, 0.0) - other.coeffs.get(m, 0.0)) for m in keys),
             default=0.0,
         )
-
-
-def random_trig(rng: np.random.Generator) -> TrigPoly:
-    """Random trig polynomial of degree TRIG_DEGREE, complex Gaussian coefficients."""
-    coeffs = {}
-    for m in range(-TRIG_DEGREE, TRIG_DEGREE + 1):
-        coeffs[m] = rng.standard_normal() + 1j * rng.standard_normal()
-    return TrigPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

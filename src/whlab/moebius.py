@@ -26,8 +26,9 @@ values: Z membership and class test the values, and ``pair_encode`` and
 Operands of one call share d, and their stacks share a length, except that a single matrix
 goes with any stack; anything else is a dimension mismatch, never a
 broadcast.  Every guard and check judges each matrix of a stack.
-``random_zpoint(..., size=T)`` draws trial by trial (``draw_pair``) and
-builds, validates and decodes the T points as one stack (``build_pairs``).
+``random_zpoint(..., size=T)`` draws each random quantity of its T trials as
+one block and builds, validates and decodes the T points as one stack
+(``build_pairs``).
 ``separate_points`` drops its zero probes by an exact test and judges the
 others as one stack per pair.
 """
@@ -46,7 +47,7 @@ from .errors import (
     NumericalError,
     WitnessNotFoundError,
 )
-from .sampling import random_complex, random_hermitian
+from .sampling import gram, random_complex, random_hermitian
 from .spectra import (
     CLUSTER_TOL,
     DEFAULT_TOL,
@@ -307,70 +308,34 @@ def separate_points(p1: PairRep, p2: PairRep):
     return probes[np.argmax(separates)].copy()
 
 
-@dataclass
-class PairDraw:
-    """The random numbers of one ``random_zpoint`` trial, drawn in its rng
-    order: a Hermitian whose clustered spectral projections may enter E, the
-    choice made for each cluster, the Gaussian G behind A = (1-E)G*G(1-E),
-    and, when a boundary is planted, the Gaussian direction of the vector
-    killed in range(1-E)."""
+def build_pairs(h: np.ndarray, chosen: np.ndarray, g: np.ndarray, planted, directions) -> PairRep:
+    """The stack of (E, A) pairs of drawn arrays: Hermitians ``h`` and
+    Gaussians ``g``, both ``(T, d, d)``, the choices ``chosen`` ``(T, d)``,
+    and one direction ``(d,)`` for each trial index in ``planted``.
 
-    h: np.ndarray
-    chosen: list
-    g: np.ndarray
-    direction: np.ndarray | None
-    force_boundary: bool
-
-
-def draw_pair(rng: np.random.Generator, dim: int, force_boundary: bool = False) -> PairDraw:
-    """Draw one trial of ``random_zpoint``; ``build_pairs`` turns many into pairs.
-
-    Only the number of clusters of the Hermitian is needed to draw in order:
-    one uniform per cluster, then G, then, for a planted boundary with some
-    cluster left out of E (so range(1-E) is not empty), the direction.
-    """
-    h = random_hermitian(rng, dim)
-    clusters = 1 + np.count_nonzero(np.abs(np.diff(np.linalg.eigh(h)[0])) > CLUSTER_TOL)
-    chosen = [rng.uniform() < 0.3 for _ in range(clusters)]
-    g = random_complex(rng, dim)
-    direction = rng.standard_normal(dim) if force_boundary and not all(chosen) else None
-    return PairDraw(h, chosen, g, direction, force_boundary)
-
-
-def build_pairs(draws: list) -> PairRep:
-    """The stack of (E, A) pairs of ``draw_pair`` draws.
-
-    E sums the chosen spectral projections of the Hermitian: the columns of
-    its frame whose run (cluster) is chosen.  A is G*G compressed to
+    E sums the chosen spectral projections of h: the columns of its frame
+    whose run (cluster) r has ``chosen[t, r]``.  A is G*G compressed to
     range(1-E).  A planted boundary gives the compression a kernel vector
-    inside range(1-E), which plants the eigenvalue -1.
+    inside range(1-E), along the direction, which plants the eigenvalue -1.
     """
-    dim = len(draws[0].h)
-    dec = spectra.hermitian_eig(np.array([d.h for d in draws]))
+    dec = spectra.hermitian_eig(h)
     # the run of each column: its merged values repeat within a run and rise between runs
     runs = np.zeros(dec.values.shape, dtype=np.int64)
     runs[:, 1:] = np.cumsum(np.diff(dec.values, axis=-1) != 0, axis=-1)
-    if (runs[:, -1] + 1 != [len(d.chosen) for d in draws]).any():
-        raise NumericalError("the clusters of a drawn Hermitian changed between draw and decomposition")
-    chosen = np.array([d.chosen + [False] * (dim - len(d.chosen)) for d in draws])
     e = replace(dec, values=np.take_along_axis(chosen, runs, axis=-1)).reconstruct()
-    comp = np.eye(dim) - e
-    g = np.array([d.g for d in draws])
-    a = comp @ (_H(g) @ g) @ comp
+    comp = np.eye(h.shape[-1]) - e
+    a = comp @ gram(g) @ comp
     a = 0.5 * (a + _H(a))
-    for t, draw in enumerate(draws):
-        if draw.force_boundary:
-            a[t] = _plant_boundary(comp[t], a[t], draw.direction)
+    for t, direction in zip(planted, directions):
+        a[t] = _plant_boundary(comp[t], a[t], direction)
     return PairRep(e=e, a=a)
 
 
-def _plant_boundary(comp: np.ndarray, a: np.ndarray, direction) -> np.ndarray:
+def _plant_boundary(comp: np.ndarray, a: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Compress A off a unit vector of range(comp) along ``direction``; A as
     it is when range(comp) is empty.  comp = 1 - E is the projection onto
     the unchosen columns of a frame, so it projects onto its own range."""
-    if (direction is None) != (np.trace(comp).real < 0.5):
-        raise NumericalError("1 - E is not numerically a projection")
-    if direction is None:
+    if np.trace(comp).real < 0.5:
         # E is the whole space; fall back to a plain boundary-free point
         return a
     v = comp @ direction
@@ -382,9 +347,21 @@ def _plant_boundary(comp: np.ndarray, a: np.ndarray, direction) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def random_zpoint(rng: np.random.Generator, dim: int, size: int | None = None) -> ZPoint:
+def random_zpoint(rng: np.random.Generator, dim: int, size: int | None = None, boundary=False) -> ZPoint:
     """Random Z point sampled through the (E, A) parameterization of
-    ``draw_pair`` and ``build_pairs``; with ``size`` a stack of that many,
-    drawn one after another and decoded together."""
-    pairs = build_pairs([draw_pair(rng, dim) for _ in range(1 if size is None else size)])
+    ``build_pairs``; with ``size`` a stack of that many, decoded together.
+
+    Each quantity of the trials is drawn as one block, in this order: the
+    Hermitians, ``dim`` uniforms per trial (cluster r of the Hermitian enters
+    E when the r-th is below 0.3), the Gaussians G, and one Gaussian direction
+    for each trial where ``boundary`` (a bool, or one per trial) plants the
+    eigenvalue -1.
+    """
+    count = 1 if size is None else size
+    h = random_hermitian(rng, dim, size=count)
+    chosen = rng.uniform(size=(count, dim)) < 0.3
+    g = random_complex(rng, dim, size=count)
+    planted = np.flatnonzero(np.broadcast_to(boundary, (count,)))
+    directions = rng.standard_normal((len(planted), dim))
+    pairs = build_pairs(h, chosen, g, planted, directions)
     return pair_decode(pairs if size is not None else pairs[0])

@@ -17,9 +17,9 @@ avoids a general (non-normal) eigensolver entirely.
 
 Runs of sorted eigenvalues whose consecutive gaps are at most
 ``CLUSTER_TOL`` merge into one cluster, and every column of the run holds the
-run's mean; a unitary's values merge again on the circle, across angle 0
-too.  A unitary whose spectrum comes within ``CLUSTER_TOL`` of 1 is outside
-the Cayley image.
+run's mean; a unitary's values merge once, on the circle, by angular gap,
+across angle 0 too.  A unitary whose spectrum comes within ``CLUSTER_TOL`` of
+1 is outside the Cayley image.
 
 Validation: a public function guards each matrix it receives once; no caller
 repeats a guard its callee runs on the same matrix, though a matrix computed
@@ -302,9 +302,11 @@ def unitary_eig(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
 
     Draws phases theta from one fixed pseudo-random sequence (no global
     state), rejects each while e^{i theta}U has spectrum within 10
-    ``CLUSTER_TOL`` of 1, then decomposes inverse_cayley(e^{i theta}U) and
-    maps the merged eigenvalues back.  The frame is the Hermitian one, reused
-    verbatim; every value lies on the unit circle.  Every matrix of a stack
+    ``CLUSTER_TOL`` of 1, then decomposes inverse_cayley(e^{i theta}U), maps
+    the eigenvalues back and merges them on the circle, where eigenvalues
+    whose angles are at most ``CLUSTER_TOL`` apart share a cluster.  The
+    frame is the Hermitian one, reused verbatim; every value lies on the
+    unit circle.  Every matrix of a stack
     takes the first acceptable phase of the sequence, so it gets the theta it
     gets alone.
     """
@@ -332,14 +334,14 @@ def unitary_eig(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
         _require(found, found, NumericalError, "no spectrum-avoiding phase found in {1} attempts", PHASE_ATTEMPTS)
 
     evals, vectors = _eigh(inverse_cayley(rotated, tol=tol))
-    phase = np.exp(-1j * thetas)[:, None]
-    # the Moebius pullback can spread circle-close eigenvalues far apart on
-    # the Hermitian side, so merge again on the circle
-    values = _merge_on_circle(phase * scalar_cayley(_merge(evals)))
+    # merge once, on the circle: the Moebius pullback stretches and shrinks
+    # circle gaps, so a gap test on the Hermitian side has another radius
+    circle = np.exp(-1j * thetas)[:, None] * scalar_cayley(evals)
+    values = _merge_on_circle(circle)
     dec = SpectralDecomposition(vectors.reshape(m.shape), values.reshape(m.shape[:-1]))
-    # each eigh eigenvalue, pushed to the circle, moved to its merged value on
-    # either side of the pullback; a chord is no longer than its angle
-    shift = np.sqrt(np.square(np.angle(phase * scalar_cayley(evals) / values)).sum(axis=-1)).reshape(m.shape[:-2])
+    # each eigh eigenvalue, pushed to the circle, moved to its merged value;
+    # a chord is no longer than its angle
+    shift = np.sqrt(np.square(np.angle(circle / values)).sum(axis=-1)).reshape(m.shape[:-2])
     defect = _frobenius(dec.reconstruct() - m)
     ok = defect <= 10 * tol * np.sqrt(dim) + shift
     _require(ok, defect, NumericalError, "unitary reconstruction error {:.3e} exceeds tolerance")

@@ -6,9 +6,13 @@ dimensions and trials and yields its values in order.  One runner,
 `run_case`, seeds the case's random generator from (config seed, case name),
 iterates the draw, reduces the values and gives the verdict, so cases are
 order-independent and a report is a pure function of its configuration.
-Every suite ships at least one deliberately broken variant (wrong sign,
-dropped normalizer, wrong shift direction, missing reflection) and the
-corresponding case passes exactly when the break is flagged.
+A draw takes a dim's trials as blocks: trials that draw only complex
+Gaussians take one block of them (``_gaussians``), which holds the numbers
+per-trial calls would draw, in their order; trials that also draw uniforms
+or integers take each quantity as its own block.  Every suite ships at least
+one deliberately broken variant (wrong sign, dropped normalizer, wrong shift
+direction, missing reflection) and the corresponding case passes exactly
+when the break is flagged.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from .errors import InputValidationError, WitnessNotFoundError
 from .fell import INF
 from .spectra import _H, _right_solve
 from .sampling import (
+    gram,
     haar_unitary,
+    hermitian_part,
     random_complex,
     random_hermitian,
     random_positive,
@@ -48,6 +54,7 @@ ZERO_TOL = 0.0  # the hat involution only relabels, so both sides are the same n
 SIGN_FLIP_GAP = 1e-3
 SHIFT_DIRECTION_GAP = 1e-6
 UNREFLECTED_GAP = 0.5
+TRIG_DEGREE = 3  # the degree of the random trig polynomials of fibers.dilation
 
 
 @dataclass
@@ -142,11 +149,11 @@ def _dims(cfg: SuiteConfig) -> range:
     return range(1, cfg.dim + 1)
 
 
-def _stack(trials: int, draw) -> list:
-    """Call draw() once per trial, in order: per output, the stacked arrays
-    or the list of other values."""
-    outputs = zip(*(draw() for _ in range(trials)))
-    return [np.array(x) if isinstance(x[0], (np.ndarray, np.generic)) else list(x) for x in outputs]
+def _gaussians(rng, dim: int, trials: int, count: int) -> list:
+    """The ``count`` complex Gaussian stacks ``(trials, dim, dim)`` of trials
+    that draw nothing else, drawn as one block: trial by trial, as per-trial
+    calls would draw them."""
+    return list(np.moveaxis(random_complex(rng, dim, size=(trials, count)), 1, 0))
 
 
 def run_case(case: Case, cfg: SuiteConfig) -> CaseResult:
@@ -198,50 +205,38 @@ def _listed(fallback, pick=lambda messages: messages):
 
 def _action_law(rng, cfg):
     for dim in _dims(cfg):
-        g, a, b = _stack(
-            cfg.trials, lambda: (random_complex(rng, dim), random_hermitian(rng, dim), random_hermitian(rng, dim))
-        )
-        u = haar_unitary(g)
+        g, a, b = _gaussians(rng, dim, cfg.trials, 3)
+        u, a, b = haar_unitary(g), hermitian_part(a), hermitian_part(b)
         lhs = moebius.boxplus(moebius.boxplus(u, a), b)
         yield from spectra.operator_norm(lhs - moebius.boxplus(u, a + b)).tolist()
 
 
 def _cayley_equivariance(rng, cfg):
     for dim in _dims(cfg):
-        a, b = _stack(cfg.trials, lambda: (random_hermitian(rng, dim), random_hermitian(rng, dim)))
+        a, b = map(hermitian_part, _gaussians(rng, dim, cfg.trials, 2))
         yield from spectra.operator_norm(moebius.boxplus(spectra.cayley(a), b) - spectra.cayley(a + b)).tolist()
 
 
 def _invertibility_margin(rng, cfg):
     for dim in range(1, max(cfg.dim, 6) + 1):
-        g, b = _stack(max(cfg.trials * 5, 100), lambda: (random_complex(rng, dim), random_hermitian(rng, dim)))
-        u = haar_unitary(g)
+        g, b = _gaussians(rng, dim, max(cfg.trials * 5, 100), 2)
+        u, b = haar_unitary(g), hermitian_part(b)
         yield from np.linalg.svd(b @ u + 2j * np.eye(dim) - b, compute_uv=False)[:, -1].tolist()
-
-
-def _zpoints(draws) -> moebius.ZPoint:
-    """The Z points of draw_pair draws, as one stack."""
-    return moebius.pair_decode(moebius.build_pairs(draws))
 
 
 def _z_stability(rng, cfg):
     for dim in _dims(cfg):
-        draws, b = _stack(cfg.trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
-        translated = moebius.boxplus(_zpoints(draws).u, b)
+        z = moebius.random_zpoint(rng, dim, size=cfg.trials)
+        translated = moebius.boxplus(z.u, random_positive(rng, dim, size=cfg.trials))
         yield from (zclass == moebius.ZClass.OUTSIDE for zclass in moebius.classify_zpoint(translated))
 
 
 def _contraction_range(rng, cfg):
     for dim in _dims(cfg):
-        b, a, s, scale = _stack(
-            cfg.trials,
-            lambda: (
-                random_positive_definite(rng, dim),
-                random_positive(rng, dim),
-                random_positive(rng, dim),
-                rng.uniform(0.1, 1.0),
-            ),
-        )
+        b = random_positive_definite(rng, dim, size=cfg.trials)
+        a = random_positive(rng, dim, size=cfg.trials)
+        s = random_positive(rng, dim, size=cfg.trials)
+        scale = rng.uniform(0.1, 1.0, size=cfg.trials)
         # forward: the image of A lies in the range, and the inverse recovers A
         b_inv = np.linalg.inv(b)
         c = moebius.moebius_contraction(a, b)
@@ -251,7 +246,7 @@ def _contraction_range(rng, cfg):
         # onto: a point B^-1/2 S B^-1/2 with ||S|| = 0.9 U(0.1, 1) lies in the range with a margin
         lam, vecs = np.linalg.eigh(b)
         root_inv = (vecs / np.sqrt(lam)[:, None, :]) @ _H(vecs)
-        s *= (0.9 * np.array(scale) / spectra.operator_norm(s))[:, None, None]
+        s *= (0.9 * scale / spectra.operator_norm(s))[:, None, None]
         point = root_inv @ s @ root_inv
         point = 0.5 * (point + _H(point))
         gaps = (
@@ -265,7 +260,7 @@ def _contraction_range(rng, cfg):
 
 def _contraction_chart(rng, cfg):
     for dim in _dims(cfg):
-        a, b = _stack(max(cfg.trials // 2, 5), lambda: (random_positive(rng, dim), random_positive(rng, dim)))
+        a, b = map(gram, _gaussians(rng, dim, max(cfg.trials // 2, 5), 2))
         via_chart = moebius.moebius_contraction(a, b)
         yield from spectra.operator_norm(via_chart - moebius.psi_inv(moebius.boxplus(moebius.psi(a), b))).tolist()
 
@@ -278,8 +273,8 @@ def _pair_roundtrip(rng, cfg):
 
 def _pair_translation(rng, cfg):
     for dim in _dims(cfg):
-        draws, b = _stack(cfg.trials, lambda: (moebius.draw_pair(rng, dim), random_positive(rng, dim)))
-        pair = moebius.pair_encode(_zpoints(draws))
+        pair = moebius.pair_encode(moebius.random_zpoint(rng, dim, size=cfg.trials))
+        b = random_positive(rng, dim, size=cfg.trials)
         comp = np.eye(dim) - pair.e
         shifted = moebius.PairRep(e=pair.e, a=pair.a + comp @ b @ comp)
         lhs = moebius.boxplus(moebius.pair_decode(pair).u, b)
@@ -288,12 +283,10 @@ def _pair_translation(rng, cfg):
 
 def _qset_a2(rng, cfg):
     for dim in _dims(cfg):
-
-        def draw():
-            kind = rng.integers(3)
-            return kind, random_hermitian(rng, dim) if kind == 1 else random_positive(rng, dim)
-
-        kind, b = _stack(cfg.trials * 4, draw)
+        # a probe is Hermitian (kind 1) or positive, one complex Gaussian either way
+        kind = rng.integers(3, size=cfg.trials * 4)
+        g = random_complex(rng, dim, size=cfg.trials * 4)
+        b = np.where((kind == 1)[:, None, None], hermitian_part(g), gram(g))
         planted = kind == 2  # plant a zero eigenvalue
         b[planted] -= spectra.lambda_min(b)[planted, None, None] * np.eye(dim)
         origin = moebius.PairRep(e=np.zeros((dim, dim)), a=np.zeros((dim, dim)))
@@ -325,7 +318,7 @@ def _sign_flipped_boxplus(u, b):
 
 
 def _moebius_mutation(rng, cfg):
-    a, b = _stack(cfg.trials, lambda: (random_hermitian(rng, 3), random_hermitian(rng, 3)))
+    a, b = map(hermitian_part, _gaussians(rng, 3, cfg.trials, 2))
     yield from spectra.operator_norm(_sign_flipped_boxplus(spectra.cayley(a), b) - spectra.cayley(a + b)).tolist()
 
 
@@ -335,7 +328,7 @@ def _moebius_mutation(rng, cfg):
 
 def _closure_idempotent(rng, cfg):
     for dim in range(2, max(cfg.dim, 2) + 1):
-        gens = [random_hermitian(rng, dim) for _ in range(2)]
+        gens = list(random_hermitian(rng, dim, size=2))
         alg = jordan.generate_algebra(gens, dim=dim)
         again = jordan.generate_algebra(alg.basis, dim=dim)
         broken = []
@@ -350,17 +343,12 @@ def _cone_axioms(rng, cfg):
     for dim in _dims(cfg):
         alg = jordan.hermitian_algebra(dim)
         eye = np.eye(dim)
-        a, b, t = _stack(
-            cfg.trials,
-            lambda: (
-                random_positive(rng, dim) + 0.1 * eye,
-                random_positive(rng, dim) + 0.1 * eye,
-                float(rng.uniform(0.1, 5.0)),
-            ),
-        )
+        a = random_positive(rng, dim, size=cfg.trials) + 0.1 * eye
+        b = random_positive(rng, dim, size=cfg.trials) + 0.1 * eye
+        t = rng.uniform(0.1, 5.0, size=cfg.trials)
         eps = 0.5 * spectra.lambda_min(a)
         # a, a + b, t a and a - eps must all be interior: one stack of the four probes per trial
-        probes = np.concatenate([a, a + b, np.array(t)[:, None, None] * a, a - eps[:, None, None] * eye])
+        probes = np.concatenate([a, a + b, t[:, None, None] * a, a - eps[:, None, None] * eye])
         outside = np.array([c != jordan.ConeClass.INTERIOR for c in jordan.classify(alg, probes)])
         yield from outside.reshape(4, -1).sum(axis=0).tolist()
 
@@ -457,8 +445,8 @@ def _covariance(rng, cfg):
     n = max(cfg.n, 16)
     for act in _groupoid_actions(rng):
         for a in range(0, 9):
-            for _ in range(max(cfg.trials // 8, 3)):
-                yield toeplitz.covariance_residual(random_complex(rng, act.k), a, act, n)
+            for x in random_complex(rng, act.k, size=max(cfg.trials // 8, 3)):
+                yield toeplitz.covariance_residual(x, a, act, n)
 
 
 def _isometry_laws(rng, cfg):
@@ -487,30 +475,32 @@ def _isometry_laws(rng, cfg):
 def _intertwine(rng, cfg):
     n = max(cfg.n, 16)
     for act in _groupoid_actions(rng):
-        for a in range(0, 6):
-            x = random_complex(rng, act.k)
+        for a, x in enumerate(random_complex(rng, act.k, size=6)):
             v = toeplitz.isometry_V(a, n, act.k)
             lhs = v.adjoint() @ toeplitz.rep_pi(x, act, n)
             yield (lhs - toeplitz.rep_pi(act.alpha(a, x), act, n) @ v.adjoint()).norm()
 
 
-def _random_symbol(rng, k, radius):
-    values = {}
-    for g in range(-radius, radius + 1):
-        if rng.uniform() < 0.7:
-            values[g] = random_complex(rng, k)
-    if not values:
-        values[0] = random_complex(rng, k)
-    return toeplitz.SymbolFunction(k=k, values=values)
+def _random_symbols(rng, count: int, k: int, radius: int) -> list:
+    """``count`` random symbols on -radius..radius: each g is in the support
+    with probability 0.7 (g = 0 when none is), with a complex Gaussian value.
+    The support flags, then the values, come as one block each."""
+    support = rng.uniform(size=(count, 2 * radius + 1)) < 0.7
+    support[~support.any(axis=1), radius] = True
+    values = random_complex(rng, k, size=(count, 2 * radius + 1))
+    gs = range(-radius, radius + 1)
+    return [
+        toeplitz.SymbolFunction(k=k, values={g: v for g, v, kept in zip(gs, vals, keep) if kept})
+        for vals, keep in zip(values, support)
+    ]
 
 
 def _symbol_product_interior(rng, cfg):
     act = toeplitz.trivial_action(1)
     n = max(cfg.n, 24)
     margin = 6
-    for _ in range(max(cfg.trials // 4, 5)):
-        f = _random_symbol(rng, 1, 3)
-        h = _random_symbol(rng, 1, 3)
+    trials = max(cfg.trials // 4, 5)
+    for f, h in zip(_random_symbols(rng, trials, 1, 3), _random_symbols(rng, trials, 1, 3)):
         lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
         rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
         yield (lhs - rhs).compress(margin, n - margin).norm()
@@ -520,8 +510,7 @@ def _adjoint_symbol(rng, cfg):
     # compressing an adjoint gives the adjoint of the compression: no boundary term
     n = max(cfg.n, 24)
     for act in _groupoid_actions(rng):
-        for _ in range(max(cfg.trials // 8, 3)):
-            f = _random_symbol(rng, act.k, 3)
+        for f in _random_symbols(rng, max(cfg.trials // 8, 3), act.k, 3):
             lhs = toeplitz.wiener_hopf(f, act, n).adjoint()
             yield (lhs - toeplitz.wiener_hopf(f.twisted_reflection(act), act, n)).norm()
 
@@ -540,23 +529,30 @@ def _toeplitz_mutation(rng, cfg):
 # groupoid
 
 
-def _random_section(rng, act, window, points=6, x_bound=None, g_bound=None):
-    """Random finitely supported section; x_bound/g_bound keep the support
-    small enough that iterated products stay inside the window."""
-    s = groupoid.GroupoidSection(act, window)
+def _random_sections(rng, act, window, count: int, points: int, x_bound=None, g_bound=None):
+    """``count`` random finitely supported sections, built one at a time as
+    they are iterated.  Each of ``points`` points is a unit in 0..x_bound or
+    infinity, a g with |g| <= g_bound that keeps the element in the window,
+    and a complex Gaussian value; a later point on the same cell wins, as
+    with ``set``.  x_bound and g_bound (at most the window's) keep the support
+    small enough that iterated products stay inside the window.  The units,
+    the g's and the values come as one block each, drawn by this call."""
     x_bound = window.max_x if x_bound is None else x_bound
     g_bound = window.max_g if g_bound is None else g_bound
-    units = list(range(x_bound + 1)) + [INF]
-    for _ in range(points):
-        x = units[int(rng.integers(len(units)))]
-        lo = -g_bound if x == INF else -min(int(x), g_bound)
-        hi = g_bound if x == INF else min(g_bound, window.max_x - int(x))
-        if lo > hi:
-            continue
-        g = int(rng.integers(lo, hi + 1))
-        s.set((x, g), random_complex(rng, act.k))
-    if not s.support().any():
-        s.set((0, 0), random_complex(rng, act.k))
+    x = rng.integers(x_bound + 2, size=(count, points))  # x_bound + 1 stands for infinity
+    inf = x == x_bound + 1
+    lo = np.where(inf, -g_bound, -np.minimum(x, g_bound))
+    hi = np.where(inf, g_bound, np.minimum(g_bound, window.max_x - x))
+    cols = rng.integers(lo, hi + 1) + window.max_g
+    values = random_complex(rng, act.k, size=(count, points))
+    rows = np.where(inf, window.max_x + 1, x)
+    return (_section(act, window, rows[t], cols[t], values[t]) for t in range(count))
+
+
+def _section(act, window, rows, cols, values) -> groupoid.GroupoidSection:
+    s = groupoid.GroupoidSection(act, window)
+    for row, col, value in zip(rows, cols, values):
+        s.values[row, col] = value
     return s
 
 
@@ -572,10 +568,11 @@ def _groupoid_algebra(rng, cfg):
     window = groupoid.Window(max_x=20, max_g=n)
     for act in _groupoid_actions(rng):
         v2_adjoint = toeplitz.isometry_V(2, n, act.k).adjoint()
-        for _ in range(max(cfg.trials // 2, 10)):
-            phi = _random_section(rng, act, window, points=4, x_bound=8, g_bound=4)
-            psi = _random_section(rng, act, window, points=4, x_bound=8, g_bound=4)
-            chi = _random_section(rng, act, window, points=3, x_bound=8, g_bound=4)
+        trials = max(cfg.trials // 2, 10)
+        phis = _random_sections(rng, act, window, trials, 4, x_bound=8, g_bound=4)
+        psis = _random_sections(rng, act, window, trials, 4, x_bound=8, g_bound=4)
+        chis = _random_sections(rng, act, window, trials, 3, x_bound=8, g_bound=4)
+        for phi, psi, chi in zip(phis, psis, chis):
             phi_psi = groupoid.convolve(phi, psi)
             phi_star = groupoid.involute(phi)
             lhs = groupoid.convolve(phi_psi, chi)
@@ -597,8 +594,7 @@ def _lambda_bound(rng, cfg):
     n = 12
     window = groupoid.Window(max_x=n, max_g=n)
     for act in _groupoid_actions(rng):
-        for _ in range(max(cfg.trials, 20)):
-            phi = _random_section(rng, act, window, points=5)
+        for phi in _random_sections(rng, act, window, max(cfg.trials, 20), 5):
             yield groupoid.lambda_rep(phi, n).norm() > groupoid.i_norm(phi) + ALGEBRA_TOL
 
 
@@ -611,8 +607,7 @@ def _central_identity(rng, cfg):
     n = max(cfg.n, 16)
     window = groupoid.Window(max_x=n, max_g=n)
     for act in _groupoid_actions(rng):
-        for _ in range(max(cfg.trials // 2, 10)):
-            f = _random_symbol(rng, act.k, 8)
+        for f in _random_symbols(rng, max(cfg.trials // 2, 10), act.k, 8):
             lhs = groupoid.lambda_rep(groupoid.lift_symbol(f, window, act), n)
             rhs = toeplitz.wiener_hopf(groupoid.hat_symbol(f), act, n)
             yield _entrywise_gap(lhs, rhs)
@@ -622,9 +617,10 @@ def _star_hom_interior(rng, cfg):
     n = max(cfg.n, 16)
     window = groupoid.Window(max_x=2 * n, max_g=2 * n)
     act = toeplitz.trivial_action(1)
-    for _ in range(max(cfg.trials // 4, 5)):
-        phi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
-        psi = _random_section(rng, act, window, points=4, x_bound=n, g_bound=4)
+    trials = max(cfg.trials // 4, 5)
+    phis = _random_sections(rng, act, window, trials, 4, x_bound=n, g_bound=4)
+    psis = _random_sections(rng, act, window, trials, 4, x_bound=n, g_bound=4)
+    for phi, psi in zip(phis, psis):
         margin = int(np.abs(np.nonzero(phi.support() | psi.support())[1] - window.max_g).max())  # <= 4 < n / 2
         lhs = groupoid.lambda_rep(groupoid.convolve(phi, psi), n)
         rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
@@ -639,17 +635,17 @@ def _units_agree(rng, cfg):
 def _shift_laws(rng, cfg):
     window = groupoid.Window(max_x=14, max_g=14)
     act = toeplitz.trivial_action(1)
-    for _ in range(max(cfg.trials // 2, 10)):
-        # support kept small enough that composed shifts stay in-window
-        psi = _random_section(rng, act, window, points=4, x_bound=6, g_bound=4)
+    trials = max(cfg.trials // 2, 10)
+    # support kept small enough that composed shifts stay in-window
+    psis = _random_sections(rng, act, window, trials, 4, x_bound=6, g_bound=4)
+    for psi, (a, b) in zip(psis, rng.integers(0, 4, size=(trials, 2)).tolist()):
         identity = _section_gap(psi, groupoid.shift_R(0, psi))
-        a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         lhs = groupoid.shift_R(a, groupoid.shift_R(b, psi))
         yield _worst((identity, _section_gap(lhs, groupoid.shift_R(a + b, psi))))
 
 
 def _hat_laws(rng, cfg):
-    f = _random_symbol(rng, 2, 5)
+    (f,) = _random_symbols(rng, 1, 2, 5)
     double = groupoid.hat_symbol(groupoid.hat_symbol(f))
     yield _worst(np.max(np.abs(f(g) - double(g))) for g in set(f.values) | set(double.values))
 
@@ -677,8 +673,8 @@ def _kernel_member(f: "fibers.PiecewisePoly", cut: float) -> "fibers.PiecewisePo
 
 def _kernel_identity(rng, cfg):
     trials = max(cfg.trials * 2, 40)
-    ns, fs = _stack(trials, lambda: (int(rng.integers(0, 11)), fibers.random_dyadic_pl(rng, level=4)))
-    ns, fs = np.array(ns), fibers.PiecewisePoly.stack(fs)
+    ns = rng.integers(0, 11, size=trials)
+    fs = fibers.random_dyadic_pl(rng, level=4, size=trials)
     bad = np.zeros(trials, dtype=int)
     for n in np.unique(ns).tolist():  # the trials that drew n, as one stack
         pick = ns == n
@@ -722,11 +718,12 @@ def _usc_infinity(rng, cfg):
 
 
 def _fiber_action(rng, cfg):
-    for _ in range(max(cfg.trials, 20)):
-        f = fibers.random_dyadic_pl(rng, level=3)
-        g = int(rng.integers(-5, 6))
-        xv = int(rng.integers(max(0, -g), 8))
-        q = fibers.QuotientElement(x=xv + g, rep=f)
+    trials = max(cfg.trials, 20)
+    fs = fibers.random_dyadic_pl(rng, level=3, size=trials)
+    gs = rng.integers(-5, 6, size=trials)
+    xvs = rng.integers(np.maximum(0, -gs), 8)
+    for t, (g, xv) in enumerate(zip(gs.tolist(), xvs.tolist())):
+        q = fibers.QuotientElement(x=xv + g, rep=fs[t])
         base = fibers.fiber_action(xv, g, q)
         others = [fibers.fiber_action(xv, g, q, decomposition=(max(g, 0) + e, max(-g, 0) + e)) for e in range(1, 5)]
         gaps = [fibers.quotient_norm(xv, base.rep - other.rep) for other in others]
@@ -734,12 +731,15 @@ def _fiber_action(rng, cfg):
 
 
 def _dilation(rng, cfg):
-    for _ in range(max(cfg.trials // 2, 10)):
+    # per trial: the coefficients of x and of y, then 7 support values, as one block
+    terms = 2 * TRIG_DEGREE + 1
+    re, im = np.moveaxis(rng.standard_normal((max(cfg.trials // 2, 10), 2 * terms + 7, 2)), -1, 0)
+    for coeffs in (re + 1j * im).tolist():
         broken = []
-        x = fibers.random_trig(rng)
+        x = fibers.TrigPoly(dict(enumerate(coeffs[:terms], -TRIG_DEGREE)))
+        y = fibers.TrigPoly(dict(enumerate(coeffs[terms : 2 * terms], -TRIG_DEGREE)))
         if not fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(1, x.dilate(1))):
             broken.append("defining identification broken")
-        y = fibers.random_trig(rng)
         if fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(0, x + y)) and y.coeffs:
             broken.append("distinct payloads compared equal")
         # alpha_5 is isometric: the certified brackets [grid max, norm] of x and alpha_5(x) must overlap
@@ -747,7 +747,7 @@ def _dilation(rng, cfg):
         if max(x.grid_max(), x5.grid_max()) > min(x.norm(), x5.norm()) + ALGEBRA_TOL:
             broken.append("level promotion changed the norm")
         # fibers over finite points collapse to a single payload at that level
-        supp = {g: complex(rng.standard_normal(), rng.standard_normal()) for g in range(-3, 4)}
+        supp = dict(zip(range(-3, 4), coeffs[2 * terms :]))
         cert = fibers.fiber_section_F(x, supp, 3)
         if cert.element.level > 3 or not cert.check():
             broken.append("certificate failed")
@@ -780,7 +780,7 @@ def unitary_samples(rng, count=50, dim=3):
     """-1, 1, then random Z points, every third with -1 planted in its spectrum."""
     samples = [moebius.zpoint(-np.eye(dim)), moebius.zpoint(np.eye(dim))]
     if count > 2:
-        z = _zpoints([moebius.draw_pair(rng, dim, force_boundary=i % 3 == 0) for i in range(2, count)])
+        z = moebius.random_zpoint(rng, dim, size=count - 2, boundary=np.arange(2, count) % 3 == 0)
         samples += [moebius.ZPoint(u, z.dec[t]) for t, u in enumerate(z.u)]
     return samples
 

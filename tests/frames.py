@@ -4,8 +4,8 @@
 eigenvalues with their spectral projections, grouping the frame's columns by
 value.  The rest is a per-matrix reference merge, one Python loop per
 cluster: runs of sorted eigenvalues with gaps <= CLUSTER_TOL averaged with
-np.mean, and for a unitary the runs pushed to the circle and merged again
-there, wraparound included.  It is the oracle for the stacked merges of
+np.mean, and for a unitary the eigenvalues pushed to the circle and merged
+there by angle, wraparound included.  It is the oracle for the stacked merges of
 ``spectra``.
 """
 
@@ -54,24 +54,25 @@ def hermitian_reference(m):
 
 
 def unitary_reference(u, tol=spectra.DEFAULT_TOL):
-    """The merged eigenvalues of a unitary and their projections: the line
-    merge of inverse_cayley(e^{i theta} U) at unitary_eig's phase, pushed to
-    the circle, where circle-close runs merge again into their normalized
-    mean and the sum of their projections."""
+    """The merged eigenvalues of a unitary and their projections: the
+    eigenvalues of inverse_cayley(e^{i theta} U) at unitary_eig's phase,
+    pushed to the circle, where runs of angular gaps <= CLUSTER_TOL (across
+    angle 0 too) merge into their normalized mean and the sum of their
+    projections.  Nothing merges on the Hermitian side, whose gaps the
+    pullback stretches and shrinks."""
     rng = np.random.default_rng(0)
     for _ in range(spectra.PHASE_ATTEMPTS):
         theta = rng.uniform(0.0, 2.0 * np.pi)
         rotated = np.exp(1j * theta) * u
         if np.linalg.svd(rotated - np.eye(len(u)), compute_uv=False)[-1] > 10 * spectra.CLUSTER_TOL:
             break
-    values, hermitian_projections, _ = line_merge(*np.linalg.eigh(spectra.inverse_cayley(rotated, tol=tol)))
-    eigenvalues = np.array([np.exp(-1j * theta) * spectra.scalar_cayley(lam.real) for lam in values])
+    evals, evecs = np.linalg.eigh(spectra.inverse_cayley(rotated, tol=tol))
+    eigenvalues = np.exp(-1j * theta) * spectra.scalar_cayley(evals)
     angles = np.mod(np.angle(eigenvalues), 2.0 * np.pi)
     order = np.argsort(angles)
-    eigenvalues, angles = eigenvalues[order], angles[order]
-    projections = [hermitian_projections[i] for i in order]
-    groups = runs(angles, spectra.CLUSTER_TOL)
-    if len(groups) > 1 and angles[0] + 2.0 * np.pi - angles[-1] <= spectra.CLUSTER_TOL:
+    groups = runs(angles[order], spectra.CLUSTER_TOL)
+    if len(groups) > 1 and angles[order[0]] + 2.0 * np.pi - angles[order[-1]] <= spectra.CLUSTER_TOL:
         groups[0] = groups.pop() + groups[0]
-    merged = [np.mean(eigenvalues[group]) for group in groups]
-    return np.array([lam / abs(lam) for lam in merged]), [sum(projections[i] for i in group) for group in groups]
+    merged = [np.mean(eigenvalues[order[group]]) for group in groups]
+    projections = [evecs[:, order[group]] @ evecs[:, order[group]].conj().T for group in groups]
+    return np.array([lam / abs(lam) for lam in merged]), projections

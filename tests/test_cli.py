@@ -1,6 +1,10 @@
 """Command-line driver contract tests: exit codes, determinism, file I/O."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +177,40 @@ def test_empty_cases_report_is_valid_json(tmp_path):
     assert cli._emit({"suite": "demo", "cases": []}, str(out)) == cli.EXIT_OK
     assert json.loads(out.read_text()) == {"suite": "demo", "cases": []}
     assert serialize.canonical_json({"suite": "demo", "cases": []}) == '{"cases":[],"suite":"demo"}'
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _fresh_python(args, **blas):
+    """Run a fresh interpreter on this checkout with no BLAS thread variable
+    set but the given ones; returns its stdout."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(blas)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_pins_blas_threads_unless_set():
+    probe = "import os, whlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(["-c", probe]) == "1\n"
+    assert _fresh_python(["-c", probe], OPENBLAS_NUM_THREADS="3") == "3\n"
+
+
+# at N = 64 a threaded BLAS rounds toeplitz.adjoint_symbol's SVDs differently: at
+# seed 0 the report bytes differ between one and two OpenBLAS threads
+TOEPLITZ_N64 = ["verify", "toeplitz", "--N", "64", "--seed", "0"]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_pool():
+    args = ["-m", "whlab.cli", *TOEPLITZ_N64]
+    assert _fresh_python(args) == _fresh_python(args, OPENBLAS_NUM_THREADS="1")
+
+
+def test_a_process_that_loaded_numpy_first_writes_the_same_bytes():
+    # numpy's pool started before whlab.cli could set a variable, as under a tracing harness
+    run = "import sys, numpy, whlab.cli; sys.exit(whlab.cli.main(sys.argv[1:]))"
+    assert _fresh_python(["-c", run, *TOEPLITZ_N64]) == _fresh_python(["-m", "whlab.cli", *TOEPLITZ_N64])

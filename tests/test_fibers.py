@@ -20,7 +20,7 @@ def pl(breaks, vals):
 
 
 def trig(rng, degree):
-    """A random trig polynomial of any degree, drawn as random_trig draws its own."""
+    """A random trig polynomial: complex Gaussian coefficients, real then imaginary part."""
     return TrigPoly({m: rng.standard_normal() + 1j * rng.standard_normal() for m in range(-degree, degree + 1)})
 
 
@@ -206,7 +206,7 @@ def test_fiber_action_rejects_a_decomposition_that_is_not_integral(decomposition
 
 def test_dilation_defining_identification(rng):
     for _ in range(20):
-        x = fibers.random_trig(rng)
+        x = trig(rng, 3)
         assert fibers.dilation_equal(DilationElement(0, x), DilationElement(1, x.dilate(1)))
         assert fibers.dilation_equal(DilationElement(2, x), DilationElement(4, x.dilate(2)))
 
@@ -249,7 +249,7 @@ def test_trig_norm_certificate_brackets_true_sup(rng):
 
 
 def test_trig_star_is_pointwise_conjugate(rng):
-    x = fibers.random_trig(rng)
+    x = trig(rng, 3)
     z = np.exp(0.7j)
     assert x.star()(z) == pytest.approx(np.conj(x(z)))
 

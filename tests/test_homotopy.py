@@ -81,7 +81,7 @@ def test_unitary_rotation_spectral_drift(rng):
 
 
 def test_unitary_boundary_eigenvalue_is_fixed(rng):
-    z = moebius.pair_decode(moebius.build_pairs([moebius.draw_pair(rng, 3, force_boundary=True)])[0])
+    z = moebius.random_zpoint(rng, 3, boundary=True)
     path = _path(homotopy.make_unitary_homotopy(), z, 0.0, 0.3, 0.8, 1.0)
     assert (np.abs(path.eigenvalues + 1.0).min(axis=1) <= 1e-9).all()
 

@@ -89,6 +89,16 @@ def test_unitary_eig_merges_near_degenerate():
     assert values[0] == pytest.approx(np.exp(2.25e-8j))
 
 
+def test_unitary_eig_merges_at_cluster_tol_on_the_circle():
+    # 1.6 CLUSTER_TOL apart at angle 0: the Hermitian pullback at the first
+    # phase shrinks that gap below CLUSTER_TOL, the circle does not
+    values, _ = clusters(spectra.unitary_eig(np.diag(np.exp(1j * np.array([0.0, 1.6e-8])))))
+    assert len(values) == 2
+    # so pair_encode keeps the eigenvalue 1.6e-8 from 1 out of E
+    pair = moebius.pair_encode(moebius.zpoint(np.diag(np.exp(1j * np.array([0.0, 1.6e-8, 2.0])))))
+    assert np.trace(pair.e).real == pytest.approx(1.0)
+
+
 def test_validate_with_a_high_rank_projection():
     _validate(spectra.unitary_eig(np.eye(16)))
     _validate(spectra.hermitian_eig(np.diag([1.0] * 15 + [2.0])))
@@ -100,9 +110,10 @@ def test_unitary_eig_identity_and_diagonal():
     assert values[0] == pytest.approx(1.0)
 
     values, _ = clusters(spectra.unitary_eig(np.diag([-1.0, 1j])))
-    vals = sorted(values, key=lambda z: np.angle(z))
-    assert vals[0] == pytest.approx(-1.0)
-    assert vals[1] == pytest.approx(1j)
+    # angles in [0, 2 pi): -1 may come back with either sign of a rounding-sized imaginary part
+    vals = sorted(values, key=lambda z: np.angle(z) % (2 * np.pi))
+    assert vals[0] == pytest.approx(1j)
+    assert vals[1] == pytest.approx(-1.0)
 
 
 def test_unitary_eig_of_cayley_ones():
@@ -246,9 +257,9 @@ def test_empty_matrices_are_rejected(entry):
 # 1e6.  The oracle is the per-matrix merge of tests/frames.py.
 GAP_UNITS = [0.0, 0.5, 0.999, 1.001, 2.0]  # consecutive gaps in units of CLUSTER_TOL
 # unitary_eig's first phases: an eigenvalue at e^{-i theta} rejects theta.  The
-# third phase puts the Cayley pole near 1, where the pullback spreads a
-# cluster straddling angle 0 into line clusters that only the circle merge
-# (wraparound included) joins again.
+# third phase puts the Cayley pole near 1, where the pullback sends a cluster
+# straddling angle 0 to both ends of the Hermitian spectrum: only the circle
+# merge's wraparound joins it.
 _phases = np.random.default_rng(0)
 FIRST_PHASES = [_phases.uniform(0.0, 2.0 * np.pi) for _ in range(2)]
 
@@ -305,7 +316,7 @@ def test_hermitian_frame_matches_the_per_matrix_merge(m):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(planted_unitary())
-# two line clusters at the third phase that only the wraparound joins
+# a cluster straddling angle 0 at the third phase, which only the wraparound joins
 @example(np.diag(np.exp(-1j * np.array([*FIRST_PHASES, 0.5e-8, -0.499e-8]))))
 def test_unitary_frame_matches_the_per_matrix_merge(u):
     dec = spectra.unitary_eig(u)
@@ -317,6 +328,5 @@ def test_unitary_frame_matches_the_per_matrix_merge(u):
         gaps = [np.linalg.norm(p - proj) for p in projections]
         j = int(np.argmin(gaps))
         assert gaps[j] <= 1e-12
-        # a circle group averages its columns, the oracle its line clusters
-        assert abs(values[j] - lam) <= dim * spectra.CLUSTER_TOL
+        assert abs(values[j] - lam) <= 1e-12
     assert np.linalg.norm(dec.reconstruct() - u) <= 10 * spectra.DEFAULT_TOL * np.sqrt(dim) + np.sqrt(dim) * dim * spectra.CLUSTER_TOL

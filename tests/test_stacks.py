@@ -6,7 +6,8 @@ and name the one that fails; operands whose shapes do not match must raise
 instead of broadcasting.  Agreement is checked to 1e-13 rather than bitwise,
 since batched and single LAPACK calls need not round alike on every build.
 A stack of piecewise polynomials involves no LAPACK call, so its operations
-must equal the per-function ones bit for bit.
+must equal the per-function ones bit for bit, and so must a block of
+Gaussian draws equal the per-trial draws.
 """
 
 import functools
@@ -16,12 +17,12 @@ import numpy as np
 import pytest
 
 from frames import clusters, line_merge
-from whlab import fibers, jordan, moebius, spectra
+from whlab import fibers, jordan, moebius, spectra, suites
 from whlab.errors import DomainError, InputValidationError, NumericalError, WitnessNotFoundError
 from whlab.fell import INF
 from whlab.jordan import ConeClass
 from whlab.moebius import PairRep
-from whlab.sampling import random_hermitian, random_positive, random_positive_definite, random_unitary
+from whlab.sampling import random_complex, random_hermitian, random_positive, random_positive_definite, random_unitary
 
 COUNT = 5
 DIMS = range(1, 9)
@@ -117,11 +118,40 @@ def test_stacked_z_points_and_pairs_agree_with_single_calls(dim):
     _same(pairs.close_to(pairs, 1e-12), [True] * COUNT)
 
 
-def test_random_zpoint_stack_draws_like_single_calls():
-    first = moebius.random_zpoint(np.random.default_rng(3), 3, size=4)
+@pytest.mark.parametrize("generator", [random_complex, random_hermitian])
+def test_a_gaussian_block_holds_the_per_trial_draws(generator):
+    block = generator(np.random.default_rng(3), 4, size=(COUNT, 2))
     rng = np.random.default_rng(3)
-    for t in range(4):
-        np.testing.assert_allclose(first.u[t], moebius.random_zpoint(rng, 3).u, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(block, [[generator(rng, 4) for _ in range(2)] for _ in range(COUNT)])
+
+
+def test_a_suite_gaussian_block_holds_each_trials_matrices_in_order():
+    g, a, b = suites._gaussians(np.random.default_rng(3), 4, COUNT, 3)
+    rng = np.random.default_rng(3)
+    singles = [[random_complex(rng, 4) for _ in range(3)] for _ in range(COUNT)]
+    np.testing.assert_array_equal(np.stack([g, a, b], axis=1), singles)
+
+
+def test_random_zpoint_repeats_for_a_fixed_seed_and_size():
+    boundary = np.arange(7) % 3 == 0
+    for kwargs in ({}, {"boundary": boundary}):
+        first = moebius.random_zpoint(np.random.default_rng(3), 3, size=7, **kwargs)
+        again = moebius.random_zpoint(np.random.default_rng(3), 3, size=7, **kwargs)
+        np.testing.assert_array_equal(first.u, again.u)
+    assert moebius.random_zpoint(np.random.default_rng(3), 3).u.shape == (3, 3)
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_random_zpoints_are_z_points_and_boundary_plants_minus_one(dim):
+    boundary = np.arange(40) % 2 == 0
+    z = moebius.random_zpoint(np.random.default_rng(dim), dim, size=40, boundary=boundary)
+    moebius.zpoint(z.u)  # every point passes the Z check on its own matrix
+    on_boundary = np.array([c is moebius.ZClass.BOUNDARY for c in moebius.classify_zpoint(z.u)])
+    assert not on_boundary[~boundary].any()
+    # a planted point has -1 in its spectrum unless E took every cluster, which makes U = 1
+    whole = np.abs(z.u - np.eye(dim)).max(axis=(1, 2)) <= 1e-12
+    assert (on_boundary | whole)[boundary].all()
+    assert on_boundary.sum() >= 10
 
 
 def test_two_d_inputs_keep_their_scalar_answers():
@@ -348,7 +378,6 @@ def test_stacked_function_ops_equal_single_ops_bit_for_bit(level):
     f, fs = _functions(level, level)
     g, gs = _functions(level, 10 + level)
     _equal_functions(f, fs)
-    _equal_functions(fibers.PiecewisePoly.stack(fs), fs)
     for op in (operator.add, operator.sub, operator.mul):
         _equal_functions(op(f, g), [op(a, b) for a, b in zip(fs, gs)])
         _equal_functions(op(f, gs[0]), [op(a, gs[0]) for a in fs])  # one function goes with any stack
@@ -390,8 +419,6 @@ def test_stacks_on_other_breakpoints_raise():
                 op(left, right)
     with pytest.raises(InputValidationError, match="dimension mismatch"):
         coarse + fibers.random_dyadic_pl(rng, level=3, size=COUNT + 1)
-    with pytest.raises(InputValidationError, match="dimension mismatch"):
-        fibers.PiecewisePoly.stack([coarse[0], fine[0]])
     with pytest.raises(InputValidationError):
         coarse[0][0]  # one function has no stack axes
     # two single functions still meet on the union of their breakpoints
