@@ -23,27 +23,23 @@ failure.  Reports are emitted as canonical JSON (sorted keys, floats with 17
 significant digits), so a fixed (config, seed) pair produces byte-identical
 files; wall time is printed to the console only.
 
-Threads: the checks run on matrices of at most a few hundred rows, where a
-BLAS thread pool buys no speed and spends CPU, and where a product's rounding
-can depend on how many threads split it.  So importing this module sets each
+Threads: a report's bytes do not depend on the BLAS thread count, by
+construction.  Every Toeplitz and groupoid residual is a Schur bound over
+k x k block norms, no case assembles a dense operator for a norm, and every
+other kernel works on matrices of at most a few rows, below the sizes at
+which a threaded BLAS splits a product.  A thread pool therefore buys no
+speed and only spends CPU, so importing this module still sets each
 BLAS/OpenMP thread variable that is not already set to 1, before numpy is
-loaded; a value set in the environment wins.  In a process that loaded numpy
-earlier, with OPENBLAS_NUM_THREADS unset, its pool read no variable: there
-main() holds the OpenBLAS of a numpy wheel at one thread for the run, through
-OpenBLAS's own setter.  A report's bytes then do not depend on the core count
-unless such a variable is set.
+loaded; a value set in the environment wins.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
 
-# a numpy loaded before this module started its BLAS pool without the variables below
-_PIN_LOADED_POOL = "numpy" in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
 # before the imports that load numpy: its BLAS reads these once, at load time
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -177,51 +173,13 @@ def _run_fell_converge(args) -> int:
     return _emit(report, args.out)
 
 
-def _bundled_openblas_threads():
-    """The get and set thread-count functions of the OpenBLAS that the numpy
-    wheel bundles, or None for another BLAS."""
-    import ctypes
-    import glob
-
-    import numpy
-
-    for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
-        try:
-            lib = ctypes.CDLL(path)  # the library numpy already loaded
-        except OSError:
-            continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if get is not None and put is not None:
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """One OpenBLAS thread for the run when numpy's pool missed the variables
-    (see the module docstring); the earlier count afterwards."""
-    threads = _bundled_openblas_threads() if _PIN_LOADED_POOL else None
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    with _one_blas_thread():
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "fell":
-            return _run_fell_converge(args)
+    if args.command == "verify":
+        return _run_verify(args)
+    if args.command == "fell":
+        return _run_fell_converge(args)
     parser.error("unknown command")
     return EXIT_USAGE
 

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import spectra
-from .spectra import _frobenius
+from .spectra import _frobenius, _hermitian_part
 from .errors import InputValidationError
 
 DEFAULT_TOL = 1e-9
@@ -51,11 +51,6 @@ _RELATIONS = (OrderRelation.LT, OrderRelation.LEQ, OrderRelation.INCOMPARABLE_OR
 def _rows(stack: np.ndarray) -> np.ndarray:
     """(..., d, d) complex stack -> (n, 2d^2) real rows: Re tr(A*B) is a row dot product."""
     return np.ascontiguousarray(stack).reshape(-1, stack.shape[-1] ** 2).view(np.float64)
-
-
-def _hermitian_part(stack: np.ndarray) -> np.ndarray:
-    """(X + X*)/2 of each X in the stack; for X = ab with a, b Hermitian, a o b = (ab + ba)/2."""
-    return 0.5 * (stack + stack.conj().swapaxes(1, 2))
 
 
 @dataclass
@@ -132,6 +127,7 @@ def generate_algebra(generators, dim: int | None = None) -> JordanAlgebra:
         mats = frame.view(np.complex128).reshape(-1, dim, dim)
         i, j = np.triu_indices(len(mats))
         pick = j >= len(mats) - len(new)  # each unordered pair with a new element, once
+        # for a, b Hermitian the Jordan product a o b = (ab + ba)/2 is the Hermitian part of ab
         new = _orthonormalize(_rows(_hermitian_part(mats[i[pick]] @ mats[j[pick]])), frame)
         if not len(new):
             break

@@ -53,7 +53,7 @@ from .spectra import (
     DEFAULT_TOL,
     SpectralDecomposition,
     _frobenius,
-    _H,
+    _hermitian_part,
     _require,
     _right_solve,
     _smin,
@@ -208,7 +208,7 @@ def psi_inv(u) -> np.ndarray:
     smin = _smin(denom)
     _require(smin >= CLUSTER_TOL, smin, DomainError, "not in the -1-free part: spectrum within {:.3e} of -1")
     h = _right_solve(denom, 1j * (eye - m))
-    return 0.5 * (h + _H(h))
+    return _hermitian_part(h)
 
 
 def moebius_contraction(a, b) -> np.ndarray:
@@ -220,7 +220,7 @@ def moebius_contraction(a, b) -> np.ndarray:
     smin = _smin(denom)
     _require(smin >= DEFAULT_TOL, smin, NumericalError, "BA + 1 nearly singular (sigma_min = {:.3e})")
     out = _right_solve(denom, ma)
-    return 0.5 * (out + _H(out))
+    return _hermitian_part(out)
 
 
 def contraction_inverse(c, b) -> np.ndarray:
@@ -237,13 +237,13 @@ def contraction_inverse(c, b) -> np.ndarray:
     lam = np.linalg.eigvalsh(mb)[..., 0]
     _require(lam > DEFAULT_TOL, lam, DomainError, "B is not interior (not positive definite)")
     b_inv = np.linalg.inv(mb)
-    lam = np.linalg.eigvalsh(0.5 * (b_inv + _H(b_inv)) - mc)[..., 0]
+    lam = np.linalg.eigvalsh(_hermitian_part(b_inv) - mc)[..., 0]
     _require(lam > DEFAULT_TOL, lam, DomainError, "C not strictly below B^{{-1}}")
     denom = np.eye(shape[-1]) - mc @ mb
     smin = _smin(denom)
     _require(smin >= DEFAULT_TOL, smin, NumericalError, "1 - CB nearly singular (sigma_min = {:.3e})")
     out = np.linalg.solve(denom, np.broadcast_to(mc, shape))
-    return 0.5 * (out + _H(out))
+    return _hermitian_part(out)
 
 
 def pair_encode(z: ZPoint) -> PairRep:
@@ -256,13 +256,13 @@ def pair_encode(z: ZPoint) -> PairRep:
     # scalar_inverse_cayley(-1) = 0: the columns of E carry no A
     w = np.real(spectra.scalar_inverse_cayley(np.where(one, -1.0, values)))
     a = replace(z.dec, values=w).reconstruct()
-    return PairRep(e=replace(z.dec, values=one).reconstruct(), a=0.5 * (a + _H(a)))
+    return PairRep(e=replace(z.dec, values=one).reconstruct(), a=_hermitian_part(a))
 
 
 def pair_decode(p: PairRep) -> ZPoint:
     """Rebuild the unitary E + (1-E) cayley(A) (1-E) from its pair encoding."""
     comp = np.eye(p.dim) - p.e
-    u = p.e + comp @ spectra.cayley(0.5 * (p.a + _H(p.a)), tol=ENTRY_TOL) @ comp
+    u = p.e + comp @ spectra.cayley(_hermitian_part(p.a), tol=ENTRY_TOL) @ comp
     return zpoint(u)
 
 
@@ -274,7 +274,7 @@ def qset_contains(p: PairRep, b, tol: float = DEFAULT_TOL):
     comp = np.eye(p.dim) - p.e
     probe = p.a + comp @ mb @ comp
     # Hermitian by construction: read the eigenvalue without a second guard
-    return _unstack(np.linalg.eigvalsh(0.5 * (probe + _H(probe)))[..., 0] >= -tol)
+    return _unstack(np.linalg.eigvalsh(_hermitian_part(probe))[..., 0] >= -tol)
 
 
 PROBE_EXPONENTS = range(-8, 9)
@@ -301,7 +301,7 @@ def separate_points(p1: PairRep, p2: PairRep):
     scaled = PROBE_SCALES[:, None, None, None] * np.array([p1.e, p2.e])
     probes = np.concatenate([scaled.reshape(-1, dim, dim), [-p1.a, -p2.a]])
     probes = probes[probes.any(axis=(1, 2))]  # not empty: two pairs with E = A = 0 are close
-    probes = 0.5 * (probes + _H(probes))
+    probes = _hermitian_part(probes)
     separates = qset_contains(p1, probes) != qset_contains(p2, probes)
     if not separates.any():
         raise WitnessNotFoundError("probe sweep exhausted without a separating witness")
@@ -325,7 +325,7 @@ def build_pairs(h: np.ndarray, chosen: np.ndarray, g: np.ndarray, planted, direc
     e = replace(dec, values=np.take_along_axis(chosen, runs, axis=-1)).reconstruct()
     comp = np.eye(h.shape[-1]) - e
     a = comp @ gram(g) @ comp
-    a = 0.5 * (a + _H(a))
+    a = _hermitian_part(a)
     for t, direction in zip(planted, directions):
         a[t] = _plant_boundary(comp[t], a[t], direction)
     return PairRep(e=e, a=a)
@@ -344,7 +344,7 @@ def _plant_boundary(comp: np.ndarray, a: np.ndarray, direction: np.ndarray) -> n
     v = v / np.linalg.norm(v)
     kill = comp - np.outer(v, v.conj())
     a = kill @ a @ kill
-    return 0.5 * (a + a.conj().T)
+    return _hermitian_part(a)
 
 
 def random_zpoint(rng: np.random.Generator, dim: int, size: int | None = None, boundary=False) -> ZPoint:

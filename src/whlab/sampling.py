@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectra import _hermitian_part
+
 # the spectrum range of random_positive_definite
 EIG_LOW = 0.25
 EIG_HIGH = 4.0
@@ -27,18 +29,13 @@ def random_complex(rng: np.random.Generator, n: int, size=None) -> np.ndarray:
     return re + 1j * im
 
 
-def hermitian_part(g: np.ndarray) -> np.ndarray:
-    """(G + G*) / 2 of each matrix of a stack."""
-    return 0.5 * (g + g.conj().swapaxes(-1, -2))
-
-
 def gram(g: np.ndarray) -> np.ndarray:
     """G*G of each matrix of a stack."""
     return g.conj().swapaxes(-1, -2) @ g
 
 
 def random_hermitian(rng: np.random.Generator, n: int, size=None) -> np.ndarray:
-    return hermitian_part(random_complex(rng, n, size))
+    return _hermitian_part(random_complex(rng, n, size))
 
 
 def random_unitary(rng: np.random.Generator, n: int, size=None) -> np.ndarray:

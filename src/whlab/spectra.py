@@ -81,6 +81,11 @@ def _H(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 of each matrix of a stack."""
+    return 0.5 * (a + _H(a))
+
+
 def _frobenius(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a stack."""
     parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts side by side
@@ -293,7 +298,7 @@ def inverse_cayley(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     _require(smin >= CLUSTER_TOL, smin, DomainError, "not in Cayley image: spectrum within {:.3e} of 1")
     h = _right_solve(denom, 1j * (m + eye))
     # symmetrize away the O(tol) skew part left by the solve
-    return 0.5 * (h + _H(h))
+    return _hermitian_part(h)
 
 
 def unitary_eig(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:

@@ -30,11 +30,10 @@ import numpy as np
 from . import fell, fibers, groupoid, homotopy, jordan, moebius, spectra, toeplitz
 from .errors import InputValidationError, WitnessNotFoundError
 from .fell import INF
-from .spectra import _H, _right_solve
+from .spectra import _H, _hermitian_part, _right_solve
 from .sampling import (
     gram,
     haar_unitary,
-    hermitian_part,
     random_complex,
     random_hermitian,
     random_positive,
@@ -206,21 +205,21 @@ def _listed(fallback, pick=lambda messages: messages):
 def _action_law(rng, cfg):
     for dim in _dims(cfg):
         g, a, b = _gaussians(rng, dim, cfg.trials, 3)
-        u, a, b = haar_unitary(g), hermitian_part(a), hermitian_part(b)
+        u, a, b = haar_unitary(g), _hermitian_part(a), _hermitian_part(b)
         lhs = moebius.boxplus(moebius.boxplus(u, a), b)
         yield from spectra.operator_norm(lhs - moebius.boxplus(u, a + b)).tolist()
 
 
 def _cayley_equivariance(rng, cfg):
     for dim in _dims(cfg):
-        a, b = map(hermitian_part, _gaussians(rng, dim, cfg.trials, 2))
+        a, b = map(_hermitian_part, _gaussians(rng, dim, cfg.trials, 2))
         yield from spectra.operator_norm(moebius.boxplus(spectra.cayley(a), b) - spectra.cayley(a + b)).tolist()
 
 
 def _invertibility_margin(rng, cfg):
     for dim in range(1, max(cfg.dim, 6) + 1):
         g, b = _gaussians(rng, dim, max(cfg.trials * 5, 100), 2)
-        u, b = haar_unitary(g), hermitian_part(b)
+        u, b = haar_unitary(g), _hermitian_part(b)
         yield from np.linalg.svd(b @ u + 2j * np.eye(dim) - b, compute_uv=False)[:, -1].tolist()
 
 
@@ -240,7 +239,7 @@ def _contraction_range(rng, cfg):
         # forward: the image of A lies in the range, and the inverse recovers A
         b_inv = np.linalg.inv(b)
         c = moebius.moebius_contraction(a, b)
-        bound = 0.5 * (b_inv + _H(b_inv))
+        bound = _hermitian_part(b_inv)
         outside = [rel != jordan.OrderRelation.LT for rel in jordan.order_compare(c, bound)]
         recovered = moebius.contraction_inverse(c, b)
         # onto: a point B^-1/2 S B^-1/2 with ||S|| = 0.9 U(0.1, 1) lies in the range with a margin
@@ -248,7 +247,7 @@ def _contraction_range(rng, cfg):
         root_inv = (vecs / np.sqrt(lam)[:, None, :]) @ _H(vecs)
         s *= (0.9 * scale / spectra.operator_norm(s))[:, None, None]
         point = root_inv @ s @ root_inv
-        point = 0.5 * (point + _H(point))
+        point = _hermitian_part(point)
         gaps = (
             moebius.moebius_contraction(recovered, b) - c,
             recovered - a,
@@ -286,12 +285,12 @@ def _qset_a2(rng, cfg):
         # a probe is Hermitian (kind 1) or positive, one complex Gaussian either way
         kind = rng.integers(3, size=cfg.trials * 4)
         g = random_complex(rng, dim, size=cfg.trials * 4)
-        b = np.where((kind == 1)[:, None, None], hermitian_part(g), gram(g))
+        b = np.where((kind == 1)[:, None, None], _hermitian_part(g), gram(g))
         planted = kind == 2  # plant a zero eigenvalue
         b[planted] -= spectra.lambda_min(b)[planted, None, None] * np.eye(dim)
         origin = moebius.PairRep(e=np.zeros((dim, dim)), a=np.zeros((dim, dim)))
         in_qset = moebius.qset_contains(origin, b, tol=cfg.tol)
-        yield from (in_qset != (spectra.lambda_min(0.5 * (b + _H(b))) >= -cfg.tol)).tolist()
+        yield from (in_qset != (spectra.lambda_min(_hermitian_part(b)) >= -cfg.tol)).tolist()
 
 
 def _separate_points(rng, cfg):
@@ -318,7 +317,7 @@ def _sign_flipped_boxplus(u, b):
 
 
 def _moebius_mutation(rng, cfg):
-    a, b = map(hermitian_part, _gaussians(rng, 3, cfg.trials, 2))
+    a, b = map(_hermitian_part, _gaussians(rng, 3, cfg.trials, 2))
     yield from spectra.operator_norm(_sign_flipped_boxplus(spectra.cayley(a), b) - spectra.cayley(a + b)).tolist()
 
 
@@ -455,21 +454,21 @@ def _isometry_laws(rng, cfg):
     identity = toeplitz.TruncatedOperator.identity
     for a in range(0, 6):
         wide = toeplitz.isometry_V(a, n + a, k)
-        yield ((wide.adjoint() @ wide).subwindow(n) - identity(n, k)).norm()
+        yield ((wide.adjoint() @ wide).subwindow(n) - identity(n, k)).norm_bound()
     v1 = toeplitz.isometry_V(1, n, k)
     unit0 = np.zeros((n + 1, k, k))
     unit0[0] = np.eye(k)
     proj0 = toeplitz.TruncatedOperator(n, k, {0: unit0})
-    yield ((v1 @ v1.adjoint()) - (identity(n, k) - proj0)).norm()
+    yield ((v1 @ v1.adjoint()) - (identity(n, k) - proj0)).norm_bound()
     for a in range(0, 4):
         for b in range(0, 4):
             lhs = toeplitz.isometry_V(b, n, k) @ toeplitz.isometry_V(a, n, k)
-            yield (lhs - toeplitz.isometry_V(a + b, n, k)).norm()
-    # a one-band operator is the direct sum of its blocks: its norm is the
-    # largest block norm, here planted at a row past 0
+            yield (lhs - toeplitz.isometry_V(a + b, n, k)).norm_bound()
+    # a one-band operator is the direct sum of its blocks: its norm bound is
+    # exact, the largest block norm, here planted at a row past 0
     blocks = np.ones((n, k, k))
     blocks[n // 2] = 3.0
-    yield abs(toeplitz.TruncatedOperator(n, k, {1: blocks}).norm() - float(np.linalg.norm(blocks[n // 2], 2)))
+    yield abs(toeplitz.TruncatedOperator(n, k, {1: blocks}).norm_bound() - float(np.linalg.norm(blocks[n // 2], 2)))
 
 
 def _intertwine(rng, cfg):
@@ -478,7 +477,7 @@ def _intertwine(rng, cfg):
         for a, x in enumerate(random_complex(rng, act.k, size=6)):
             v = toeplitz.isometry_V(a, n, act.k)
             lhs = v.adjoint() @ toeplitz.rep_pi(x, act, n)
-            yield (lhs - toeplitz.rep_pi(act.alpha(a, x), act, n) @ v.adjoint()).norm()
+            yield (lhs - toeplitz.rep_pi(act.alpha(a, x), act, n) @ v.adjoint()).norm_bound()
 
 
 def _random_symbols(rng, count: int, k: int, radius: int) -> list:
@@ -503,7 +502,7 @@ def _symbol_product_interior(rng, cfg):
     for f, h in zip(_random_symbols(rng, trials, 1, 3), _random_symbols(rng, trials, 1, 3)):
         lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
         rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
-        yield (lhs - rhs).compress(margin, n - margin).norm()
+        yield (lhs - rhs).compress(margin, n - margin).norm_bound()
 
 
 def _adjoint_symbol(rng, cfg):
@@ -512,7 +511,7 @@ def _adjoint_symbol(rng, cfg):
     for act in _groupoid_actions(rng):
         for f in _random_symbols(rng, max(cfg.trials // 8, 3), act.k, 3):
             lhs = toeplitz.wiener_hopf(f, act, n).adjoint()
-            yield (lhs - toeplitz.wiener_hopf(f.twisted_reflection(act), act, n)).norm()
+            yield (lhs - toeplitz.wiener_hopf(f.twisted_reflection(act), act, n)).norm_bound()
 
 
 def _toeplitz_mutation(rng, cfg):
@@ -522,7 +521,8 @@ def _toeplitz_mutation(rng, cfg):
     a = 3
     wrong_v = toeplitz.isometry_V(a, n + a, 2).adjoint()  # transposed shift: wrong direction
     pix = toeplitz.rep_pi(x, act, n + a)
-    yield ((wrong_v.adjoint() @ pix @ wrong_v).subwindow(n) - toeplitz.rep_pi(act.alpha(a, x), act, n)).norm()
+    # the residual is one band (offset 0), so its norm bound is its exact norm
+    yield ((wrong_v.adjoint() @ pix @ wrong_v).subwindow(n) - toeplitz.rep_pi(act.alpha(a, x), act, n)).norm_bound()
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +584,9 @@ def _groupoid_algebra(rng, cfg):
             involution = _section_gap(phi, groupoid.involute(phi_star))
             # the twist: Lambda is a *-homomorphism that intertwines R_2 with V_2*
             lam_phi = groupoid.lambda_rep(phi, n)
-            multiplicative = (groupoid.lambda_rep(phi_psi, n) - lam_phi @ groupoid.lambda_rep(psi, n)).norm()
-            adjoint = (groupoid.lambda_rep(phi_star, n) - lam_phi.adjoint()).norm()
-            shift = (groupoid.lambda_rep(groupoid.shift_R(2, phi), n) - v2_adjoint @ lam_phi).norm()
+            multiplicative = (groupoid.lambda_rep(phi_psi, n) - lam_phi @ groupoid.lambda_rep(psi, n)).norm_bound()
+            adjoint = (groupoid.lambda_rep(phi_star, n) - lam_phi.adjoint()).norm_bound()
+            shift = (groupoid.lambda_rep(groupoid.shift_R(2, phi), n) - v2_adjoint @ lam_phi).norm_bound()
             yield _worst((associativity, involution, multiplicative, adjoint, shift)), banach, isometry
 
 
@@ -595,7 +595,10 @@ def _lambda_bound(rng, cfg):
     window = groupoid.Window(max_x=n, max_g=n)
     for act in _groupoid_actions(rng):
         for phi in _random_sections(rng, act, window, max(cfg.trials, 20), 5):
-            yield groupoid.lambda_rep(phi, n).norm() > groupoid.i_norm(phi) + ALGEBRA_TOL
+            # the Schur bound certifies ||Lambda(phi)|| <= ||phi||_I: a row of
+            # Lambda(phi) sums blocks over a range fiber, a column over a source
+            # fiber, and alpha is contractive, so both sums stay below the I-norm
+            yield groupoid.lambda_rep(phi, n).norm_bound() > groupoid.i_norm(phi) + ALGEBRA_TOL
 
 
 def _entrywise_gap(lhs, rhs) -> float:
@@ -624,7 +627,7 @@ def _star_hom_interior(rng, cfg):
         margin = int(np.abs(np.nonzero(phi.support() | psi.support())[1] - window.max_g).max())  # <= 4 < n / 2
         lhs = groupoid.lambda_rep(groupoid.convolve(phi, psi), n)
         rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
-        yield (lhs - rhs).compress(margin, n - margin).norm()
+        yield (lhs - rhs).compress(margin, n - margin).norm_bound()
 
 
 def _units_agree(rng, cfg):

@@ -182,7 +182,7 @@ def test_intertwining_exact(rng):
         v = toeplitz.isometry_V(a, n, 2)
         lhs = v.adjoint() @ toeplitz.rep_pi(x, act, n)
         rhs = toeplitz.rep_pi(act.alpha(a, x), act, n) @ v.adjoint()
-        assert (lhs - rhs).norm() <= 1e-12
+        assert (lhs - rhs).norm_bound() <= 1e-12
 
 
 def test_symbol_product_on_interior_blocks(rng):
@@ -195,7 +195,7 @@ def test_symbol_product_on_interior_blocks(rng):
         h = SymbolFunction(k=1, values=hvals)
         lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
         rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
-        assert (lhs - rhs).compress(6, n - 6).norm() <= 1e-12
+        assert (lhs - rhs).compress(6, n - 6).norm_bound() <= 1e-12
 
 
 def test_adjoint_symbol_on_interior_blocks(rng):
@@ -205,7 +205,7 @@ def test_adjoint_symbol_on_interior_blocks(rng):
     f = SymbolFunction(k=2, values={g: random_complex(rng, 2) for g in range(-2, 3)})
     lhs = toeplitz.wiener_hopf(f, act, n).adjoint().compress(2, n - 2)
     rhs = toeplitz.wiener_hopf(f.twisted_reflection(act), act, n).compress(2, n - 2)
-    assert (lhs - rhs).norm() <= 1e-10
+    assert (lhs - rhs).norm_bound() <= 1e-10
 
 
 def test_truncated_operator_roundtrip(rng):
@@ -300,6 +300,13 @@ def _dense(op):
     return out
 
 
+def _schur_bound(dense, n, k):
+    """Schur test on the (N+1) x (N+1) matrix of k x k block spectral norms of
+    a dense matrix: sqrt(largest row sum * largest column sum)."""
+    norms = np.linalg.norm(dense.reshape(n + 1, k, n + 1, k).transpose(0, 2, 1, 3), 2, axis=(-2, -1))
+    return np.sqrt(norms.sum(axis=1).max() * norms.sum(axis=0).max())
+
+
 def _random_operators(rng, n, k):
     """Empty, one band at +N, at -N and at a random offset (its norm is the
     largest block norm), random multi-band sets and exact-zero bands."""
@@ -331,7 +338,11 @@ def test_band_operations_match_dense_numpy(rng, n, k):
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 assert np.array_equal(a.compress(lo, hi).matrix, dense[lo * k : (hi + 1) * k, lo * k : (hi + 1) * k])
-        assert abs(a.norm() - np.linalg.norm(dense, 2)) <= 1e-12
+        bound = a.norm_bound()
+        assert np.linalg.norm(dense, 2) <= bound + 1e-12
+        assert abs(bound - _schur_bound(dense, n, k)) <= 1e-12
+        if len(a.bands) <= 1:
+            assert abs(bound - np.linalg.norm(dense, 2)) <= 1e-12
         for b in ops:
             other = _dense(b)
             np.testing.assert_allclose((a @ b).matrix, dense @ other, rtol=0, atol=1e-12)
