@@ -121,9 +121,9 @@ def convolve(phi: GroupoidSection, psi: GroupoidSection) -> GroupoidSection:
     """Counting-measure convolution inside the sections' common window;
     support-driven, so the integral over each unit fiber (including the one
     at infinity) is a finite sum.  Both sections must carry the same action
-    (equal generators)."""
+    (equal unitaries u)."""
     act = phi.action
-    if act is not psi.action and not np.array_equal(act.generator, psi.action.generator):
+    if act is not psi.action and not np.array_equal(act.u, psi.action.u):
         raise InputValidationError("sections live over different actions")
     window = phi.window
     if psi.window != window:
@@ -148,17 +148,15 @@ def convolve(phi: GroupoidSection, psi: GroupoidSection) -> GroupoidSection:
 
 
 def involute(phi: GroupoidSection) -> GroupoidSection:
-    """phi*(X, s) = alpha_s(phi(X.s, -s)*): each column g of the support
-    moves to column -g over the sources; windows are inverse-closed by
-    construction."""
+    """phi*(X, s) = alpha_s(phi(X.s, -s)*): each cell (X, g) of the support
+    moves to (X.g, -g), in one alpha call over exponents of both signs;
+    windows are inverse-closed by construction."""
     window = phi.window
     out = GroupoidSection(phi.action, window)
-    live = phi.support()
-    for col in np.flatnonzero(live.any(axis=0)):
-        rows = np.flatnonzero(live[:, col])
-        s = window.max_g - col  # the g of the inverse elements
-        adjoints = phi.values[rows, col].conj().swapaxes(-2, -1)
-        out.values[window.sources(rows, col), window.max_g + s] = phi.action.alpha(np.full(rows.size, s), adjoints)
+    rows, cols = np.nonzero(phi.support())
+    s = window.max_g - cols  # the g of the inverse elements
+    adjoints = phi.values[rows, cols].conj().swapaxes(-2, -1)
+    out.values[window.sources(rows, cols), window.max_g + s] = phi.action.alpha(s, adjoints)
     return out
 
 

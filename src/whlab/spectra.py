@@ -140,13 +140,17 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def operator_norm(m):
-    """Spectral norm, sqrt of the largest eigenvalue of M*M."""
-    a = as_matrix(m)
+def _spectral_norms(a: np.ndarray):
+    """``operator_norm`` of a matrix or stack whose entries are known finite."""
     evals = np.linalg.eigvalsh(_H(a) @ a)
     if a.ndim == 2:  # scalar arithmetic: ufuncs on 0-d arrays cost more per call
         return float(np.sqrt(max(evals[-1], 0.0)))
     return np.sqrt(np.maximum(evals[..., -1], 0.0))
+
+
+def operator_norm(m):
+    """Spectral norm, sqrt of the largest eigenvalue of M*M."""
+    return _spectral_norms(as_matrix(m))
 
 
 def lambda_min(m, tol: float = DEFAULT_TOL):

@@ -2,7 +2,7 @@
 
 Operators live on l^2({0..N}) tensor M_k and are stored by diagonals: a map
 from each offset o = row - col that carries a block to the (N+1-|o|, k, k)
-stack of the blocks on that diagonal.  The generators are all banded:
+stack of the blocks on that diagonal.  The basic operators are all banded:
 
 * ``rep_pi(x)``      the band 0 with alpha_m(x) at position m,
 * ``isometry_V(a)``  the block shift (V_a xi)(m) = xi(m - a), the band a,
@@ -20,8 +20,9 @@ its blocks.  This is the finite-section form of the Wiener bound
 Toeplitz Matrices), so a residual gate that reads it can only tighten.
 
 Every alpha_m, here and in the groupoid module, is read off one power table:
-the stack G^0..G^n that ``EndomorphismAction.powers`` keeps on the action and
-extends by one product per new power.
+the stack U_0..U_n, U_m = u^m, of k x k powers of the action's unitary u that
+``EndomorphismAction.powers`` keeps and extends by one product per new power;
+alpha_m(x) = U_m x U_m* and alpha_{-m}(x) = U_m* x U_m.
 
 Truncation convention: a TruncatedOperator is the compression of the
 corresponding operator on l^2(N).  Identities about composites (covariance,
@@ -46,9 +47,12 @@ import numpy as np
 
 from .errors import InputValidationError, WindowOverflowError
 from .fell import integer_value
-from .spectra import operator_norm
+from .spectra import _H, _spectral_norms, assert_unitary
+
+UNITARY_TOL = 1e-9  # how far u*u may stray from the identity (Frobenius) for u to generate an action
 
 __all__ = [
+    "UNITARY_TOL",
     "EndomorphismAction",
     "trivial_action",
     "conjugation_action",
@@ -61,68 +65,58 @@ __all__ = [
 ]
 
 
+def _block_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for two stacks of k x k blocks, summed over the inner index
+    one term at a time: for small k this beats np.matmul, which makes one
+    BLAS call per complex block."""
+    out = a[:, :, :1] * b[:, :1]
+    for j in range(1, a.shape[-1]):
+        out += a[:, :, j : j + 1] * b[:, j : j + 1]
+    return out
+
+
 @dataclass
 class EndomorphismAction:
-    """Semigroup action of N on M_k generated by a single endomorphism.
+    """Semigroup action of N on M_k by alpha_m = Ad(u^m): x -> u^m x (u*)^m
+    for a unitary u, extended to Z by alpha_{-m}(x) = (u*)^m x u^m.
 
-    The generator is a k^2 x k^2 matrix acting on row-major vectorized k x k
-    matrices.  Construction validates the *-homomorphism laws on the matrix
-    units; the injective flag is computed from the generator.  Negative
-    powers exist exactly when the generator is invertible (an automorphism).
+    Every nonzero *-endomorphism of M_k has this form: M_k is simple, so it
+    is injective, hence onto, hence inner (Skolem-Noether).  The zero
+    endomorphism is out of scope: it has no inverse, and the adjoint symbol
+    and the groupoid involution read alpha_m at negative m.
     """
 
-    k: int
-    generator: np.ndarray
-    injective: bool = field(init=False)
+    u: np.ndarray
+    k: int = field(init=False)
 
     def __post_init__(self):
-        # read-only copies, so that no edit can leave the power tables stale
-        self.generator = np.array(self.generator, dtype=np.complex128)
-        kk = self.k * self.k
-        if self.generator.shape != (kk, kk):
-            raise InputValidationError(f"generator must be {kk}x{kk}")
-        self._validate_star_hom()
-        self.injective = bool(np.linalg.matrix_rank(self.generator, tol=1e-9) == kk)
-        self._inverse = np.linalg.inv(self.generator) if self.injective else None
-        for base in (self.generator, self._inverse):
-            if base is not None:
-                base.setflags(write=False)
-        self._tables = {sign: np.eye(kk, dtype=np.complex128)[None] for sign in (False, True)}
+        # a read-only copy, so that no edit can leave the power table stale
+        self.u = assert_unitary(np.array(self.u, dtype=np.complex128), tol=UNITARY_TOL)
+        if self.u.ndim != 2:
+            raise InputValidationError(f"u must be one k x k matrix, got shape {self.u.shape}")
+        self.u.setflags(write=False)
+        self.k = self.u.shape[0]
+        self._table = np.eye(self.k, dtype=np.complex128)[None]
 
-    def _validate_star_hom(self):
-        # the image of the matrix unit e_ij is column i*k + j of the generator
-        k = self.k
-        images = self.generator.T.reshape(k, k, k, k)
-        if not np.allclose(images.transpose(1, 0, 2, 3), images.conj().transpose(0, 1, 3, 2), atol=1e-9):
-            raise InputValidationError("generator does not preserve the adjoint")
-        # e_ij e_lm = delta_jl e_im
-        products = np.einsum("ijab,lmbc->ijlmac", images, images)
-        expected = np.einsum("jl,imac->ijlmac", np.eye(k), images)
-        if not np.allclose(expected, products, atol=1e-9):
-            raise InputValidationError("generator is not multiplicative")
-
-    def powers(self, n: int, inverse: bool = False) -> np.ndarray:
-        """G^0..G^n for the generator G (its inverse with ``inverse``): a read-only
-        view of the action's table, which grows on demand by one product per
-        new power, so an entry never depends on when it was first asked for."""
-        if inverse and self._inverse is None:
-            raise InputValidationError("negative powers need an automorphic action")
-        table = self._tables[inverse]
+    def powers(self, n: int) -> np.ndarray:
+        """U_0..U_n, U_m = u^m: a read-only view of the action's table, which
+        grows on demand by one product per new power, so an entry never
+        depends on when it was first asked for."""
+        table = self._table
         if len(table) <= n:
-            base = self._inverse if inverse else self.generator
-            grown = np.empty((n + 1,) + base.shape, dtype=np.complex128)
+            grown = np.empty((n + 1, self.k, self.k), dtype=np.complex128)
             grown[: len(table)] = table
             for m in range(len(table) - 1, n):
-                np.matmul(base, grown[m], out=grown[m + 1])
+                np.matmul(self.u, grown[m], out=grown[m + 1])
             grown.setflags(write=False)
-            self._tables[inverse] = table = grown
+            self._table = table = grown
         return table[: n + 1]
 
     def alpha(self, ms, xs) -> np.ndarray:
-        """alpha_m(x) for a stack of exponents ms, all of one sign, and a matching
-        stack of k x k values xs (or one value for all), read off one power table.
-        A single exponent and value give one matrix; negative exponents need an
-        automorphic action."""
+        """alpha_m(x) for a stack of exponents ms, of either sign, and a matching
+        stack of k x k values xs (or one value for all): U_m x U_m* for m >= 0
+        and U_|m|* x U_|m| for m < 0.  A single exponent and value give one
+        matrix."""
         ms = np.asarray(ms, dtype=np.int64)
         try:
             xs = np.asarray(xs, dtype=np.complex128)
@@ -130,25 +124,22 @@ class EndomorphismAction:
             raise InputValidationError(f"expected {self.k}x{self.k} matrices") from exc
         if xs.shape not in ((self.k, self.k), ms.shape + (self.k, self.k)):
             raise InputValidationError(f"expected a {self.k}x{self.k} matrix")
-        lo, hi = int(ms.min(initial=0)), int(ms.max(initial=0))
-        if lo < 0 < hi:
-            raise InputValidationError("exponents of both signs need two tables")
-        table = self.powers(max(hi, -lo), inverse=lo < 0)
-        # one value broadcasts over the stack of powers inside the product
-        vecs = xs.reshape(xs.shape[:-2] + (self.k * self.k, 1))
-        return (table[np.abs(ms)] @ vecs).reshape(ms.shape + (self.k, self.k))
+        steps = np.abs(ms).ravel()
+        # the left factor of each product: U_m, or U_|m|* for m < 0
+        left = self.powers(int(steps.max(initial=0)))[steps]
+        negative = ms.ravel() < 0
+        left[negative] = _H(left[negative])
+        out = _block_products(_block_products(left, xs.reshape(-1, self.k, self.k)), _H(left))
+        return out.reshape(ms.shape + (self.k, self.k))
 
 
 def trivial_action(k: int) -> EndomorphismAction:
-    return EndomorphismAction(k=k, generator=np.eye(k * k))
+    return EndomorphismAction(np.eye(k))
 
 
 def conjugation_action(u: np.ndarray) -> EndomorphismAction:
-    """alpha_1 = Ad(u): x -> u x u* for a unitary u (an automorphism)."""
-    u = np.asarray(u, dtype=np.complex128)
-    k = u.shape[0]
-    # row-major vec: vec(u x u*) = (u kron conj(u)) vec(x)
-    return EndomorphismAction(k=k, generator=np.kron(u, u.conj()))
+    """alpha_1 = Ad(u): x -> u x u* for a unitary u."""
+    return EndomorphismAction(u)
 
 
 @dataclass
@@ -187,22 +178,11 @@ class SymbolFunction:
         return SymbolFunction(self.k, out)
 
     def twisted_reflection(self, act: EndomorphismAction) -> "SymbolFunction":
-        """f deg(g) = alpha_{-g}(f(-g)*), the symbol of the adjoint operator
-        (requires an automorphic action)."""
-        out = {}
-        for g, v in self.values.items():
-            out[-g] = act.alpha(g, v.conj().T)
-        return SymbolFunction(self.k, out)
-
-
-def _block_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for two stacks of k x k blocks, summed over the inner index
-    one term at a time: for small k this beats np.matmul, which makes one
-    BLAS call per complex block."""
-    out = a[:, :, :1] * b[:, :1]
-    for j in range(1, a.shape[-1]):
-        out += a[:, :, j : j + 1] * b[:, j : j + 1]
-    return out
+        """f deg(g) = alpha_{-g}(f(-g)*), the symbol of the adjoint operator:
+        one alpha call over the support's exponents of both signs."""
+        values = np.array(list(self.values.values())).reshape(-1, self.k, self.k)
+        reflected = act.alpha(list(self.values), _H(values))
+        return SymbolFunction(self.k, {-g: v for g, v in zip(self.values, reflected)})
 
 
 def _rows(n: int, offsets) -> np.ndarray:
@@ -283,7 +263,7 @@ class TruncatedOperator:
         return cls(n, k, {o: band for o, band in bands.items() if band.any()})
 
     def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.n, self.k, {-o: band.conj().swapaxes(-2, -1) for o, band in self.bands.items()})
+        return TruncatedOperator(self.n, self.k, {-o: _H(band) for o, band in self.bands.items()})
 
     def _same_shape(self, other: "TruncatedOperator") -> None:
         if (self.n, self.k) != (other.n, other.k):
@@ -328,7 +308,7 @@ class TruncatedOperator:
         blocks and the bound is its exact norm, the largest block norm."""
         if not self.bands:
             return 0.0
-        norms = operator_norm(np.concatenate(list(self.bands.values())))
+        norms = _spectral_norms(np.concatenate(list(self.bands.values())))
         row_sum = np.bincount(_rows(self.n, self.bands), norms).max()
         # the column of a block of band o is its row in the adjoint's band -o
         col_sum = np.bincount(_rows(self.n, [-o for o in self.bands]), norms).max()

@@ -390,8 +390,8 @@ def test_convolve_rejects_sections_over_different_actions(rng):
         groupoid.convolve(phi, psi)
     with pytest.raises(InputValidationError):
         groupoid.convolve(psi, phi)
-    # a distinct action object with equal generators is accepted
-    same = toeplitz.EndomorphismAction(k=2, generator=twisted.generator.copy())
+    # a distinct action object with an equal unitary is accepted
+    same = toeplitz.EndomorphismAction(twisted.u.copy())
     assert same is not twisted
     chi = _with_values(same, window, {(1, 1): random_complex(rng, 2)})
     groupoid.convolve(psi, chi)

@@ -31,7 +31,7 @@ MUTANTS = [
     ),
     pytest.param(
         groupoid.involute,
-        "phi.action.alpha(np.full(rows.size, s), adjoints)",
+        "phi.action.alpha(s, adjoints)",
         "adjoints",
         "groupoid.algebra",
         "fail",
@@ -87,11 +87,20 @@ MUTANTS = [
         "fail",
         id="fiber-action-without-section",
     ),
+    # the power table of the action: alpha_m read at U_{|m|+1} for U_{|m|}
+    pytest.param(
+        toeplitz.EndomorphismAction.alpha,
+        "self.powers(int(steps.max(initial=0)))[steps]",
+        "self.powers(int(steps.max(initial=0)) + 1)[steps + 1]",
+        "toeplitz.covariance",
+        "fail",
+        id="alpha-power-off-by-one",
+    ),
     # the Schur bound of a TruncatedOperator, exact for one band: its largest block norm
     pytest.param(
         toeplitz.TruncatedOperator.norm_bound,
-        "operator_norm(np.concatenate(list(self.bands.values())))",
-        "operator_norm(np.concatenate([band[:1].repeat(len(band), axis=0) for band in self.bands.values()]))",
+        "_spectral_norms(np.concatenate(list(self.bands.values())))",
+        "_spectral_norms(np.concatenate([band[:1].repeat(len(band), axis=0) for band in self.bands.values()]))",
         "toeplitz.isometry_laws",
         "fail",
         id="one-band-norm-reads-first-block",

@@ -1,7 +1,10 @@
 """Truncated Wiener-Hopf operator tests.
 
 Oracle for the conjugation action: alpha_a(x) = u^a x (u*)^a computed by
-direct a-fold multiplication, independent of the vectorized generator path.
+direct a-fold multiplication, independent of the action's power table
+U_m = u^m.  Every action here is Ad u for a unitary u: the zero endomorphism,
+the only other *-endomorphism of M_k, has no inverse, and alpha at negative
+exponents is part of the action's contract.
 """
 
 import operator
@@ -12,12 +15,14 @@ import pytest
 from whlab import toeplitz
 from whlab.errors import InputValidationError, WindowOverflowError
 from whlab.sampling import random_complex, random_unitary
-from whlab.toeplitz import SymbolFunction, TruncatedOperator
+from whlab.toeplitz import UNITARY_TOL, SymbolFunction, TruncatedOperator
 
 
-def test_trivial_action_flags():
+def test_trivial_action_is_the_identity(rng):
     act = toeplitz.trivial_action(2)
-    assert act.injective
+    assert act.k == 2 and np.array_equal(act.u, np.eye(2))
+    xs = random_complex(rng, 2, size=5)
+    assert np.array_equal(act.alpha([-3, -1, 0, 2, 7], xs), xs)
 
 
 def test_conjugation_action_matches_direct_composition(rng):
@@ -33,10 +38,18 @@ def test_conjugation_action_matches_direct_composition(rng):
     assert np.allclose(act.alpha(-3, y), x, atol=1e-12)
 
 
-def test_action_constructor_rejects_non_star_hom():
-    bad = np.diag([1.0, 2.0, 3.0, 4.0])  # scales matrix units inconsistently
-    with pytest.raises(InputValidationError):
-        toeplitz.EndomorphismAction(k=2, generator=bad)
+def test_action_constructor_rejects_a_non_unitary_u():
+    # ||u*u - I||_F = defect * UNITARY_TOL for u = diag(sqrt(1 + defect * UNITARY_TOL), 1)
+    for defect in (0.5, 2.0):
+        u = np.diag([np.sqrt(1 + defect * UNITARY_TOL), 1.0])
+        if defect < 1:
+            assert toeplitz.EndomorphismAction(u).k == 2
+        else:
+            with pytest.raises(InputValidationError, match="not unitary"):
+                toeplitz.EndomorphismAction(u)
+    for bad in (np.stack([np.eye(2), np.eye(2)]), np.ones((2, 3)), 2 * np.eye(2)):
+        with pytest.raises(InputValidationError):
+            toeplitz.EndomorphismAction(bad)
 
 
 def test_rep_pi_identity_and_scalar():
@@ -267,26 +280,50 @@ def test_power_table_grown_in_steps_equals_one_pass(rng):
     stepped, single = toeplitz.conjugation_action(u), toeplitz.conjugation_action(u)
     for n in (0, 3, 4, 11, 30):
         stepped.powers(n)
-        stepped.powers(n, inverse=True)
-    for inverse, base in ((False, single.generator), (True, np.linalg.inv(single.generator))):
-        reference = [np.eye(4, dtype=complex)]
-        for _ in range(30):
-            reference.append(np.matmul(base, reference[-1]))
-        assert np.array_equal(stepped.powers(30, inverse=inverse), single.powers(30, inverse=inverse))
-        assert np.array_equal(single.powers(30, inverse=inverse), np.array(reference))
-        assert np.array_equal(stepped.powers(7, inverse=inverse), single.powers(30, inverse=inverse)[:8])
+    reference = [np.eye(2, dtype=complex)]
+    for _ in range(30):
+        reference.append(np.matmul(single.u, reference[-1]))
+    assert np.array_equal(stepped.powers(30), single.powers(30))
+    assert np.array_equal(single.powers(30), np.array(reference))
+    assert np.array_equal(stepped.powers(7), single.powers(30)[:8])
 
 
-def test_action_generator_and_power_table_are_read_only(rng):
-    act = toeplitz.conjugation_action(random_unitary(rng, 2))
-    for array in (act.generator, act.powers(5), act.powers(5, inverse=True)):
+def test_action_unitary_and_power_table_are_read_only(rng):
+    u = random_unitary(rng, 2)
+    act = toeplitz.conjugation_action(u)
+    for array in (act.u, act.powers(5)):
         with pytest.raises(ValueError):
             array[0, 0] = 0
-    # the action keeps its own copy of the generator it was given
-    generator = np.eye(4, dtype=complex)
-    trivial = toeplitz.EndomorphismAction(k=2, generator=generator)
-    generator[0, 0] = 2.0
-    assert trivial.generator[0, 0] == 1.0
+    # the action keeps its own copy of the unitary it was given
+    given = u.copy()
+    u[0, 0] = 2.0
+    assert np.array_equal(act.u, given)
+
+
+def test_alpha_stays_a_star_map_far_out_on_the_power_table():
+    # alpha_m(y)* = alpha_{m-g}(alpha_g(y*)): the twisted reflection compares
+    # the two sides in this form, so a table that drifts from a *-map as m
+    # grows shows up as residual in toeplitz.adjoint_symbol at large N
+    worst = 0.0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        act = toeplitz.conjugation_action(random_unitary(rng, 2))
+        y = random_complex(rng, 2)
+        y /= np.linalg.norm(y, 2)
+        for m in (4096, 8192):
+            lhs = act.alpha(m, y).conj().T
+            for g in (1, 2, 3, -1, -2, -3):
+                worst = max(worst, np.abs(lhs - act.alpha(m - g, act.alpha(g, y.conj().T))).max())
+    assert worst <= 5e-14
+
+
+def test_one_mixed_sign_alpha_call_equals_its_per_sign_calls(rng):
+    act = toeplitz.conjugation_action(random_unitary(rng, 2))
+    ms = np.array([3, -2, 0, -7, 5, -1, 12])
+    xs = random_complex(rng, 2, size=ms.size)
+    mixed = act.alpha(ms, xs)
+    for part in (ms >= 0, ms < 0):
+        np.testing.assert_allclose(mixed[part], act.alpha(ms[part], xs[part]), rtol=0, atol=1e-14)
 
 
 def _dense(op):
