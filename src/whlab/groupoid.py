@@ -173,18 +173,17 @@ def lift_symbol(f: SymbolFunction, window: Window, act: EndomorphismAction) -> G
     if f.k != act.k:
         raise InputValidationError("symbol and action fiber dimensions disagree")
     supp = f.support
-    if supp and max(abs(supp[0]), abs(supp[-1])) > window.max_g:
+    if np.abs(supp).max(initial=0) > window.max_g:
         raise WindowOverflowError("symbol support exceeds the window's g bound")
     out = GroupoidSection(act, window)
-    cols = np.array(list(f.values), dtype=np.int64) + window.max_g
-    symbol = np.array(list(f.values.values())).reshape(-1, act.k, act.k)
-    out.values[:, cols] = np.where(window.mask()[:, cols, None, None], symbol, 0)
+    cols = supp + window.max_g
+    out.values[:, cols] = np.where(window.mask()[:, cols, None, None], f.values[supp - f.offset], 0)
     return out
 
 
 def hat_symbol(f: SymbolFunction) -> SymbolFunction:
-    """f^(g) = f(g^{-1}) with trivial modular factor, i.e. pure reflection g -> -g."""
-    return SymbolFunction(f.k, {-g: v.copy() for g, v in f.values.items()})
+    """f^(g) = f(g^{-1}) with trivial modular factor: g -> -g flips the values, from offset 1 - offset - width."""
+    return SymbolFunction(1 - f.offset - len(f.values), f.values[::-1])
 
 
 def lambda_rep(phi: GroupoidSection, n: int) -> TruncatedOperator:

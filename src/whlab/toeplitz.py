@@ -34,6 +34,7 @@ window) and compressed at the end, which reproduces the compression of the
 true product exactly.  Products of symbols do leak at the boundary and are
 only compared on interior positions (``compress(lo, hi)``).
 
+A symbol f is one (width, k, k) array from an offset, values[i] = f(offset + i).
 The modular factor is identically 1 here (Z is unimodular); the reflected
 symbol needed for adjoints lives in the groupoid module's hat map.
 """
@@ -144,45 +145,47 @@ def conjugation_action(u: np.ndarray) -> EndomorphismAction:
 
 @dataclass
 class SymbolFunction:
-    """Finitely supported k x k matrix valued function on Z; each key must be
-    an integer (``fell.integer_value``)."""
+    """Finitely supported f: Z -> M_k as one (width, k, k) array, values[i] = f(offset + i), zero elsewhere;
+    ``fell.integer_value`` checks the offset, and a read-only copy of the values never aliases its source."""
 
-    k: int
-    values: dict
+    offset: int
+    values: np.ndarray
+    k: int = field(init=False)
 
     def __post_init__(self):
-        cleaned = {}
-        for g, v in self.values.items():
-            arr = np.asarray(v, dtype=np.complex128)
-            if arr.shape != (self.k, self.k):
-                raise InputValidationError(f"value at {g} is not {self.k}x{self.k}")
-            cleaned[integer_value(g)] = arr
-        self.values = cleaned
+        self.offset = integer_value(self.offset)
+        try:
+            values = np.array(self.values, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric values
+            raise InputValidationError("symbol values must be a stack of k x k matrices") from exc
+        if values.ndim != 3 or values.shape[1] != values.shape[2] or not len(values):
+            raise InputValidationError(f"symbol values must be a (width >= 1, k, k) stack, got shape {values.shape}")
+        values.setflags(write=False)
+        self.values, self.k = values, values.shape[1]
 
     @property
-    def support(self) -> list:
-        return sorted(g for g, v in self.values.items() if np.any(v != 0))
+    def support(self) -> np.ndarray:
+        return self.offset + np.flatnonzero(self.values.any(axis=(1, 2)))
 
     def __call__(self, g: int) -> np.ndarray:
-        return self.values.get(g, np.zeros((self.k, self.k), dtype=np.complex128))
+        i = g - self.offset
+        return self.values[i] if 0 <= i < len(self.values) else np.zeros((self.k, self.k), dtype=np.complex128)
 
     def convolve(self, other: "SymbolFunction") -> "SymbolFunction":
-        """Plain (untwisted) convolution sum_t f(t) h(g - t)."""
+        """Plain (untwisted) convolution sum_t f(t) h(g - t), one shifted add per entry of f."""
         if other.k != self.k:
             raise InputValidationError("fiber dimensions disagree")
-        out: dict = {}
-        for t, vt in self.values.items():
-            for s, vs in other.values.items():
-                g = t + s
-                out[g] = out.get(g, 0) + vt @ vs
-        return SymbolFunction(self.k, out)
+        width = len(other.values)
+        out = np.zeros((len(self.values) + width - 1, self.k, self.k), dtype=np.complex128)
+        for i, v in enumerate(self.values):
+            out[i : i + width] += v @ other.values
+        return SymbolFunction(self.offset + other.offset, out)
 
     def twisted_reflection(self, act: EndomorphismAction) -> "SymbolFunction":
         """f deg(g) = alpha_{-g}(f(-g)*), the symbol of the adjoint operator:
-        one alpha call over the support's exponents of both signs."""
-        values = np.array(list(self.values.values())).reshape(-1, self.k, self.k)
-        reflected = act.alpha(list(self.values), _H(values))
-        return SymbolFunction(self.k, {-g: v for g, v in zip(self.values, reflected)})
+        one alpha call over offset..offset + width - 1, then a flip."""
+        reflected = act.alpha(np.arange(self.offset, self.offset + len(self.values)), _H(self.values))
+        return SymbolFunction(1 - self.offset - len(reflected), reflected[::-1])
 
 
 def _rows(n: int, offsets) -> np.ndarray:
@@ -345,10 +348,10 @@ def wiener_hopf(f: SymbolFunction, act: EndomorphismAction, n: int) -> Truncated
     one band per point g of the symbol's support."""
     if f.k != act.k:
         raise InputValidationError("symbol and action fiber dimensions disagree")
-    supp = f.support
+    supp = f.support.tolist()
     if supp and (supp[0] < -n or supp[-1] > n):
         raise WindowOverflowError(f"symbol support {supp[0]}..{supp[-1]} exceeds window [-{n}, {n}]")
-    return TruncatedOperator.twisted(n, act, {g: f(g)[None].repeat(n + 1 - abs(g), axis=0) for g in supp})
+    return TruncatedOperator.twisted(n, act, {g: np.broadcast_to(f(g), (n + 1 - abs(g), f.k, f.k)) for g in supp})
 
 
 def covariance_residual(x, a: int, act: EndomorphismAction, n: int) -> float:

@@ -15,6 +15,8 @@ from whlab.groupoid import GroupoidSection, Window
 from whlab.sampling import random_complex, random_unitary
 from whlab.toeplitz import SymbolFunction
 
+from symbols import symbol
+
 
 def _random_section(rng, act, window, points, x_bound, g_bound, scale=1.0):
     s = GroupoidSection(act, window)
@@ -208,22 +210,29 @@ def test_i_norm_banach_inequality(rng):
 def test_lift_symbol_and_hat_symbol_examples():
     window = Window(max_x=6, max_g=6)
     act = toeplitz.trivial_action(1)
-    f = SymbolFunction(k=1, values={0: [[1.0]]})
+    f = SymbolFunction(0, [[[1.0]]])
     lifted = groupoid.lift_symbol(f, window, act)
     hat = groupoid.hat_symbol(f)
     assert set(np.nonzero(lifted.support())[1]) == {window.max_g}  # g = 0 only
     assert lifted.support()[:, window.max_g].all()  # over every unit
-    assert hat.support == [0]
+    assert hat.support.tolist() == [0]
 
-    g = SymbolFunction(k=1, values={2: [[5.0]]})
+    g = SymbolFunction(2, [[[5.0]]])
     ghat = groupoid.hat_symbol(g)
-    assert ghat.support == [-2]
+    assert ghat.support.tolist() == [-2]
     assert np.allclose(ghat(-2), [[5.0]])
     double = groupoid.hat_symbol(ghat)
-    assert double.support == [2] and np.allclose(double(2), [[5.0]])
+    assert double.support.tolist() == [2] and np.allclose(double(2), [[5.0]])
+    # a wider window with a zero inside: g -> -g moves the offset to 1 - offset - width
+    h = SymbolFunction(-1, [[[1.0]], [[0.0]], [[2.0]], [[3.0]]])
+    hhat = groupoid.hat_symbol(h)
+    assert hhat.offset == -2 and hhat.support.tolist() == [-2, -1, 1]
+    assert all(hhat(-x) == h(x) for x in range(-3, 4))
+    # the flip is copied, never a view of the symbol it reflects
+    assert not np.shares_memory(hhat.values, h.values)
     # the lift writes the symbol's values unchecked, so their size must be the action's
     with pytest.raises(InputValidationError):
-        groupoid.lift_symbol(SymbolFunction(k=2, values={0: np.eye(2)}), window, act)
+        groupoid.lift_symbol(SymbolFunction(0, np.eye(2)[None]), window, act)
 
 
 def test_lambda_rep_delta_unit_is_identity():
@@ -243,7 +252,7 @@ def test_central_identity_exact(rng):
         for _ in range(20):
             values = {g: random_complex(rng, act.k) for g in range(-n // 2, n // 2 + 1) if rng.uniform() < 0.7}
             values.setdefault(0, random_complex(rng, act.k))
-            f = SymbolFunction(k=act.k, values=values)
+            f = symbol(values, act.k)
             lhs = groupoid.lambda_rep(groupoid.lift_symbol(f, window, act), n)
             rhs = toeplitz.wiener_hopf(groupoid.hat_symbol(f), act, n)
             assert np.max(np.abs(lhs.blocks - rhs.blocks)) <= 1e-12

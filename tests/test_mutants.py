@@ -45,6 +45,24 @@ MUTANTS = [
         "fail",
         id="untwisted-shift_R",
     ),
+    # the induced representation Lambda: band -g of a section column g holds alpha_b(phi(b, g)) at row b
+    pytest.param(
+        groupoid.lambda_rep,
+        "TruncatedOperator.twisted(n, phi.action, bands)",
+        "TruncatedOperator(n, phi.action.k, bands)",
+        "groupoid.central_identity",
+        "fail",
+        id="untwisted-lambda_rep",
+    ),
+    # the reflection g -> -g of a symbol's values, as a flip of its array
+    pytest.param(
+        groupoid.hat_symbol,
+        "f.values[::-1]",
+        "f.values",
+        "groupoid.central_identity",
+        "fail",
+        id="hat_symbol-without-flip",
+    ),
     # the I-norm: the larger of the l^1 sums along ranges and along sources
     pytest.param(
         groupoid.i_norm,
@@ -95,6 +113,32 @@ MUTANTS = [
         "toeplitz.covariance",
         "fail",
         id="alpha-power-off-by-one",
+    ),
+    # W_f: the block of row m carries alpha_m, twisted by its row, not its column
+    pytest.param(
+        toeplitz.TruncatedOperator.twisted,
+        "_rows(n, values)",
+        "_rows(n, [-o for o in values])",
+        "toeplitz.adjoint_symbol",
+        "fail",
+        id="wiener_hopf-twisted-by-column",
+    ),
+    # the symbol arrays: the adjoint symbol's flip and the product's offset
+    pytest.param(
+        toeplitz.SymbolFunction.twisted_reflection,
+        "reflected[::-1]",
+        "reflected",
+        "toeplitz.adjoint_symbol",
+        "fail",
+        id="twisted_reflection-without-flip",
+    ),
+    pytest.param(
+        toeplitz.SymbolFunction.convolve,
+        "self.offset + other.offset",
+        "self.offset + other.offset + 1",
+        "toeplitz.symbol_product_interior",
+        "fail",
+        id="convolve-offset-off-by-one",
     ),
     # the Schur bound of a TruncatedOperator, exact for one band: its largest block norm
     pytest.param(

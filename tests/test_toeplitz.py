@@ -17,6 +17,8 @@ from whlab.errors import InputValidationError, WindowOverflowError
 from whlab.sampling import random_complex, random_unitary
 from whlab.toeplitz import UNITARY_TOL, SymbolFunction, TruncatedOperator
 
+from symbols import dict_convolve, dict_twisted_reflection, symbol
+
 
 def test_trivial_action_is_the_identity(rng):
     act = toeplitz.trivial_action(2)
@@ -90,15 +92,16 @@ def test_power_table_blocks_match_the_oracle(rng):
     for m in range(n + 1):
         assert np.allclose(pi.blocks[m, m], oracle(m, x), atol=1e-12)
 
-    f = SymbolFunction(k=2, values={g: random_complex(rng, 2) for g in (-n, -4, -1, 0, 2, 5)})
+    values = {g: random_complex(rng, 2) for g in (-n, -4, -1, 0, 2, 5)}
+    f = symbol(values, k=2)
     w = toeplitz.wiener_hopf(f, act, n)
     for m in range(n + 1):
         for col in range(n + 1):
-            expected = oracle(m, f(m - col)) if (m - col) in f.values else np.zeros((2, 2))
+            expected = oracle(m, values[m - col]) if (m - col) in values else np.zeros((2, 2))
             assert np.allclose(w.blocks[m, col], expected, atol=1e-12)
 
     reflected = f.twisted_reflection(act)
-    for g, v in f.values.items():
+    for g, v in values.items():
         assert np.allclose(reflected(-g), oracle(g, v.conj().T), atol=1e-12)
 
 
@@ -145,19 +148,19 @@ def test_compress_rejects_windows_outside_the_operator(lo, hi):
 
 def test_wiener_hopf_delta_zero_is_identity():
     act = toeplitz.trivial_action(1)
-    f = SymbolFunction(k=1, values={0: [[1.0]]})
+    f = SymbolFunction(0, [[[1.0]]])
     assert np.allclose(toeplitz.wiener_hopf(f, act, 6).matrix, np.eye(7))
 
 
 def test_wiener_hopf_delta_one_is_shift():
     act = toeplitz.trivial_action(1)
-    f = SymbolFunction(k=1, values={1: [[1.0]]})
+    f = SymbolFunction(1, [[[1.0]]])
     assert np.allclose(toeplitz.wiener_hopf(f, act, 6).matrix, toeplitz.isometry_V(1, 6).matrix)
 
 
 def test_wiener_hopf_tridiagonal():
     act = toeplitz.trivial_action(1)
-    f = SymbolFunction(k=1, values={-1: [[2.0]], 1: [[3.0]]})
+    f = SymbolFunction(-1, [[[2.0]], [[0.0]], [[3.0]]])
     w = toeplitz.wiener_hopf(f, act, 4).matrix
     expected = 3.0 * np.diag(np.ones(4), -1) + 2.0 * np.diag(np.ones(4), 1)
     assert np.allclose(w, expected)
@@ -165,7 +168,7 @@ def test_wiener_hopf_tridiagonal():
 
 def test_wiener_hopf_support_range_error():
     act = toeplitz.trivial_action(1)
-    f = SymbolFunction(k=1, values={9: [[1.0]]})
+    f = SymbolFunction(9, [[[1.0]]])
     with pytest.raises(WindowOverflowError):
         toeplitz.wiener_hopf(f, act, 4)
 
@@ -202,10 +205,8 @@ def test_symbol_product_on_interior_blocks(rng):
     act = toeplitz.trivial_action(1)
     n = 24
     for _ in range(10):
-        fvals = {g: [[complex(rng.standard_normal(), rng.standard_normal())]] for g in range(-3, 4)}
-        hvals = {g: [[complex(rng.standard_normal(), rng.standard_normal())]] for g in range(-3, 4)}
-        f = SymbolFunction(k=1, values=fvals)
-        h = SymbolFunction(k=1, values=hvals)
+        f = SymbolFunction(-3, random_complex(rng, 1, size=7))
+        h = SymbolFunction(-3, random_complex(rng, 1, size=7))
         lhs = toeplitz.wiener_hopf(f, act, n) @ toeplitz.wiener_hopf(h, act, n)
         rhs = toeplitz.wiener_hopf(f.convolve(h), act, n)
         assert (lhs - rhs).compress(6, n - 6).norm_bound() <= 1e-12
@@ -215,7 +216,7 @@ def test_adjoint_symbol_on_interior_blocks(rng):
     u = random_unitary(rng, 2)
     act = toeplitz.conjugation_action(u)
     n = 20
-    f = SymbolFunction(k=2, values={g: random_complex(rng, 2) for g in range(-2, 3)})
+    f = SymbolFunction(-2, random_complex(rng, 2, size=5))
     lhs = toeplitz.wiener_hopf(f, act, n).adjoint().compress(2, n - 2)
     rhs = toeplitz.wiener_hopf(f.twisted_reflection(act), act, n).compress(2, n - 2)
     assert (lhs - rhs).norm_bound() <= 1e-10
@@ -240,37 +241,72 @@ def test_operator_arithmetic_rejects_another_shape(n, k):
 
 
 def test_symbol_validation():
+    f = SymbolFunction(-1, [[[1.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, 0.0]]])
+    assert (f.offset, f.k, f.values.dtype) == (-1, 2, np.complex128)
+    assert f.support.tolist() == [-1, 1]
+    assert np.array_equal(f(1), [[3.0, 0.0], [0.0, 0.0]]) and not f(2).any() and not f(-2).any()
+    for offset in (2.0, np.int64(-1)):
+        offset_read = SymbolFunction(offset, [[[1.0]]]).offset
+        assert type(offset_read) is int and offset_read == offset
+
+
+@pytest.mark.parametrize("values", [[[1.0]], [[[1.0, 2.0]]], np.zeros((0, 1, 1)), [[[1.0]], [[1.0, 2.0]]]],
+                         ids=["2-D", "non-square", "width-0", "ragged"])
+def test_symbol_rejects_values_that_are_not_a_stack_of_square_matrices(values):
+    # width 0 would make convolve allocate a stack of negative width
     with pytest.raises(InputValidationError):
-        SymbolFunction(k=2, values={0: [[1.0]]})
-    assert list(SymbolFunction(k=1, values={2.0: [[1.0]], np.int64(-1): [[2.0]]}).values) == [2, -1]
+        SymbolFunction(0, values)
 
 
 @pytest.mark.parametrize("key", [2.5, True, "2", float("inf")])
 def test_symbol_rejects_a_key_that_is_not_an_integer(key):
-    # int() would store 2.5 at g = 2 and True at g = 1
+    # the key here is the offset, the point of the first value: int() would
+    # start the values at g = 2 for 2.5 and at g = 1 for True
     with pytest.raises(InputValidationError):
-        SymbolFunction(k=1, values={key: [[1.0]]})
+        SymbolFunction(key, [[[1.0]]])
+
+
+def test_symbol_keeps_a_read_only_copy_of_its_values():
+    source = np.array([[[1.0]], [[2.0]]], dtype=np.complex128)
+    f = SymbolFunction(0, source)
+    source[0] = 5.0
+    assert f(0) == 1.0 and not f.values.flags.writeable
+    # a symbol built on a flipped view holds a copy, never the first one's values
+    assert not np.shares_memory(SymbolFunction(0, f.values[::-1]).values, f.values)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_convolve_and_twisted_reflection_match_the_dict_loops(rng, k):
+    # k = 2 orders the products: f(t) h(s), not h(s) f(t); the windows hold
+    # offsets of both signs and zeros inside their width
+    act = toeplitz.conjugation_action(random_unitary(rng, k))
+    for f_keys, h_keys in [((-3, -1, 2), (1, 4)), ((2, 5), (-6, -5, -2)), ((0,), (-2, 0, 3))]:
+        f_dict = {g: random_complex(rng, k) for g in f_keys}
+        h_dict = {g: random_complex(rng, k) for g in h_keys}
+        f, h = symbol(f_dict, k), symbol(h_dict, k)
+        product = f.convolve(h)
+        assert product.offset == f.offset + h.offset
+        reflected = f.twisted_reflection(act)
+        for oracle, got in ((dict_convolve(f_dict, h_dict), product), (dict_twisted_reflection(f_dict, act), reflected)):
+            assert got.support.tolist() == sorted(oracle)
+            for g, v in oracle.items():
+                np.testing.assert_allclose(got(g), v, rtol=0, atol=1e-12)
 
 
 def test_symbols_split_into_interior_convolutions(rng):
     # at desk scale the density statement is exact: every finitely supported
     # symbol is a finite sum of products delta_a * delta_b with a in the
     # interior of the semigroup and b in the interior of its inverse
-    values = {g: [[complex(rng.standard_normal(), rng.standard_normal())]] for g in range(-4, 5)}
-    f = SymbolFunction(k=1, values=values)
-    total = SymbolFunction(k=1, values={})
-    for g, v in values.items():
+    f = SymbolFunction(-4, random_complex(rng, 1, size=9))
+    total = np.zeros((17, 1, 1), dtype=np.complex128)  # g = -8..8
+    for g, v in zip(range(-4, 5), f.values):
         a = max(g + 1, 1)          # a >= 1: interior of the semigroup
         b = g - a                  # b <= -1: interior of the inverse
         assert a >= 1 and b <= -1
-        phi = SymbolFunction(k=1, values={a: v})
-        psi = SymbolFunction(k=1, values={b: [[1.0]]})
-        total = SymbolFunction(
-            k=1,
-            values={h: total(h) + phi.convolve(psi)(h) for h in range(-8, 9)},
-        )
+        product = SymbolFunction(a, [v]).convolve(SymbolFunction(b, [[[1.0]]]))
+        total += [product(h) for h in range(-8, 9)]
     for g in range(-8, 9):
-        assert total(g) == pytest.approx(f(g))
+        assert total[g + 8] == pytest.approx(f(g))
 
 
 def test_power_table_grown_in_steps_equals_one_pass(rng):
