@@ -95,8 +95,7 @@ class GroupoidSection:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        k = self.action.k
-        self.values = np.zeros(self.window.shape + (k, k), dtype=np.complex128)
+        self.values = np.zeros(self.window.shape + (self.action.k,) * 2, dtype=np.complex128)
 
     def __call__(self, e) -> np.ndarray:
         return self.values[self.window.cell(*e)]
@@ -177,13 +176,13 @@ def lift_symbol(f: SymbolFunction, window: Window, act: EndomorphismAction) -> G
         raise WindowOverflowError("symbol support exceeds the window's g bound")
     out = GroupoidSection(act, window)
     cols = supp + window.max_g
-    out.values[:, cols] = np.where(window.mask()[:, cols, None, None], f.values[supp - f.offset], 0)
+    out.values[:, cols] = np.where(window.mask()[:, cols, None, None], f(supp), 0)
     return out
 
 
 def hat_symbol(f: SymbolFunction) -> SymbolFunction:
-    """f^(g) = f(g^{-1}) with trivial modular factor: g -> -g flips the values, from offset 1 - offset - width."""
-    return SymbolFunction(1 - f.offset - len(f.values), f.values[::-1])
+    """f^(g) = f(g^{-1}) with trivial modular factor, the reflection g -> -g."""
+    return f.reflected()
 
 
 def lambda_rep(phi: GroupoidSection, n: int) -> TruncatedOperator:

@@ -34,9 +34,8 @@ window) and compressed at the end, which reproduces the compression of the
 true product exactly.  Products of symbols do leak at the boundary and are
 only compared on interior positions (``compress(lo, hi)``).
 
-A symbol f is one (width, k, k) array from an offset, values[i] = f(offset + i).
-The modular factor is identically 1 here (Z is unimodular); the reflected
-symbol needed for adjoints lives in the groupoid module's hat map.
+A symbol f is one (width, k, k) array from an offset, values[i] = f(offset + i).  Its reflection
+g -> -g serves the adjoint symbol and, the modular factor of Z being 1, the groupoid's hat map.
 """
 
 from __future__ import annotations
@@ -145,8 +144,8 @@ def conjugation_action(u: np.ndarray) -> EndomorphismAction:
 
 @dataclass
 class SymbolFunction:
-    """Finitely supported f: Z -> M_k as one (width, k, k) array, values[i] = f(offset + i), zero elsewhere;
-    ``fell.integer_value`` checks the offset, and a read-only copy of the values never aliases its source."""
+    """Finitely supported f: Z -> M_k as one (width, k, k) array, values[i] = f(offset + i), zero elsewhere,
+    read at one g or an array of g; it keeps a read-only copy of the values, so it never aliases its source."""
 
     offset: int
     values: np.ndarray
@@ -167,9 +166,14 @@ class SymbolFunction:
     def support(self) -> np.ndarray:
         return self.offset + np.flatnonzero(self.values.any(axis=(1, 2)))
 
-    def __call__(self, g: int) -> np.ndarray:
-        i = g - self.offset
-        return self.values[i] if 0 <= i < len(self.values) else np.zeros((self.k, self.k), dtype=np.complex128)
+    def __call__(self, g) -> np.ndarray:
+        i = np.asarray(g) - self.offset
+        inside = (i >= 0) & (i < len(self.values))
+        return np.where(inside[..., None, None], self.values[np.where(inside, i, 0)], 0)
+
+    def reflected(self) -> "SymbolFunction":
+        """g -> f(-g): the values flipped, from offset 1 - offset - width."""
+        return SymbolFunction(1 - self.offset - len(self.values), self.values[::-1])
 
     def convolve(self, other: "SymbolFunction") -> "SymbolFunction":
         """Plain (untwisted) convolution sum_t f(t) h(g - t), one shifted add per entry of f."""
@@ -182,10 +186,9 @@ class SymbolFunction:
         return SymbolFunction(self.offset + other.offset, out)
 
     def twisted_reflection(self, act: EndomorphismAction) -> "SymbolFunction":
-        """f deg(g) = alpha_{-g}(f(-g)*), the symbol of the adjoint operator:
-        one alpha call over offset..offset + width - 1, then a flip."""
-        reflected = act.alpha(np.arange(self.offset, self.offset + len(self.values)), _H(self.values))
-        return SymbolFunction(1 - self.offset - len(reflected), reflected[::-1])
+        """f deg(g) = alpha_{-g}(f(-g)*), the adjoint operator's symbol: one alpha call, then the reflection."""
+        twisted = act.alpha(np.arange(self.offset, self.offset + len(self.values)), _H(self.values))
+        return SymbolFunction(self.offset, twisted).reflected()
 
 
 def _rows(n: int, offsets) -> np.ndarray:
@@ -344,8 +347,7 @@ def isometry_V(a: int, n: int, k: int = 1) -> TruncatedOperator:
 
 
 def wiener_hopf(f: SymbolFunction, act: EndomorphismAction, n: int) -> TruncatedOperator:
-    """Twisted Toeplitz operator: row m, column m-g carries alpha_m(f(g)),
-    one band per point g of the symbol's support."""
+    """Twisted Toeplitz operator: row m, column m-g carries alpha_m(f(g)), one band per g in supp f."""
     if f.k != act.k:
         raise InputValidationError("symbol and action fiber dimensions disagree")
     supp = f.support.tolist()

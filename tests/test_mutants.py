@@ -54,15 +54,6 @@ MUTANTS = [
         "fail",
         id="untwisted-lambda_rep",
     ),
-    # the reflection g -> -g of a symbol's values, as a flip of its array
-    pytest.param(
-        groupoid.hat_symbol,
-        "f.values[::-1]",
-        "f.values",
-        "groupoid.central_identity",
-        "fail",
-        id="hat_symbol-without-flip",
-    ),
     # the I-norm: the larger of the l^1 sums along ranges and along sources
     pytest.param(
         groupoid.i_norm,
@@ -123,14 +114,15 @@ MUTANTS = [
         "fail",
         id="wiener_hopf-twisted-by-column",
     ),
-    # the symbol arrays: the adjoint symbol's flip and the product's offset
+    # the symbol arrays: the reflection g -> -g, which hat_symbol and the
+    # adjoint symbol share, and the product's offset
     pytest.param(
-        toeplitz.SymbolFunction.twisted_reflection,
-        "reflected[::-1]",
-        "reflected",
-        "toeplitz.adjoint_symbol",
+        toeplitz.SymbolFunction.reflected,
+        "self.values[::-1]",
+        "self.values",
+        "groupoid.central_identity",
         "fail",
-        id="twisted_reflection-without-flip",
+        id="reflected-without-flip",
     ),
     pytest.param(
         toeplitz.SymbolFunction.convolve,

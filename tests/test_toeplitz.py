@@ -245,6 +245,8 @@ def test_symbol_validation():
     assert (f.offset, f.k, f.values.dtype) == (-1, 2, np.complex128)
     assert f.support.tolist() == [-1, 1]
     assert np.array_equal(f(1), [[3.0, 0.0], [0.0, 0.0]]) and not f(2).any() and not f(-2).any()
+    gs = np.array([[-2, -1], [1, 2]])  # an array of g gives the stack of f(g), zero off the window
+    assert f(gs).shape == (2, 2, 2, 2) and np.array_equal(f(gs), [[f(-2), f(-1)], [f(1), f(2)]])
     for offset in (2.0, np.int64(-1)):
         offset_read = SymbolFunction(offset, [[[1.0]]]).offset
         assert type(offset_read) is int and offset_read == offset
