@@ -95,7 +95,8 @@ class GroupoidSection:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.values = np.zeros(self.window.shape + (self.action.k,) * 2, dtype=np.complex128)
+        k = self.action.k
+        self.values = np.zeros(self.window.shape + (k, k), dtype=np.complex128)
 
     def __call__(self, e) -> np.ndarray:
         return self.values[self.window.cell(*e)]

@@ -654,8 +654,7 @@ def _groupoid_mutation(rng, cfg):
     window = groupoid.Window(max_x=n, max_g=n)
     act = toeplitz.trivial_action(1)
     f = toeplitz.SymbolFunction(2, [[[1.0]]])  # asymmetric support
-    lifted = groupoid.lift_symbol(f, window, act)
-    lhs = groupoid.lambda_rep(lifted, n)
+    lhs = groupoid.lambda_rep(groupoid.lift_symbol(f, window, act), n)
     rhs = toeplitz.wiener_hopf(f, act, n)  # hat skipped: no reflection
     yield _entrywise_gap(lhs, rhs)
 
