@@ -31,12 +31,14 @@ stacks one shape; anything else is a dimension mismatch.  The section and
 the fiber action take one function.  ``random_dyadic_pl(..., size=T)`` draws
 the T functions one after another, as T calls would.
 
-Injective side: A is the trig polynomials on the circle with
+Injective side: A is the trig polynomials sum_m c_m z^m on the circle,
+each held as a k = 1 ``toeplitz.SymbolFunction`` with f(m) = c_m, acted on by
 alpha_1(f)(z) = f(z^2) (coefficient dilation; injective, unital, not
 surjective).  The dilation of the system is represented exactly by
 level-tagged pairs (n, x) standing for alpha_n^{-1}(x), identified along
-(n, x) ~ (n+1, alpha_1(x)).  Sup norms are certified upper bounds: grid
-maximum over 2^10 points divided by the Bernstein defect 1 - pi*d/1024 for
+(n, x) ~ (n+1, alpha_1(x)).  Sup norms are certified upper bounds: the
+maximum over the 2^10 roots of unity, one inverse FFT of the coefficients
+folded modulo 2^10, divided by the Bernstein defect 1 - pi*d/1024 for
 degree d.
 """
 
@@ -50,6 +52,7 @@ from .errors import DomainError, InputValidationError
 from .fell import INF, discrete_value, integer_value
 from .sampling import _shape
 from .spectra import _unstack
+from .toeplitz import SymbolFunction
 
 DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
@@ -280,88 +283,47 @@ def fiber_action(x, g: int, q: QuotientElement, decomposition=None) -> QuotientE
 # trig polynomials and the injective desk action alpha_1(f)(z) = f(z^2)
 
 
-class TrigPoly:
-    """Trigonometric polynomial sum_m c_m z^m on the unit circle; each exponent
-    must be an integer (``fell.integer_value``)."""
+def _coefficients(f: SymbolFunction) -> np.ndarray:
+    """The scalar coefficients of a trig polynomial: a k = 1 symbol's values."""
+    if f.k != 1:
+        raise InputValidationError(f"a trig polynomial has scalar coefficients, got {f.k}x{f.k} values")
+    return f.values[:, 0, 0]
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {}
-        for m, c in (coeffs or {}).items():
-            c = complex(c)
-            if c != 0:
-                # the operations below build int keys, which need no call
-                self.coeffs[m if type(m) is int else integer_value(m)] = c
+def dilate(n: int, f: SymbolFunction) -> SymbolFunction:
+    """alpha_n: z -> z^{2^n}, the coefficient of z^m moved to z^{m 2^n}; exact.
+    The window grows 2^n-fold, so a level-n payload holds 2^n times the coefficients of level 0."""
+    if n < 0:
+        raise InputValidationError("the action is a semigroup action: n >= 0")
+    step = 1 << n
+    out = np.zeros(((len(f.values) - 1) * step + 1,) + f.values.shape[1:], dtype=np.complex128)
+    out[::step] = f.values
+    return SymbolFunction(f.offset * step, out)
 
-    @property
-    def degree(self) -> int:
-        return max((abs(m) for m in self.coeffs), default=0)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0.0) + c
-        return TrigPoly(out)
+def on_grid(f: SymbolFunction) -> np.ndarray:
+    """f at the TRIG_GRID roots of unity exp(2 pi i j / TRIG_GRID): one inverse
+    FFT of the coefficients folded modulo TRIG_GRID."""
+    folded = np.zeros(TRIG_GRID, dtype=np.complex128)
+    np.add.at(folded, (f.offset + np.arange(len(f.values))) % TRIG_GRID, _coefficients(f))
+    return np.fft.ifft(folded, norm="forward")
 
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0.0) - c
-        return TrigPoly(out)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return TrigPoly({m: other * c for m, c in self.coeffs.items()})
-        out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0.0) + c1 * c2
-        return TrigPoly(out)
+def grid_max(f: SymbolFunction) -> float:
+    """The maximum of |f| over the TRIG_GRID roots of unity."""
+    return float(np.abs(on_grid(f)).max())
 
-    __rmul__ = __mul__
 
-    def star(self) -> "TrigPoly":
-        """Pointwise complex conjugate: c_m -> conj(c_{-m})."""
-        return TrigPoly({-m: np.conj(c) for m, c in self.coeffs.items()})
+def trig_norm(f: SymbolFunction) -> float:
+    """Certified upper bound for the sup norm: grid maximum divided by the
+    Bernstein defect 1 - pi d / TRIG_GRID for degree d (valid while pi d < TRIG_GRID)."""
+    defect = np.pi * np.abs(f.support).max(initial=0) / TRIG_GRID
+    if defect >= 0.5:
+        raise InputValidationError("degree too high for the certification grid")
+    return grid_max(f) / (1.0 - defect)
 
-    def __call__(self, z: complex) -> complex:
-        return sum(c * z**m for m, c in self.coeffs.items())
 
-    def dilate(self, n: int) -> "TrigPoly":
-        """alpha_n: z -> z^{2^n}, i.e. index dilation by 2^n; exact."""
-        if n < 0:
-            raise InputValidationError("the action is a semigroup action: n >= 0")
-        factor = 1 << n
-        return TrigPoly({m * factor: c for m, c in self.coeffs.items()})
-
-    def grid_max(self) -> float:
-        """The maximum of |f| over the TRIG_GRID roots of unity."""
-        if not self.coeffs:
-            return 0.0
-        theta = 2.0 * np.pi * np.arange(TRIG_GRID) / TRIG_GRID
-        z = np.exp(1j * theta)
-        vals = np.zeros(TRIG_GRID, dtype=np.complex128)
-        for m, c in self.coeffs.items():
-            vals += c * z**m
-        return float(np.max(np.abs(vals)))
-
-    def norm(self) -> float:
-        """Certified upper bound for the sup norm: grid maximum divided by
-        the Bernstein defect 1 - pi d / TRIG_GRID (valid while pi d < TRIG_GRID)."""
-        base = self.grid_max()
-        defect = np.pi * self.degree / TRIG_GRID
-        if defect >= 0.5:
-            raise InputValidationError("degree too high for the certification grid")
-        return base / (1.0 - defect)
-
-    def coeff_distance(self, other: "TrigPoly") -> float:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max(
-            (abs(self.coeffs.get(m, 0.0) - other.coeffs.get(m, 0.0)) for m in keys),
-            default=0.0,
-        )
+_ZERO = SymbolFunction(0, [[[0.0]]])  # the zero polynomial: a symbol holds at least one value
 
 
 # ---------------------------------------------------------------------------
@@ -374,24 +336,24 @@ class DilationElement:
     identified along (n, x) ~ (n + 1, alpha_1(x))."""
 
     level: int
-    payload: TrigPoly
+    payload: SymbolFunction
 
     def __post_init__(self):
         if self.level < 0:
             raise InputValidationError("level must be a nonnegative integer")
 
 
-def dilation_promote(e: DilationElement, level: int) -> TrigPoly:
+def dilation_promote(e: DilationElement, level: int) -> SymbolFunction:
     """Payload of e rewritten at a deeper level."""
     if level < e.level:
         raise InputValidationError(f"cannot demote level {e.level} to {level}")
-    return e.payload.dilate(level - e.level)
+    return dilate(level - e.level, e.payload)
 
 
 def dilation_equal(e1: DilationElement, e2: DilationElement) -> bool:
     """Promote both to the common level and compare coefficients within DEFAULT_TOL."""
     m = max(e1.level, e2.level)
-    return dilation_promote(e1, m).coeff_distance(dilation_promote(e2, m)) <= DEFAULT_TOL
+    return bool(np.abs((dilation_promote(e1, m) - dilation_promote(e2, m)).values).max() <= DEFAULT_TOL)
 
 
 @dataclass
@@ -408,13 +370,13 @@ class FiberCertificate:
         for g, _ in self.witnesses:
             if not (v == INF or g <= v):
                 return False
-        total = DilationElement(0, TrigPoly())
+        total = DilationElement(0, _ZERO)
         for g, term in self.witnesses:
             if g >= 0:
                 piece = DilationElement(g, term)
             else:
                 # alpha_g^{-1} = alpha_{-g} is a plain level-0 element
-                piece = DilationElement(0, term.dilate(-g))
+                piece = DilationElement(0, dilate(-g, term))
             m = max(total.level, piece.level)
             total = DilationElement(
                 m, dilation_promote(total, m) + dilation_promote(piece, m)
@@ -422,18 +384,16 @@ class FiberCertificate:
         return dilation_equal(total, self.element)
 
 
-def fiber_section_F(x: TrigPoly, f: dict, X) -> FiberCertificate:
+def fiber_section_F(x: SymbolFunction, f: SymbolFunction, X) -> FiberCertificate:
     """F_{x,f}(X) = sum over g in supp(f) with g in X of f(g) alpha_g^{-1}(x),
-    evaluated in the dilation at the deepest contributing level."""
+    evaluated in the dilation at the deepest contributing level, 0 at least;
+    f is a scalar (k = 1) symbol."""
     v = discrete_value(X)
-    contributing = [(int(g), complex(c)) for g, c in f.items() if c != 0 and (v == INF or g <= v)]
-    if not contributing:
-        return FiberCertificate(x=v, element=DilationElement(0, TrigPoly()), witnesses=[])
-    level = max(max(g for g, _ in contributing), 0)
-    payload = TrigPoly()
-    witnesses = []
-    for g, c in contributing:
-        # (g, x) promoted to the common level: alpha_{level - g}(x)
-        payload = payload + c * x.dilate(level - g)
-        witnesses.append((g, c * x))
+    coeffs = _coefficients(f)
+    witnesses = [(g, coeffs[g - f.offset] * x) for g in f.support.tolist() if v == INF or g <= v]
+    level = max([0] + [g for g, _ in witnesses])
+    payload = _ZERO
+    for g, term in witnesses:
+        # (g, f(g) x) promoted to the common level: alpha_{level - g}(f(g) x)
+        payload = payload + dilate(level - g, term)
     return FiberCertificate(x=v, element=DilationElement(level, payload), witnesses=witnesses)

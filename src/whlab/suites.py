@@ -645,8 +645,9 @@ def _shift_laws(rng, cfg):
 
 def _hat_laws(rng, cfg):
     (f,) = _random_symbols(rng, 1, 2, 5)
-    gs = np.arange(-15, 16)  # f lives on -5..5; a double hat that moves it shows here
-    yield float(np.abs(f(gs) - groupoid.hat_symbol(groupoid.hat_symbol(f))(gs)).max())
+    gs = np.arange(-15, 16)  # f lives on -5..5; a hat that moves it shows here
+    hat = groupoid.hat_symbol(f)
+    yield float(max(np.abs(hat(gs) - f(-gs)).max(), np.abs(f(gs) - groupoid.hat_symbol(hat)(gs)).max()))
 
 
 def _groupoid_mutation(rng, cfg):
@@ -732,20 +733,26 @@ def _dilation(rng, cfg):
     # per trial: the coefficients of x and of y, then 7 support values, as one block
     terms = 2 * TRIG_DEGREE + 1
     re, im = np.moveaxis(rng.standard_normal((max(cfg.trials // 2, 10), 2 * terms + 7, 2)), -1, 0)
-    for coeffs in (re + 1j * im).tolist():
+    j = np.arange(fibers.TRIG_GRID)  # the grid point z_j = exp(2 pi i j / TRIG_GRID)
+    for coeffs in (re + 1j * im)[..., None, None]:
         broken = []
-        x = fibers.TrigPoly(dict(enumerate(coeffs[:terms], -TRIG_DEGREE)))
-        y = fibers.TrigPoly(dict(enumerate(coeffs[terms : 2 * terms], -TRIG_DEGREE)))
-        if not fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(1, x.dilate(1))):
+        x = toeplitz.SymbolFunction(-TRIG_DEGREE, coeffs[:terms])
+        y = toeplitz.SymbolFunction(-TRIG_DEGREE, coeffs[terms : 2 * terms])
+        if not fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(1, fibers.dilate(1, x))):
             broken.append("defining identification broken")
-        if fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(0, x + y)) and y.coeffs:
+        if fibers.dilation_equal(fibers.DilationElement(0, x), fibers.DilationElement(0, x + y)) and y.values.any():
             broken.append("distinct payloads compared equal")
+        # alpha_n(x)(z_j) = x(z_j^(2^n)), and z_j^(2^n) is again a grid point
+        grid = fibers.on_grid(x)
+        for n in (1, 5):
+            if np.abs(fibers.on_grid(fibers.dilate(n, x)) - grid[(j << n) % fibers.TRIG_GRID]).max() > ROUNDING_TOL:
+                broken.append("dilation is not f(z) -> f(z^(2^n))")
         # alpha_5 is isometric: the certified brackets [grid max, norm] of x and alpha_5(x) must overlap
-        x5 = x.dilate(5)
-        if max(x.grid_max(), x5.grid_max()) > min(x.norm(), x5.norm()) + ALGEBRA_TOL:
+        x5 = fibers.dilate(5, x)
+        if max(fibers.grid_max(x), fibers.grid_max(x5)) > min(fibers.trig_norm(x), fibers.trig_norm(x5)) + ALGEBRA_TOL:
             broken.append("level promotion changed the norm")
         # fibers over finite points collapse to a single payload at that level
-        supp = dict(zip(range(-3, 4), coeffs[2 * terms :]))
+        supp = toeplitz.SymbolFunction(-3, coeffs[2 * terms :])
         cert = fibers.fiber_section_F(x, supp, 3)
         if cert.element.level > 3 or not cert.check():
             broken.append("certificate failed")
@@ -899,7 +906,7 @@ CASES = {
         ),
         Case("groupoid.units_agree", _units_agree, "{0} membership mismatches"),
         Case("groupoid.shift_laws", _shift_laws, "R_0 = id and R_a R_b = R_{{a+b}}", "bounded", ROUNDING_TOL),
-        Case("groupoid.hat_laws", _hat_laws, "hat is an involution", "bounded", ZERO_TOL),
+        Case("groupoid.hat_laws", _hat_laws, "hat is the reflection g -> -g and an involution", "bounded", ZERO_TOL),
         Case(
             "groupoid.mutation_unreflected_hat",
             _groupoid_mutation,

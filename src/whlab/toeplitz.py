@@ -171,6 +171,24 @@ class SymbolFunction:
         inside = (i >= 0) & (i < len(self.values))
         return np.where(inside[..., None, None], self.values[np.where(inside, i, 0)], 0)
 
+    def __add__(self, other: "SymbolFunction") -> "SymbolFunction":
+        """f + h over the union of the two windows."""
+        if other.k != self.k:
+            raise InputValidationError("fiber dimensions disagree")
+        lo = min(self.offset, other.offset)
+        hi = max(self.offset + len(self.values), other.offset + len(other.values))
+        out = np.zeros((hi - lo, self.k, self.k), dtype=np.complex128)
+        for f in (self, other):
+            out[f.offset - lo : f.offset - lo + len(f.values)] += f.values
+        return SymbolFunction(lo, out)
+
+    def __sub__(self, other: "SymbolFunction") -> "SymbolFunction":
+        return self + (-1.0) * other
+
+    def __rmul__(self, c) -> "SymbolFunction":
+        """The scalar multiple c f."""
+        return SymbolFunction(self.offset, c * self.values)
+
     def reflected(self) -> "SymbolFunction":
         """g -> f(-g): the values flipped, from offset 1 - offset - width."""
         return SymbolFunction(1 - self.offset - len(self.values), self.values[::-1])
@@ -259,14 +277,6 @@ class TruncatedOperator:
     def matrix(self) -> np.ndarray:
         """The assembled ((N+1)k) x ((N+1)k) matrix."""
         return self.blocks.transpose(0, 2, 1, 3).reshape((self.n + 1) * self.k, -1)
-
-    @classmethod
-    def from_matrix(cls, n: int, k: int, matrix: np.ndarray) -> "TruncatedOperator":
-        """Read an assembled matrix into bands, one per diagonal with a nonzero entry."""
-        cells = np.asarray(matrix, dtype=np.complex128).reshape(n + 1, k, n + 1, k).transpose(0, 2, 1, 3)
-        cells = cells.reshape(-1, k, k)
-        bands = {o: _diagonal(cells, n, o).copy() for o in range(-n, n + 1)}
-        return cls(n, k, {o: band for o, band in bands.items() if band.any()})
 
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(self.n, self.k, {-o: _H(band) for o, band in self.bands.items()})

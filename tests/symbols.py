@@ -1,10 +1,11 @@
 """Test helpers for symbols written as dicts.
 
 ``symbol`` turns a dict g -> k x k value into a ``SymbolFunction`` over the
-smallest window that holds its keys.  ``dict_convolve`` and
-``dict_twisted_reflection`` are the per-entry dict loops of the convolution
-and the twisted reflection, one matrix product or one alpha call per pair of
-keys; they are the oracle for the array operations of ``SymbolFunction``.
+smallest window that holds its keys.  ``dict_convolve``,
+``dict_twisted_reflection`` and ``dict_combine`` are the per-entry dict loops
+of the convolution, the twisted reflection and the linear combinations, one
+matrix product, alpha call or scaled add per key or pair of keys; they are
+the oracle for the array operations of ``SymbolFunction``.
 """
 
 import numpy as np
@@ -33,3 +34,11 @@ def dict_convolve(f: dict, h: dict) -> dict:
 def dict_twisted_reflection(f: dict, act) -> dict:
     """f deg(-g) = alpha_g(f(g)*), one alpha call per key."""
     return {-g: act.alpha(g, np.asarray(v).conj().T) for g, v in f.items()}
+
+
+def dict_combine(f: dict, h: dict, b: complex = 1.0, a: complex = 1.0) -> dict:
+    """a f + b h, one scaled add per key."""
+    out = {g: a * np.asarray(v) for g, v in f.items()}
+    for g, v in h.items():
+        out[g] = out.get(g, 0) + b * np.asarray(v)
+    return out

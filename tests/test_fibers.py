@@ -9,10 +9,14 @@ alpha_n and sups over [0, 1].
 import numpy as np
 import pytest
 
-from whlab import fibers, suites
+from whlab import fibers, suites, toeplitz
 from whlab.errors import DomainError, InputValidationError
 from whlab.fell import INF
-from whlab.fibers import DilationElement, PiecewisePoly, QuotientElement, TrigPoly
+from whlab.fibers import DilationElement, PiecewisePoly, QuotientElement
+from whlab.sampling import random_complex
+from whlab.toeplitz import SymbolFunction
+
+from symbols import symbol
 
 
 def pl(breaks, vals):
@@ -20,8 +24,13 @@ def pl(breaks, vals):
 
 
 def trig(rng, degree):
-    """A random trig polynomial: complex Gaussian coefficients, real then imaginary part."""
-    return TrigPoly({m: rng.standard_normal() + 1j * rng.standard_normal() for m in range(-degree, degree + 1)})
+    """A random trig polynomial: complex Gaussian coefficients of z^-degree..z^degree, as a k = 1 symbol."""
+    return SymbolFunction(-degree, random_complex(rng, 1, size=2 * degree + 1))
+
+
+def dense_sum(x, z):
+    """x(z) = sum_m c_m z^m, one power per coefficient, at each point of z."""
+    return sum(c * z**m for m, c in zip(range(x.offset, x.offset + len(x.values)), x.values[:, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,25 +216,27 @@ def test_fiber_action_rejects_a_decomposition_that_is_not_integral(decomposition
 def test_dilation_defining_identification(rng):
     for _ in range(20):
         x = trig(rng, 3)
-        assert fibers.dilation_equal(DilationElement(0, x), DilationElement(1, x.dilate(1)))
-        assert fibers.dilation_equal(DilationElement(2, x), DilationElement(4, x.dilate(2)))
+        assert fibers.dilation_equal(DilationElement(0, x), DilationElement(1, fibers.dilate(1, x)))
+        assert fibers.dilation_equal(DilationElement(2, x), DilationElement(4, fibers.dilate(2, x)))
 
 
 @pytest.mark.parametrize("m", [2.5, True, "2", None, float("nan")])
 def test_trig_poly_rejects_an_exponent_that_is_not_an_integer(m):
-    # int() would store 2.5 at z^2 and True at z^1
+    # the trig polynomial z^m is the k = 1 symbol at offset m; int() would
+    # store 2.5 at z^2 and True at z^1
     with pytest.raises(InputValidationError):
-        TrigPoly({m: 1.0})
+        SymbolFunction(m, [[[1.0]]])
 
 
 def test_trig_poly_reads_an_integral_exponent_as_an_int():
-    p = TrigPoly({2.0: 1.0, np.int64(-1): 2.0})
-    assert p.coeffs == {2: 1.0, -1: 2.0} and all(type(m) is int for m in p.coeffs)
+    for m in (2.0, np.int64(-1)):
+        p = fibers.dilate(1, SymbolFunction(m, [[[1.0]], [[2.0]]]))
+        assert type(p.offset) is int and p.support.tolist() == [2 * m, 2 * m + 2]
 
 
 def test_dilation_distinguishes_payloads(rng):
     x = trig(rng, 2)
-    y = x + TrigPoly({1: 0.5})
+    y = x + symbol({1: 0.5})
     assert not fibers.dilation_equal(DilationElement(0, x), DilationElement(0, y))
 
 
@@ -234,37 +245,62 @@ def test_dilation_case_flags_an_uncertified_norm(monkeypatch):
     # undershoots the sup of a dilated payload: the brackets stop overlapping
     cfg = suites.SuiteConfig(suite="fibers")
     assert suites.run_case(suites.CASES["fibers.dilation"], cfg).status == "pass"
-    monkeypatch.setattr(TrigPoly, "norm", TrigPoly.grid_max)
+    monkeypatch.setattr(fibers, "trig_norm", fibers.grid_max)
     result = suites.run_case(suites.CASES["fibers.dilation"], cfg)
     assert result.status == "fail"
     assert "level promotion changed the norm" in result.details
 
 
 def test_trig_norm_certificate_brackets_true_sup(rng):
+    z = np.exp(1j * np.linspace(0, 2 * np.pi, 4097))
     for _ in range(20):
         x = trig(rng, 4)
-        dense = max(abs(x(np.exp(1j * t))) for t in np.linspace(0, 2 * np.pi, 4097))
-        assert x.grid_max() <= dense + 1e-12
-        assert x.norm() >= dense - 1e-12
+        dense = np.abs(dense_sum(x, z)).max()
+        assert fibers.grid_max(x) <= dense + 1e-12
+        assert fibers.trig_norm(x) >= dense - 1e-12
+
+
+def test_on_grid_folds_a_window_wider_than_the_grid(rng):
+    x = trig(rng, 3)
+    roots = np.exp(2j * np.pi * np.arange(fibers.TRIG_GRID) / fibers.TRIG_GRID)
+    np.testing.assert_allclose(fibers.on_grid(x), dense_sum(x, roots), rtol=0, atol=1e-12)
+    # alpha_10 sends every z^m to z^(1024 m), which is 1 on the grid: its
+    # window is 6 * 1024 + 1 wide and the grid reads the sum of the coefficients
+    wide = fibers.dilate(10, x)
+    assert len(wide.values) > fibers.TRIG_GRID
+    assert np.array_equal(fibers.on_grid(wide), np.full(fibers.TRIG_GRID, sum(x.values[:, 0, 0].tolist())))
 
 
 def test_trig_star_is_pointwise_conjugate(rng):
+    # the adjoint symbol under the trivial action, conj(c_{-m}) at z^m, is
+    # the pointwise conjugate on the circle
     x = trig(rng, 3)
-    z = np.exp(0.7j)
-    assert x.star()(z) == pytest.approx(np.conj(x(z)))
+    star = x.twisted_reflection(toeplitz.trivial_action(1))
+    np.testing.assert_allclose(fibers.on_grid(star), np.conj(fibers.on_grid(x)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [fibers.on_grid, fibers.grid_max, fibers.trig_norm, lambda f: fibers.fiber_section_F(symbol({0: 1.0}), f, 3)],
+    ids=["on_grid", "grid_max", "trig_norm", "fiber_section_F"],
+)
+def test_trig_entry_points_reject_matrix_coefficients(read):
+    # the array form would otherwise read the top-left entry and drop the rest
+    with pytest.raises(InputValidationError, match="scalar coefficients"):
+        read(symbol({0: np.eye(2), 1: np.ones((2, 2))}, 2))
 
 
 def test_fiber_section_examples(rng):
     x = trig(rng, 2)
     # delta at 0: the element is x itself at level 0
-    cert = fibers.fiber_section_F(x, {0: 1.0}, 4)
+    cert = fibers.fiber_section_F(x, symbol({0: 1.0}), 4)
     assert cert.element.level == 0
     assert fibers.dilation_equal(cert.element, DilationElement(0, x))
     # support beyond the fiber's reach contributes nothing
-    cert = fibers.fiber_section_F(x, {7: 1.0}, 4)
-    assert not cert.element.payload.coeffs
+    cert = fibers.fiber_section_F(x, symbol({7: 1.0}), 4)
+    assert not cert.element.payload.values.any()
     # at infinity everything contributes
-    cert = fibers.fiber_section_F(x, {-1: 1.0, 2: 0.5, 7: 2.0}, INF)
+    cert = fibers.fiber_section_F(x, symbol({-1: 1.0, 2: 0.5, 7: 2.0}), INF)
     assert cert.element.level == 7
     assert cert.check()
 
@@ -272,7 +308,7 @@ def test_fiber_section_examples(rng):
 def test_fiber_over_finite_point_is_single_payload(rng):
     # everything over P^{-1}a collapses to one element at level a
     x = trig(rng, 2)
-    supp = {g: complex(rng.standard_normal(), rng.standard_normal()) for g in range(-2, 4)}
+    supp = SymbolFunction(-2, random_complex(rng, 1, size=6))
     cert = fibers.fiber_section_F(x, supp, 3)
     assert cert.element.level <= 3
     promoted = fibers.dilation_promote(cert.element, 3)
@@ -282,7 +318,7 @@ def test_fiber_over_finite_point_is_single_payload(rng):
 
 def test_certificates_remain_valid_over_larger_fibers(rng):
     x = trig(rng, 2)
-    supp = {g: 1.0 + 0j for g in range(0, 3)}
+    supp = SymbolFunction(0, np.ones((3, 1, 1)))
     cert = fibers.fiber_section_F(x, supp, 2)
     assert all(g <= 2 for g, _ in cert.witnesses)
     wider = fibers.FiberCertificate(x=5, element=cert.element, witnesses=cert.witnesses)
@@ -292,6 +328,6 @@ def test_certificates_remain_valid_over_larger_fibers(rng):
 
 
 def test_dilation_promote_rejects_demotion():
-    x = TrigPoly({0: 1.0})
+    x = symbol({0: 1.0})
     with pytest.raises(InputValidationError):
         fibers.dilation_promote(DilationElement(3, x), 1)

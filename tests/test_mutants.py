@@ -96,6 +96,15 @@ MUTANTS = [
         "fail",
         id="fiber-action-without-section",
     ),
+    # the injective action alpha_n(f)(z) = f(z^(2^n)): z^m moved to z^(m 2^n)
+    pytest.param(
+        fibers.dilate,
+        "1 << n",
+        "1",
+        "fibers.dilation",
+        "fail",
+        id="dilate-is-identity",
+    ),
     # the power table of the action: alpha_m read at U_{|m|+1} for U_{|m|}
     pytest.param(
         toeplitz.EndomorphismAction.alpha,
@@ -123,6 +132,14 @@ MUTANTS = [
         "groupoid.central_identity",
         "fail",
         id="reflected-without-flip",
+    ),
+    pytest.param(
+        toeplitz.SymbolFunction.reflected,
+        "self.values[::-1]",
+        "self.values",
+        "groupoid.hat_laws",
+        "fail",
+        id="reflected-without-flip-hat_laws",
     ),
     pytest.param(
         toeplitz.SymbolFunction.convolve,

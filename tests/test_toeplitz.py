@@ -17,7 +17,7 @@ from whlab.errors import InputValidationError, WindowOverflowError
 from whlab.sampling import random_complex, random_unitary
 from whlab.toeplitz import UNITARY_TOL, SymbolFunction, TruncatedOperator
 
-from symbols import dict_convolve, dict_twisted_reflection, symbol
+from symbols import dict_combine, dict_convolve, dict_twisted_reflection, symbol
 
 
 def test_trivial_action_is_the_identity(rng):
@@ -222,15 +222,6 @@ def test_adjoint_symbol_on_interior_blocks(rng):
     assert (lhs - rhs).norm_bound() <= 1e-10
 
 
-def test_truncated_operator_roundtrip(rng):
-    blocks = rng.standard_normal((3, 3, 2, 2))
-    op = TruncatedOperator.from_matrix(2, 2, blocks.transpose(0, 2, 1, 3).reshape(6, 6))
-    assert np.allclose(op.blocks, blocks)
-    back = TruncatedOperator.from_matrix(2, 2, op.matrix)
-    assert np.allclose(op.blocks, back.blocks)
-    assert np.allclose(op.adjoint().matrix, op.matrix.conj().T)
-
-
 @pytest.mark.parametrize("n, k", [(0, 1), (3, 2)], ids=["other-n", "other-k"])
 def test_operator_arithmetic_rejects_another_shape(n, k):
     # numpy alone would broadcast a 1x1 block grid or 1x1 blocks over the other operand
@@ -280,7 +271,8 @@ def test_symbol_keeps_a_read_only_copy_of_its_values():
 @pytest.mark.parametrize("k", [1, 2])
 def test_convolve_and_twisted_reflection_match_the_dict_loops(rng, k):
     # k = 2 orders the products: f(t) h(s), not h(s) f(t); the windows hold
-    # offsets of both signs and zeros inside their width
+    # offsets of both signs and zeros inside their width, and the pairs overlap,
+    # lie apart, and nest, for the sum and difference over the union window
     act = toeplitz.conjugation_action(random_unitary(rng, k))
     for f_keys, h_keys in [((-3, -1, 2), (1, 4)), ((2, 5), (-6, -5, -2)), ((0,), (-2, 0, 3))]:
         f_dict = {g: random_complex(rng, k) for g in f_keys}
@@ -288,11 +280,19 @@ def test_convolve_and_twisted_reflection_match_the_dict_loops(rng, k):
         f, h = symbol(f_dict, k), symbol(h_dict, k)
         product = f.convolve(h)
         assert product.offset == f.offset + h.offset
-        reflected = f.twisted_reflection(act)
-        for oracle, got in ((dict_convolve(f_dict, h_dict), product), (dict_twisted_reflection(f_dict, act), reflected)):
+        cases = [
+            (dict_convolve(f_dict, h_dict), product),
+            (dict_twisted_reflection(f_dict, act), f.twisted_reflection(act)),
+            (dict_combine(f_dict, h_dict), f + h),
+            (dict_combine(f_dict, h_dict, -1.0), f - h),
+            (dict_combine(f_dict, {}, 0.0, 2.5j), 2.5j * f),
+        ]
+        for oracle, got in cases:
             assert got.support.tolist() == sorted(oracle)
             for g, v in oracle.items():
                 np.testing.assert_allclose(got(g), v, rtol=0, atol=1e-12)
+    with pytest.raises(InputValidationError, match="fiber dimensions disagree"):
+        f + symbol({0: np.eye(k + 1)}, k + 1)
 
 
 def test_symbols_split_into_interior_convolutions(rng):
@@ -407,7 +407,6 @@ def test_band_operations_match_dense_numpy(rng, n, k):
         assert np.array_equal(a.matrix, dense)
         assert np.array_equal(a.blocks.transpose(0, 2, 1, 3).reshape(dense.shape), dense)
         assert np.array_equal(a.adjoint().matrix, dense.conj().T)
-        assert np.array_equal(TruncatedOperator.from_matrix(n, k, dense).matrix, dense)
         for m in range(n + 1):
             assert np.array_equal(a.subwindow(m).matrix, dense[: (m + 1) * k, : (m + 1) * k])
         for lo in range(n + 1):
