@@ -57,6 +57,7 @@ from .toeplitz import SymbolFunction
 DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
 MAX_DEGREE = 2  # a product of two piecewise-linear functions, the most any caller forms
+MAX_DILATED_WIDTH = 1 << 16  # the widest payload dilate builds; the cases reach 385
 _POWERS = np.arange(MAX_DEGREE + 1)
 
 
@@ -291,10 +292,12 @@ def _coefficients(f: SymbolFunction) -> np.ndarray:
 
 
 def dilate(n: int, f: SymbolFunction) -> SymbolFunction:
-    """alpha_n: z -> z^{2^n}, the coefficient of z^m moved to z^{m 2^n}; exact.
-    The window grows 2^n-fold, so a level-n payload holds 2^n times the coefficients of level 0."""
+    """alpha_n: z -> z^{2^n}, the coefficient of z^m moved to z^{m 2^n}; exact.  The window grows
+    2^n-fold, so a level-n payload holds 2^n times the coefficients of level 0, at most MAX_DILATED_WIDTH."""
     if n < 0:
         raise InputValidationError("the action is a semigroup action: n >= 0")
+    if len(f.values) - 1 > (MAX_DILATED_WIDTH - 1) >> n:  # (width - 1) 2^n + 1 > MAX_DILATED_WIDTH
+        raise InputValidationError(f"alpha_{n} of a {len(f.values)}-wide window exceeds MAX_DILATED_WIDTH")
     step = 1 << n
     out = np.zeros(((len(f.values) - 1) * step + 1,) + f.values.shape[1:], dtype=np.complex128)
     out[::step] = f.values

@@ -16,8 +16,9 @@ the shifts R_a, and the induced representation Lambda at the base point
 X0 = 0, whose truncated matrix has block alpha_b(phi(b, a - b)) at row b,
 column a.
 
-A section is one array over its window's cells (see ``Window``), zero off the
-support; the operations below read and write it by rows, columns or gathers.
+A section is stored by column, as a ``TruncatedOperator`` is by band: column g
+holds phi(., g) over the window's units and becomes the band -g of Lambda(phi);
+the operations read a column at its elements' sources through ``Window.pull``.
 
 Window discipline: the window certifies where a section's values are known;
 operations whose result needs a cell outside the window fail loudly with the
@@ -34,6 +35,7 @@ import numpy as np
 
 from .errors import InputValidationError, WindowOverflowError
 from .fell import INF, discrete_value, integer_value
+from .spectra import _H, _spectral_norms
 from .toeplitz import EndomorphismAction, SymbolFunction, TruncatedOperator
 
 
@@ -46,20 +48,16 @@ def in_groupoid(x, g: int) -> bool:
 @dataclass(frozen=True)
 class Window:
     """Bound on section supports: both the range and the source of an element
-    must lie in {0..max_x} or at infinity, and |g| <= max_g.  Its cells form a
-    (max_x + 2, 2 max_g + 1) grid: row x is the finite unit x, the last row
-    the unit at infinity, and column j holds g = j - max_g."""
+    must lie in {0..max_x} or at infinity, and |g| <= max_g.  A column of a
+    section has max_x + 2 rows: row x is the finite unit x, the last row the
+    unit at infinity."""
 
     max_x: int
     max_g: int
 
-    @property
-    def shape(self) -> tuple:
-        return (self.max_x + 2, 2 * self.max_g + 1)
-
     def cell(self, x, g) -> tuple:
-        """The (row, column) of the element (x, g); raises for a pair that is
-        not a groupoid element or lies outside the window."""
+        """The (row, g) of the element (x, g); raises for a pair that is not a
+        groupoid element or lies outside the window."""
         # plain ints, what every caller in the package passes, need no call
         if type(x) is not int or x < 0:
             x = discrete_value(x)
@@ -69,40 +67,48 @@ class Window:
             raise InputValidationError(f"({x}, {g}) leaves the unit space")
         if abs(g) > self.max_g or (x != INF and max(x, x + g) > self.max_x):
             raise WindowOverflowError(f"element ({x}, {g}) outside window")
-        return (self.max_x + 1 if x == INF else x, g + self.max_g)
+        return (self.max_x + 1 if x == INF else x, g)
 
-    def mask(self) -> np.ndarray:
-        """The cells that hold a groupoid element: source in {0..max_x}, or the unit at infinity."""
-        g = np.arange(-self.max_g, self.max_g + 1)
-        source = np.arange(self.max_x + 1)[:, None] + g
-        return np.vstack([(source >= 0) & (source <= self.max_x), np.ones_like(g, dtype=bool)])
+    def element(self, row, g: int) -> tuple:
+        """The element (x, g) at a row of column g: ``cell`` inverted."""
+        return (INF if row > self.max_x else int(row), g)
 
-    def sources(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The source row of each cell: row + g for a finite unit, infinity's row for infinity."""
-        inf_row = self.max_x + 1
-        return np.where(rows == inf_row, inf_row, rows + cols - self.max_g)
+    def pull(self, column: np.ndarray, t: int) -> np.ndarray:
+        """out[x] = column[x + t], zero where x + t leaves 0..max_x; the row of
+        infinity, which every t fixes, is kept.  So column g pulled by t holds
+        at row x its value at the source x.t of (x, t)."""
+        out = np.zeros_like(column)
+        lo = max(0, -t)  # rows lo..hi - 1 have a finite unit x + t; none when |t| > max_x
+        hi = max(lo, min(self.max_x + 1, self.max_x + 1 - t))
+        out[lo:hi] = column[lo + t : hi + t]
+        out[-1] = column[-1]
+        return out
 
 
 @dataclass
 class GroupoidSection:
     """Finitely supported M_k-valued function on the groupoid, M_k carrying
-    the action alpha, as a (rows, columns, k, k) array over the window's
-    cells.  ``set`` checks each value once, as a complex k x k array inside
-    the window; the operations below write ``values`` directly."""
+    the action alpha: ``columns`` maps each g it carries to the (max_x + 2,
+    k, k) stack of its values at (x, g), rows as in ``Window``; a g with no
+    column is zero.  ``set`` checks each value once, as a complex k x k array
+    inside the window; the operations below write the columns directly."""
 
     action: EndomorphismAction
     window: Window
-    values: np.ndarray = field(init=False)
+    columns: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        k = self.action.k
-        self.values = np.zeros(self.window.shape + (k, k), dtype=np.complex128)
+    def column(self, g: int) -> np.ndarray:
+        """The column of g, a zero one added if the section carries none."""
+        if g not in self.columns:
+            self.columns[g] = np.zeros((self.window.max_x + 2,) + (self.action.k,) * 2, dtype=np.complex128)
+        return self.columns[g]
 
     def __call__(self, e) -> np.ndarray:
-        return self.values[self.window.cell(*e)]
+        row, g = self.window.cell(*e)
+        return self.columns[g][row] if g in self.columns else np.zeros((self.action.k,) * 2, dtype=np.complex128)
 
     def set(self, e, v) -> None:
-        cell = self.window.cell(*e)
+        row, g = self.window.cell(*e)
         k = self.action.k
         try:
             arr = np.asarray(v)
@@ -110,18 +116,22 @@ class GroupoidSection:
             arr = np.asarray(None)
         if arr.dtype.kind not in "iufc" or arr.shape != (k, k):
             raise InputValidationError(f"value at {tuple(e)} is not a {k}x{k} matrix")
-        self.values[cell] = arr
+        self.column(g)[row] = arr
 
-    def support(self) -> np.ndarray:
-        """(rows, columns) booleans: the cells with a nonzero value."""
-        return np.any(self.values, axis=(-2, -1))
+
+def _twisted(act: EndomorphismAction, ms: list, columns: dict) -> dict:
+    """alpha_m of every block of each column, m that column's exponent in ms, in one alpha call."""
+    if not columns:
+        return {}
+    stack = np.stack(list(columns.values()))
+    return dict(zip(columns, act.alpha(np.repeat(ms, stack.shape[1]).reshape(stack.shape[:2]), stack)))
 
 
 def convolve(phi: GroupoidSection, psi: GroupoidSection) -> GroupoidSection:
-    """Counting-measure convolution inside the sections' common window;
-    support-driven, so the integral over each unit fiber (including the one
-    at infinity) is a finite sum.  Both sections must carry the same action
-    (equal unitaries u)."""
+    """Counting-measure convolution inside the sections' common window, support-driven, so the
+    integral over each unit fiber (infinity's too) is a finite sum.  Both sections must carry the
+    same action (equal unitaries u).  Column t of phi meets each column u of psi pulled by t and
+    adds to column t + u, through one alpha call per column t."""
     act = phi.action
     if act is not psi.action and not np.array_equal(act.u, psi.action.u):
         raise InputValidationError("sections live over different actions")
@@ -129,55 +139,52 @@ def convolve(phi: GroupoidSection, psi: GroupoidSection) -> GroupoidSection:
     if psi.window != window:
         raise InputValidationError("sections live over different windows")
     out = GroupoidSection(act, window)
-    live = psi.support()
-    rows, cols = np.nonzero(phi.support())
-    for row, col, src in zip(rows, cols, window.sources(rows, cols)):
-        # phi(X, t) meets psi's whole source row: psi(X.t, u) lands at (X, t + u)
-        t = col - window.max_g
-        hit = np.flatnonzero(live[src])
-        if not hit.size:
-            continue
-        lo, hi = hit[0], hit[-1] + 1
-        if lo + t < 0 or hi + t > live.shape[1]:
-            g = (lo if lo + t < 0 else hi - 1) + t - window.max_g
-            x = INF if row == window.max_x + 1 else int(row)
-            raise WindowOverflowError(f"product support element ({x}, {g}) overflows the window")
-        terms = act.alpha(np.full(hi - lo, t), psi.values[src, lo:hi])
-        out.values[row, lo + t : hi + t] += phi.values[row, col] @ terms
+    us = sorted(psi.columns)
+    live = np.array([np.any(psi.columns[u], axis=(1, 2)) for u in us], dtype=bool).reshape(len(us), window.max_x + 2)
+    for t in sorted(phi.columns):  # ascending t: each cell sums its terms in the order of t
+        column = phi.columns[t]
+        # psi's live units that are sources X.t of phi's live units X, column by column
+        meets = live & window.pull(np.any(column, axis=(1, 2)), -t)
+        hits = np.flatnonzero(meets.any(axis=1)).tolist()
+        for i in hits:
+            if abs(t + us[i]) > window.max_g:
+                element = window.element(np.flatnonzero(window.pull(meets[i], t))[0], t + us[i])
+                raise WindowOverflowError(f"product support element {element} overflows the window")
+        sources = {us[i]: window.pull(psi.columns[us[i]], t) for i in hits}
+        for u, terms in _twisted(act, [t] * len(hits), sources).items():
+            out.columns[t + u] = out.columns.get(t + u, 0) + column @ terms
     return out
 
 
 def involute(phi: GroupoidSection) -> GroupoidSection:
-    """phi*(X, s) = alpha_s(phi(X.s, -s)*): each cell (X, g) of the support
-    moves to (X.g, -g), in one alpha call over exponents of both signs;
-    windows are inverse-closed by construction."""
-    window = phi.window
-    out = GroupoidSection(phi.action, window)
-    rows, cols = np.nonzero(phi.support())
-    s = window.max_g - cols  # the g of the inverse elements
-    adjoints = phi.values[rows, cols].conj().swapaxes(-2, -1)
-    out.values[window.sources(rows, cols), window.max_g + s] = phi.action.alpha(s, adjoints)
-    return out
+    """phi*(X, s) = alpha_s(phi(X.s, -s)*): column g, pulled by -g, moves to
+    column -g; windows are inverse-closed by construction."""
+    adjoints = {-g: _H(phi.window.pull(column, -g)) for g, column in phi.columns.items()}
+    return GroupoidSection(phi.action, phi.window, _twisted(phi.action, list(adjoints), adjoints))
 
 
 def i_norm(phi: GroupoidSection) -> float:
-    """max over units of the l^1 sums of spectral norms along ranges and sources."""
-    rows, cols = np.nonzero(phi.support())
-    norms = np.linalg.norm(phi.values[rows, cols], 2, axis=(-2, -1))
-    return max(float(np.bincount(units, norms).max(initial=0.0)) for units in (rows, phi.window.sources(rows, cols)))
+    """max over units of the l^1 sums of spectral norms along ranges and sources;
+    column g pulled by -g holds at row y the norms that sum at the source y."""
+    gs, zero = sorted(phi.columns), np.zeros(phi.window.max_x + 2)
+    norms = _spectral_norms(np.stack([phi.columns[g] for g in gs])) if gs else []
+    ranges = sum(norms, zero)
+    sources = sum((phi.window.pull(column, -g) for g, column in zip(gs[::-1], norms[::-1])), zero)
+    return max(float(sums.max()) for sums in (ranges, sources))
 
 
 def lift_symbol(f: SymbolFunction, window: Window, act: EndomorphismAction) -> GroupoidSection:
-    """The lift f~(X, s) = f(s) over every window unit where (X, s) is a
-    groupoid element inside the window."""
+    """The lift f~(X, s) = f(s) at every groupoid element of the window: column s
+    holds f(s) on the units max(0, -s)..max_x - max(s, 0) and at infinity."""
     if f.k != act.k:
         raise InputValidationError("symbol and action fiber dimensions disagree")
     supp = f.support
     if np.abs(supp).max(initial=0) > window.max_g:
         raise WindowOverflowError("symbol support exceeds the window's g bound")
     out = GroupoidSection(act, window)
-    cols = supp + window.max_g
-    out.values[:, cols] = np.where(window.mask()[:, cols, None, None], f(supp), 0)
+    for s, value in zip(supp.tolist(), f(supp)):
+        column = out.column(s)
+        column[max(0, -s) : window.max_x + 1 - max(s, 0)] = column[-1] = value
     return out
 
 
@@ -190,41 +197,32 @@ def lambda_rep(phi: GroupoidSection, n: int) -> TruncatedOperator:
     """Truncated matrix of the induced representation at the base point 0.
 
     Row b, column a carries alpha_b(phi(b, a - b)) for b, a in {0..N}; the
-    section's window must certify the whole sampled triangle.  Each section
-    column g with a nonzero cell in the triangle gives the band at offset -g,
-    whose row b holds alpha_b(phi(b, g)), read off one power table.
+    section's window must certify the whole sampled triangle.  Each column g
+    with |g| <= N and a nonzero block in the triangle gives the band at
+    offset -g, whose row b holds alpha_b(phi(b, g)), read off one power table.
     """
     window = phi.window
     if window.max_x < n or window.max_g < n:
         raise WindowOverflowError(f"window (max_x={window.max_x}, max_g={window.max_g}) cannot certify N={n}")
-    cells = phi.values[: n + 1, window.max_g - n : window.max_g + n + 1]  # column j holds g = j - n
     bands = {}
-    for j in np.flatnonzero(np.any(cells, axis=(0, 2, 3))):
-        g = int(j) - n
-        band = cells[max(0, -g) : n + 1 - max(g, 0), j]
+    for g in sorted(g for g in phi.columns if abs(g) <= n):  # ascending g: one band order, one order of sums
+        band = phi.columns[g][max(0, -g) : n + 1 - max(g, 0)]
         if band.any():
             bands[-g] = band
     return TruncatedOperator.twisted(n, phi.action, bands)
 
 
 def shift_R(a: int, psi: GroupoidSection) -> GroupoidSection:
-    """R_a(psi)(X, s) = alpha_a(psi(X.a, s - a)).
-
-    Support transforms by (y, u) -> (y - a, u + a); finite units below a have
-    no preimage and are dropped by the formula itself.
-    """
+    """R_a(psi)(X, s) = alpha_a(psi(X.a, s - a)): column g, pulled by a,
+    moves to column g + a; finite units below a have no preimage and are
+    dropped by the pull."""
     if a < 0:
         raise InputValidationError("the shift parameter lives in the semigroup (a >= 0)")
     window = psi.window
-    out = GroupoidSection(psi.action, window)
-    live = psi.support()
-    live[: min(a, window.max_x + 1)] = False
-    rows, cols = np.nonzero(live)
-    over = cols + a >= live.shape[1]
-    if over.any():
-        row, col = rows[over][0], cols[over][0]
-        x = INF if row == window.max_x + 1 else int(row) - a
-        raise WindowOverflowError(f"shifted support element ({x}, {col + a - window.max_g}) overflows the window")
-    targets = np.where(rows == window.max_x + 1, rows, rows - a)
-    out.values[targets, cols + a] = psi.action.alpha(np.full(rows.size, a), psi.values[rows, cols])
-    return out
+    pulled = {g + a: window.pull(column, a) for g, column in psi.columns.items()}
+    live = {s: column for s, column in pulled.items() if column.any()}
+    for s, column in live.items():
+        if s > window.max_g:
+            element = window.element(np.flatnonzero(np.any(column, axis=(1, 2)))[0], s)
+            raise WindowOverflowError(f"shifted support element {element} overflows the window")
+    return GroupoidSection(psi.action, window, _twisted(psi.action, [a] * len(live), live))

@@ -539,22 +539,24 @@ def _random_sections(rng, act, window, count: int, points: int, x_bound=None, g_
     inf = x == x_bound + 1
     lo = np.where(inf, -g_bound, -np.minimum(x, g_bound))
     hi = np.where(inf, g_bound, np.minimum(g_bound, window.max_x - x))
-    cols = rng.integers(lo, hi + 1) + window.max_g
+    gs = rng.integers(lo, hi + 1)
     values = random_complex(rng, act.k, size=(count, points))
     rows = np.where(inf, window.max_x + 1, x)
-    return (_section(act, window, rows[t], cols[t], values[t]) for t in range(count))
+    return (_section(act, window, rows[t], gs[t], values[t]) for t in range(count))
 
 
-def _section(act, window, rows, cols, values) -> groupoid.GroupoidSection:
+def _section(act, window, rows, gs, values) -> groupoid.GroupoidSection:
     s = groupoid.GroupoidSection(act, window)
-    for row, col, value in zip(rows, cols, values):
-        s.values[row, col] = value
+    for row, g, value in zip(rows.tolist(), gs.tolist(), values):
+        s.column(g)[row] = value
     return s
 
 
 def _section_gap(s, t) -> float:
-    cells = s.support() | t.support()
-    return _worst(np.linalg.norm(s.values[cells] - t.values[cells], 2, axis=(-2, -1)))
+    """The largest spectral norm of s - t over the columns either carries."""
+    zero, gs = np.zeros((1, s.action.k, s.action.k)), s.columns.keys() | t.columns.keys()
+    diffs = np.concatenate([zero] + [s.columns.get(g, zero) - t.columns.get(g, zero) for g in gs])
+    return _worst(np.linalg.norm(diffs[np.any(diffs, axis=(1, 2))], 2, axis=(-2, -1)))
 
 
 def _groupoid_algebra(rng, cfg):
@@ -620,7 +622,7 @@ def _star_hom_interior(rng, cfg):
     phis = _random_sections(rng, act, window, trials, 4, x_bound=n, g_bound=4)
     psis = _random_sections(rng, act, window, trials, 4, x_bound=n, g_bound=4)
     for phi, psi in zip(phis, psis):
-        margin = int(np.abs(np.nonzero(phi.support() | psi.support())[1] - window.max_g).max())  # <= 4 < n / 2
+        margin = max(abs(g) for g in phi.columns.keys() | psi.columns.keys())  # <= 4 < n / 2
         lhs = groupoid.lambda_rep(groupoid.convolve(phi, psi), n)
         rhs = groupoid.lambda_rep(phi, n) @ groupoid.lambda_rep(psi, n)
         yield (lhs - rhs).compress(margin, n - margin).norm_bound()

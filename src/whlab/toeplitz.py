@@ -247,10 +247,6 @@ class TruncatedOperator:
         self.bands = cleaned
 
     @classmethod
-    def zeros(cls, n: int, k: int) -> "TruncatedOperator":
-        return cls(n, k, {})
-
-    @classmethod
     def identity(cls, n: int, k: int) -> "TruncatedOperator":
         return cls(n, k, {0: np.broadcast_to(np.eye(k, dtype=np.complex128), (n + 1, k, k))})
 
@@ -259,7 +255,7 @@ class TruncatedOperator:
         """The operator whose band o holds alpha_r(x) for each value x of the
         stack values[o], r the row of its block; one alpha call for all bands."""
         if not values:
-            return cls.zeros(n, act.k)
+            return cls(n, act.k, {})
         blocks = act.alpha(_rows(n, values), np.concatenate(list(values.values())))
         ends = accumulate(n + 1 - abs(o) for o in values)
         return cls(n, act.k, {o: blocks[end - n - 1 + abs(o) : end] for o, end in zip(values, ends)})

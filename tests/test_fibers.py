@@ -271,6 +271,18 @@ def test_on_grid_folds_a_window_wider_than_the_grid(rng):
     assert np.array_equal(fibers.on_grid(wide), np.full(fibers.TRIG_GRID, sum(x.values[:, 0, 0].tolist())))
 
 
+def test_dilate_refuses_a_window_wider_than_the_cap():
+    # the deepest witness at 20 would dilate the shallow one 2^20-fold: a 4 194 305-wide payload
+    x = symbol({-2: 1.0, 0: 0.5j, 2: -1.0})
+    with pytest.raises(InputValidationError, match="MAX_DILATED_WIDTH"):
+        fibers.fiber_section_F(x, symbol({0: 1.0, 20: 1.0}), INF)
+    # 4 * 2^13 + 1 coefficients fit under the cap, 4 * 2^14 + 1 do not; a single coefficient never grows
+    assert len(fibers.dilate(13, x).values) == 32769
+    with pytest.raises(InputValidationError):
+        fibers.dilate(14, x)
+    assert len(fibers.dilate(40, symbol({3: 1.0})).values) == 1
+
+
 def test_trig_star_is_pointwise_conjugate(rng):
     # the adjoint symbol under the trivial action, conj(c_{-m}) at z^m, is
     # the pointwise conjugate on the circle

@@ -31,7 +31,7 @@ def _random_section(rng, act, window, points, x_bound, g_bound, scale=1.0):
         except WindowOverflowError:
             continue
         s.set((x, g), scale * random_complex(rng, act.k))
-    if not s.support().any():
+    if not s.columns:
         s.set((0, 0), scale * random_complex(rng, act.k))
     return s
 
@@ -59,9 +59,16 @@ def _source(x, g):
     return INF if x == INF else x + g
 
 
+def _support(s):
+    """The elements (x, g) of the window where s is nonzero."""
+    return {(x, g) for x, g in _window_cells(s.window) if np.any(s((x, g)))}
+
+
 def _cell_gap(s, t) -> float:
-    """The largest spectral norm of s - t over the window's cells."""
-    return float(np.linalg.norm(s.values - t.values, 2, axis=(-2, -1)).max())
+    """The largest spectral norm of s - t over the window's cells, read column by column."""
+    zero = np.zeros((1, s.action.k, s.action.k))
+    gaps = (s.columns.get(g, zero) - t.columns.get(g, zero) for g in s.columns.keys() | t.columns.keys())
+    return max((float(np.linalg.norm(gap, 2, axis=(-2, -1)).max()) for gap in gaps), default=0.0)
 
 
 def _with_values(act, window, values):
@@ -73,8 +80,8 @@ def _with_values(act, window, values):
 
 def test_groupoid_element_validity():
     window = Window(max_x=8, max_g=100)
-    assert window.cell(3, -3) == (3, 97)
-    assert window.cell(INF, -100) == (9, 0)
+    assert window.cell(3, -3) == (3, -3)
+    assert window.cell(INF, -100) == (9, -100)
     with pytest.raises(InputValidationError):
         window.cell(2, -3)
     # an integral float or numpy integer is the int it equals
@@ -91,30 +98,22 @@ def test_groupoid_element_rejects_a_g_that_is_not_an_integer(g):
 
 
 def test_inverse_and_source():
+    # the involution moves (2, 3) to its inverse (5, -3), whose range 5 is the
+    # source of (2, 3), and back; infinity is its own source
     window = Window(max_x=6, max_g=6)
-    row, col = window.cell(2, 3)
-    assert window.sources(np.array([row]), np.array([col])).tolist() == [5]
-    assert window.sources(np.array([7]), np.array([col])).tolist() == [7]  # infinity is its own source
-    # the involution moves (2, 3) to its inverse (5, -3) and back
-    s = _with_values(toeplitz.trivial_action(1), window, {(2, 3): [[2j]]})
-    inv = groupoid.involute(s)
-    assert np.argwhere(inv.support()).tolist() == [list(window.cell(5, -3))]
-    assert inv((5, -3))[0, 0] == -2j
-    assert _cell_gap(groupoid.involute(inv), s) == 0.0
+    act = toeplitz.trivial_action(1)
+    for x, inverse in ((2, (5, -3)), (INF, (INF, -3))):
+        s = _with_values(act, window, {(x, 3): [[2j]]})
+        inv = groupoid.involute(s)
+        assert _support(inv) == {inverse}
+        assert inv(inverse)[0, 0] == -2j
+        assert _cell_gap(groupoid.involute(inv), s) == 0.0
 
 
 def test_membership_matches_fell_model():
     for x in list(range(0, 12)) + [INF]:
         for g in range(-12, 13):
             assert groupoid.in_groupoid(x, g) == fell.omega_qset(fell.discrete(x), g)
-
-
-def test_window_mask_is_the_set_of_window_cells():
-    window = Window(max_x=5, max_g=3)
-    expected = np.zeros(window.shape, dtype=bool)
-    for x, g in _window_cells(window):
-        expected[window.cell(x, g)] = True
-    np.testing.assert_array_equal(window.mask(), expected)
 
 
 def test_delta_at_unit_is_left_identity(rng):
@@ -124,10 +123,9 @@ def test_delta_at_unit_is_left_identity(rng):
     for x in (0, 2, INF):
         delta = _with_values(act, window, {(x, 0): np.eye(1)})
         conv = groupoid.convolve(delta, psi)
-        # the product keeps exactly psi's row over the unit x
-        row = window.cell(x, 0)[0]
-        assert np.allclose(conv.values[row], psi.values[row])
-        assert not np.delete(conv.support(), row, axis=0).any()
+        # the product keeps exactly psi's values over the unit x
+        assert _support(conv) == {(y, g) for y, g in _support(psi) if y == x}
+        assert all(np.allclose(conv((x, g)), psi((x, g))) for y, g in _window_cells(window) if y == x)
 
 
 def test_convolution_at_infinity_is_full_line_convolution(rng):
@@ -145,6 +143,20 @@ def test_convolution_at_infinity_is_full_line_convolution(rng):
     for s in range(-6, 7):
         expected = sum(f.get(t, 0) * h.get(s - t, 0) for t in range(-8, 9))
         assert conv((INF, s))[0, 0] == pytest.approx(expected)
+
+
+def test_convolve_twists_each_column_of_phi_in_one_alpha_call(rng, monkeypatch):
+    window = Window(max_x=12, max_g=12)
+    act = toeplitz.conjugation_action(random_unitary(rng, 2))
+    phi = _band_section(rng, act, window, 4)
+    psi = _band_section(rng, act, window, 4)
+    expected = groupoid.convolve(phi, psi)
+    calls = []
+    alpha = act.alpha
+    monkeypatch.setattr(act, "alpha", lambda ms, xs: calls.append(1) or alpha(ms, xs))
+    assert _cell_gap(groupoid.convolve(phi, psi), expected) == 0.0
+    # 9 columns of phi over 13 finite units and infinity: one call per column, not per cell
+    assert 0 < len(calls) <= len(phi.columns) == 9
 
 
 def test_associativity_brute_force(rng):
@@ -213,8 +225,7 @@ def test_lift_symbol_and_hat_symbol_examples():
     f = SymbolFunction(0, [[[1.0]]])
     lifted = groupoid.lift_symbol(f, window, act)
     hat = groupoid.hat_symbol(f)
-    assert set(np.nonzero(lifted.support())[1]) == {window.max_g}  # g = 0 only
-    assert lifted.support()[:, window.max_g].all()  # over every unit
+    assert _support(lifted) == {(x, 0) for x in [*range(window.max_x + 1), INF]}  # g = 0 over every unit
     assert hat.support.tolist() == [0]
 
     g = SymbolFunction(2, [[[5.0]]])
@@ -233,6 +244,22 @@ def test_lift_symbol_and_hat_symbol_examples():
     # the lift writes the symbol's values unchecked, so their size must be the action's
     with pytest.raises(InputValidationError):
         groupoid.lift_symbol(SymbolFunction(0, np.eye(2)[None]), window, act)
+
+
+def test_lift_symbol_holds_one_column_per_support_point():
+    # a 3-point symbol over a (4098, 8193)-cell window: three (4098, k, k) columns
+    window = Window(max_x=4096, max_g=4096)
+    act = toeplitz.trivial_action(2)
+    values = {-5: np.eye(2), 0: np.ones((2, 2)), 7: [[1.0, 2j], [0.0, 3.0]]}
+    lifted = groupoid.lift_symbol(symbol(values, 2), window, act)
+    assert sorted(lifted.columns) == [-5, 0, 7]
+    assert all(column.shape == (4098, 2, 2) for column in lifted.columns.values())
+    # each column holds f(g) exactly on the units x with 0 <= x + g <= max_x, and at infinity
+    for g, v in values.items():
+        units = [x for x in [0, 4, 5, 4089, 4090, 4096, INF] if x == INF or 0 <= x + g <= window.max_x]
+        assert all(np.array_equal(lifted((x, g)), v) for x in units)
+        rows = lifted.columns[g][:-1]
+        assert np.count_nonzero(np.any(rows, axis=(1, 2))) == window.max_x + 1 - abs(g)
 
 
 def test_lambda_rep_delta_unit_is_identity():
@@ -274,7 +301,7 @@ def test_lambda_rep_is_multiplicative_on_interior(rng):
     for _ in range(10):
         phi = _random_section(rng, act, window, 4, x_bound=n, g_bound=4)
         psi = _random_section(rng, act, window, 4, x_bound=n, g_bound=4)
-        margin = int(np.abs(np.nonzero(phi.support() | psi.support())[1] - window.max_g).max())
+        margin = max(abs(g) for _, g in _support(phi) | _support(psi))
         if 2 * margin >= n:
             continue
         conv = groupoid.convolve(phi, psi)
@@ -325,11 +352,11 @@ def test_shift_R_identity_and_composition(rng):
     for _ in range(20):
         psi = _random_section(rng, act, window, 4, x_bound=6, g_bound=4)
         r0 = groupoid.shift_R(0, psi)
-        assert np.allclose(psi.values, r0.values)
+        assert _cell_gap(psi, r0) <= 1e-12
         a, b = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         lhs = groupoid.shift_R(a, groupoid.shift_R(b, psi))
         rhs = groupoid.shift_R(a + b, psi)
-        assert np.allclose(lhs.values, rhs.values)
+        assert _cell_gap(lhs, rhs) <= 1e-12
 
 
 def test_shift_R_trivial_action_is_translation(rng):
@@ -342,9 +369,8 @@ def test_shift_R_trivial_action_is_translation(rng):
         if (x == INF or x >= a) and g + a <= window.max_g:
             assert np.allclose(out((x if x == INF else x - a, g + a)), psi((x, g)))
     # units below the shift have no preimage and are dropped
-    kept = psi.support()
-    kept[:a] = False
-    assert out.support().sum() == kept.sum()
+    kept = {(x, g) for x, g in _support(psi) if x == INF or x >= a}
+    assert len(_support(out)) == len(kept)
 
 
 def test_shift_R_window_overflow_is_loud():
@@ -364,7 +390,11 @@ def test_convolution_window_overflow_is_loud():
         groupoid.convolve(phi, psi)
     # a zero value is no support, so nothing overflows
     psi.set((2, 2), np.zeros((1, 1)))
-    assert not groupoid.convolve(phi, psi).support().any()
+    assert not _support(groupoid.convolve(phi, psi))
+    # a section with no column is zero on either side, and its I-norm is 0
+    empty = GroupoidSection(act, window)
+    assert not groupoid.convolve(phi, empty).columns and not groupoid.convolve(empty, phi).columns
+    assert groupoid.i_norm(empty) == 0.0
 
 
 def test_section_rejects_support_outside_window():
@@ -386,7 +416,7 @@ def test_section_values_are_checked_once_as_k_by_k_matrices():
     for bad in (3.0 * np.eye(3), np.eye(1)[0], "x", [["1"]], [[1.0], [2.0, 3.0]], None):
         with pytest.raises(InputValidationError):
             s.set((2, 0), bad)
-    assert np.argwhere(s.support()).tolist() == [list(window.cell(1, 0))]
+    assert _support(s) == {(1, 0)}
     assert groupoid.i_norm(s) == pytest.approx(2.0)
 
 

@@ -23,15 +23,15 @@ MUTANTS = [
     # the crossed-product twist: alpha inside convolve, involute and shift_R
     pytest.param(
         groupoid.convolve,
-        "act.alpha(np.full(hi - lo, t), psi.values[src, lo:hi])",
-        "psi.values[src, lo:hi]",
+        "_twisted(act, [t] * len(hits), sources)",
+        "sources",
         "groupoid.algebra",
         "fail",
         id="untwisted-convolve",
     ),
     pytest.param(
         groupoid.involute,
-        "phi.action.alpha(s, adjoints)",
+        "_twisted(phi.action, list(adjoints), adjoints)",
         "adjoints",
         "groupoid.algebra",
         "fail",
@@ -39,8 +39,8 @@ MUTANTS = [
     ),
     pytest.param(
         groupoid.shift_R,
-        "psi.action.alpha(np.full(rows.size, a), psi.values[rows, cols])",
-        "psi.values[rows, cols]",
+        "_twisted(psi.action, [a] * len(live), live)",
+        "live",
         "groupoid.algebra",
         "fail",
         id="untwisted-shift_R",
@@ -57,16 +57,16 @@ MUTANTS = [
     # the I-norm: the larger of the l^1 sums along ranges and along sources
     pytest.param(
         groupoid.i_norm,
-        "for units in (rows, phi.window.sources(rows, cols))",
-        "for units in (rows,)",
+        "for sums in (ranges, sources)",
+        "for sums in (ranges,)",
         "groupoid.algebra",
         "fail",
         id="i_norm-ranges-only-algebra",
     ),
     pytest.param(
         groupoid.i_norm,
-        "for units in (rows, phi.window.sources(rows, cols))",
-        "for units in (rows,)",
+        "for sums in (ranges, sources)",
+        "for sums in (ranges,)",
         "groupoid.lambda_bound",
         "fail",
         id="i_norm-ranges-only-lambda_bound",
