@@ -2,9 +2,8 @@
 
 The split mirrors the failure modes the operations promise: bad input data,
 numerical breakdown (ill conditioning, lost convergence), domain violations
-(an argument outside the mathematical domain of the map), window overflow in
-truncated/ windowed computations, and a probe sweep that ends without its
-witness.
+(an argument outside the mathematical domain of the map), and window overflow
+in truncated/ windowed computations.
 """
 
 
@@ -27,6 +26,3 @@ class DomainError(WhlabError, ValueError):
 class WindowOverflowError(WhlabError, ValueError):
     """A windowed computation would need data outside the declared window."""
 
-
-class WitnessNotFoundError(WhlabError, RuntimeError):
-    """A probe sweep ended without producing the separating witness."""

@@ -58,6 +58,7 @@ DEFAULT_TOL = 1e-9
 TRIG_GRID = 1 << 10
 MAX_DEGREE = 2  # a product of two piecewise-linear functions, the most any caller forms
 MAX_DILATED_WIDTH = 1 << 16  # the widest payload dilate builds; the cases reach 385
+MAX_EXPONENT = np.iinfo(np.int64).max  # the largest |exponent| the grid arithmetic holds
 _POWERS = np.arange(MAX_DEGREE + 1)
 
 
@@ -298,6 +299,8 @@ def dilate(n: int, f: SymbolFunction) -> SymbolFunction:
         raise InputValidationError("the action is a semigroup action: n >= 0")
     if len(f.values) - 1 > (MAX_DILATED_WIDTH - 1) >> n:  # (width - 1) 2^n + 1 > MAX_DILATED_WIDTH
         raise InputValidationError(f"alpha_{n} of a {len(f.values)}-wide window exceeds MAX_DILATED_WIDTH")
+    if abs(f.offset) + len(f.values) > MAX_EXPONENT >> n:  # |exponents of the result| < (|offset| + width) 2^n
+        raise InputValidationError(f"alpha_{n} of a window at offset {f.offset} exceeds MAX_EXPONENT")
     step = 1 << n
     out = np.zeros(((len(f.values) - 1) * step + 1,) + f.values.shape[1:], dtype=np.complex128)
     out[::step] = f.values

@@ -11,17 +11,17 @@ psi(A) = (-A+i)(A+i)^{-1} of its -1-free part, the contraction map
 A -> A(BA+1)^{-1} with its explicit inverse, the (E, A) pair encoding of a
 Z point by its eigenvalue-1 projection and the inverse Cayley transform of
 the complement compression, and the half-space membership sets
-Q_{(E,A)} = {B : A + (1-E)B(1-E) >= 0} together with a probing scheme that
-separates distinct pairs by such a membership witness.
+Q_{(E,A)} = {B : A + (1-E)B(1-E) >= 0} together with a constructed witness
+that lies in one pair's Q-set and outside the other's.
 
 Stacks: ``boxplus``, ``psi``, ``psi_inv``, ``moebius_contraction``,
-``contraction_inverse``, ``qset_contains``, ``zpoint``, ``pair_encode``,
-``pair_decode`` and ``classify_zpoint`` take stacks ``(T, d, d)`` as well as
-single matrices, as ``spectra`` does: a 2-D input is a stack of one and gets
-back what it always did, a stack gets an array or a list.  A ``ZPoint`` or
-``PairRep`` may hold a stack; ``PairRep`` indexes like one.  Everything read
-off a spectrum is array code on the cached frame V and its per-column
-values: Z membership and class test the values, and ``pair_encode`` and
+``contraction_inverse``, ``qset_contains``, ``separate_points``, ``zpoint``,
+``pair_encode``, ``pair_decode`` and ``classify_zpoint`` take stacks
+``(T, d, d)`` as well as single matrices, as ``spectra`` does: a 2-D input
+is a stack of one and gets back what it always did, a stack gets an array or
+a list.  A ``ZPoint`` or ``PairRep`` may hold a stack; ``PairRep`` indexes
+like one.  Everything read off a spectrum is array code on the cached frame
+V and its per-column values: Z membership and class test the values, and ``pair_encode`` and
 ``build_pairs`` form E and A as V diag(w) V* with one weight per column.
 Operands of one call share d, and their stacks share a length, except that a single matrix
 goes with any stack; anything else is a dimension mismatch, never a
@@ -29,8 +29,6 @@ broadcast.  Every guard and check judges each matrix of a stack.
 ``random_zpoint(..., size=T)`` draws each random quantity of its T trials as
 one block and builds, validates and decodes the T points as one stack
 (``build_pairs``).
-``separate_points`` drops its zero probes by an exact test and judges the
-others as one stack per pair.
 """
 
 from __future__ import annotations
@@ -41,12 +39,7 @@ from enum import Enum
 import numpy as np
 
 from . import spectra
-from .errors import (
-    DomainError,
-    InputValidationError,
-    NumericalError,
-    WitnessNotFoundError,
-)
+from .errors import DomainError, InputValidationError, NumericalError
 from .sampling import gram, random_complex, random_hermitian
 from .spectra import (
     CLUSTER_TOL,
@@ -277,35 +270,25 @@ def qset_contains(p: PairRep, b, tol: float = DEFAULT_TOL):
     return _unstack(np.linalg.eigvalsh(_hermitian_part(probe))[..., 0] >= -tol)
 
 
-PROBE_EXPONENTS = range(-8, 9)
-PROBE_SCALES = np.array([sign * 2.0**k for k in PROBE_EXPONENTS for sign in (1.0, -1.0)])
+def separate_points(p: PairRep, q: PairRep) -> np.ndarray:
+    """B = -A_p + alpha E_p, in Q_p as (1-E_p) B (1-E_p) = -A_p; per pair of two stacks.
 
-
-def separate_points(p1: PairRep, p2: PairRep):
-    """Find a Hermitian witness whose Q-set membership differs between two
-    pair encodings, or None when the pairs agree within 10 DEFAULT_TOL.
-
-    Probes scaled projections alpha*E over a geometric two-sided grid, then
-    the -A probes, and returns the first nonzero one that separates.  Zero
-    probes (every scaled E = 0) are dropped by an exact test before the
-    nonzero ones are judged as one stack per pair.  The probe grid has no
-    completeness guarantee, so an exhausted sweep on genuinely distinct pairs
-    raises WitnessNotFoundError instead of guessing.
+    With C = 1 - E_q and (mu, x) the top eigenpair of C E_p C, alpha =
+    -(x*(A_q - C A_p C)x + 1 + ||A_q||_F) / mu sets x*(A_q + C B C)x to
+    -1 - ||A_q||_F, so B leaves Q_q; alpha = 0 when mu <= DEFAULT_TOL (range
+    E_p inside range E_q).  Of two distinct pairs, (p, q) separates when range
+    E_p is not inside range E_q, (q, p) when the inclusion is strict, and -A_p
+    or -A_q when E_p = E_q, since the positive cone is pointed.
     """
-    if p1.e.shape != p2.e.shape or p1.e.ndim != 2:
-        raise InputValidationError("dimension mismatch: separate_points takes one pair on each side")
-    if p1.close_to(p2, tol=DEFAULT_TOL * 10):
-        return None
-
-    dim = p1.dim
-    scaled = PROBE_SCALES[:, None, None, None] * np.array([p1.e, p2.e])
-    probes = np.concatenate([scaled.reshape(-1, dim, dim), [-p1.a, -p2.a]])
-    probes = probes[probes.any(axis=(1, 2))]  # not empty: two pairs with E = A = 0 are close
-    probes = _hermitian_part(probes)
-    separates = qset_contains(p1, probes) != qset_contains(p2, probes)
-    if not separates.any():
-        raise WitnessNotFoundError("probe sweep exhausted without a separating witness")
-    return probes[np.argmax(separates)].copy()
+    _shared_shape(p.e, q.e)
+    comp = np.eye(p.dim) - q.e
+    mu, vectors = np.linalg.eigh(_hermitian_part(comp @ p.e @ comp))
+    x = vectors[..., -1]
+    gap = q.a - comp @ p.a @ comp
+    form = np.einsum("...i,...ij,...j->...", x.conj(), gap, x).real
+    top = mu[..., -1]
+    alpha = np.where(top > DEFAULT_TOL, -(form + 1.0 + _frobenius(q.a)) / np.maximum(top, DEFAULT_TOL), 0.0)
+    return _hermitian_part(-p.a + alpha[..., None, None] * p.e)
 
 
 def build_pairs(h: np.ndarray, chosen: np.ndarray, g: np.ndarray, planted, directions) -> PairRep:

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import fell, fibers, groupoid, homotopy, jordan, moebius, spectra, toeplitz
-from .errors import InputValidationError, WitnessNotFoundError
+from .errors import InputValidationError
 from .fell import INF
 from .spectra import _H, _hermitian_part, _right_solve
 from .sampling import (
@@ -53,6 +53,7 @@ ZERO_TOL = 0.0  # the hat involution only relabels, so both sides are the same n
 SIGN_FLIP_GAP = 1e-3
 SHIFT_DIRECTION_GAP = 1e-6
 UNREFLECTED_GAP = 0.5
+ROTATION_ANGLES = np.array([0.1, 0.01])  # the angles between the E of moebius.separate_points's rotated pairs
 TRIG_DEGREE = 3  # the degree of the random trig polynomials of fibers.dilation
 
 
@@ -296,17 +297,35 @@ def _qset_a2(rng, cfg):
 def _separate_points(rng, cfg):
     for dim in _dims(cfg):
         pairs = moebius.pair_encode(moebius.random_zpoint(rng, dim, size=2 * cfg.trials))
-        firsts, seconds = pairs[0::2], pairs[1::2]
-        one_point = firsts.close_to(seconds, tol=PAIR_TOL)
-        yield from (None if one_point[t] else _separate(firsts[t], seconds[t]) for t in range(cfg.trials))
+        yield from _unseparated(pairs[0::2], pairs[1::2])
+        if dim > 1:
+            yield from _unseparated(*_rotated_pairs(rng, dim))
 
 
-def _separate(p1, p2):
-    """(no witness although distinct, sweep exhausted) for two distinct pairs."""
-    try:
-        return moebius.separate_points(p1, p2) is None, False
-    except WitnessNotFoundError:
-        return False, True
+def _unseparated(firsts, seconds) -> list:
+    """Per pair of two stacks: None for one point (closer than PAIR_TOL), else
+    whether neither order's witness lies in its own Q-set and not the other's."""
+    distinct = ~firsts.close_to(seconds, tol=PAIR_TOL)
+    separated = np.zeros(distinct.shape, dtype=bool)
+    for p, q in ((firsts, seconds), (seconds, firsts)):
+        witness = moebius.separate_points(p, q)
+        separated |= moebius.qset_contains(p, witness) & ~moebius.qset_contains(q, witness)
+    return [None if one else bool(miss) for one, miss in zip(~distinct, ~separated)]
+
+
+def _rotated_pairs(rng, dim: int) -> tuple:
+    """A pair for each angle t of ROTATION_ANGLES, each in its own random frame, columns u1, u2, ...:
+    E1 = u1 u1* against E2 = v v*, v = cos(t) u1 + sin(t) u2, each A_i the frame's diag(0, 5, 7, 9, ...)
+    compressed to range(1 - E_i).  alpha E1 leaves Q_2 only once |alpha| sin^2 t exceeds about ||A||."""
+    angles = ROTATION_ANGLES[:, None]
+    u = random_unitary(rng, dim, size=len(angles))
+    diagonal = u @ np.diag(np.r_[0.0, 5.0 + 2.0 * np.arange(dim - 1)]) @ _H(u)
+    pairs = []
+    for v in (u[..., 0], np.cos(angles) * u[..., 0] + np.sin(angles) * u[..., 1]):
+        e = v[:, :, None] * v[:, None, :].conj()
+        comp = np.eye(dim) - e
+        pairs.append(moebius.PairRep(e, _hermitian_part(comp @ diagonal @ comp)))
+    return tuple(pairs)
 
 
 def _sign_flipped_boxplus(u, b):
@@ -843,9 +862,7 @@ CASES = {
         Case("moebius.pair_roundtrip", _pair_roundtrip, "decode(encode(U)) = U", "bounded", PAIR_TOL),
         Case("moebius.pair_translation", _pair_translation, "U_(E,A)[+]B = U_(E, A+(1-E)B(1-E))", "bounded", PAIR_TOL),
         Case("moebius.qset_a2", _qset_a2, "{0}/{draws} probes disagreed with Q"),
-        Case(
-            "moebius.separate_points", _separate_points, "{draws} distinct pairs, {0} false equal, {1} without witness"
-        ),
+        Case("moebius.separate_points", _separate_points, "{draws} distinct pairs, {0} not separated"),
         Case(
             "moebius.mutation_sign_flip",
             _moebius_mutation,

@@ -283,6 +283,23 @@ def test_dilate_refuses_a_window_wider_than_the_cap():
     assert len(fibers.dilate(40, symbol({3: 1.0})).values) == 1
 
 
+@pytest.mark.parametrize("n, offset", [(70, 1), (62, 2), (1 << 40, 0), (2, fibers.MAX_EXPONENT // 4)])
+def test_dilate_refuses_exponents_the_grid_cannot_hold(n, offset):
+    # 2^70 once came back as an offset that on_grid turned into a bare OverflowError; an n
+    # of 2^40 is refused before any 2^n is formed
+    with pytest.raises(InputValidationError, match="MAX_EXPONENT"):
+        fibers.dilate(n, symbol({offset: 1.0}))
+
+
+def test_dilate_keeps_the_largest_exponents_the_grid_holds():
+    for n, offset in [(62, 0), (61, 1), (0, fibers.MAX_EXPONENT - 1), (2, fibers.MAX_EXPONENT // 4 - 1)]:
+        dilated = fibers.dilate(n, symbol({offset: 1.0}))
+        assert dilated.offset == offset << n
+        # z^m at the j-th root of unity is exp(2 pi i (m mod TRIG_GRID) j / TRIG_GRID)
+        turns = (dilated.offset % fibers.TRIG_GRID) * np.arange(fibers.TRIG_GRID) / fibers.TRIG_GRID
+        np.testing.assert_allclose(fibers.on_grid(dilated), np.exp(2j * np.pi * turns), rtol=0, atol=1e-9)
+
+
 def test_trig_star_is_pointwise_conjugate(rng):
     # the adjoint symbol under the trivial action, conj(c_{-m}) at z^m, is
     # the pointwise conjugate on the circle

@@ -293,38 +293,59 @@ def test_qset_scaled_projection_and_minus_a(rng):
         assert moebius.qset_contains(pair, -pair.a)
 
 
+def _separates(p, q, witness) -> bool:
+    return moebius.qset_contains(p, witness) and not moebius.qset_contains(q, witness)
+
+
 def test_separate_points_equal_pairs(rng):
-    pair = moebius.pair_encode(moebius.random_zpoint(rng, 3))
-    twin = PairRep(e=pair.e.copy(), a=pair.a.copy())
-    assert moebius.separate_points(pair, twin) is None
+    pairs = moebius.pair_encode(moebius.random_zpoint(rng, 3, size=20, boundary=np.arange(20) % 2 == 0))
+    twins = PairRep(e=pairs.e.copy(), a=pairs.a.copy())
+    witness = moebius.separate_points(pairs, twins)
+    np.testing.assert_array_equal(witness, spectra._hermitian_part(-pairs.a))
+    assert moebius.qset_contains(pairs, witness).all()
+    assert moebius.qset_contains(twins, witness).all()
 
 
 def test_separate_points_projection_witness():
     p1 = PairRep(e=np.diag([1.0, 0.0]), a=np.zeros((2, 2)))
     p2 = PairRep(e=np.zeros((2, 2)), a=np.zeros((2, 2)))
+    # M = E1 with top eigenpair (1, e1): alpha = -(0 + 1 + 0) / 1
     witness = moebius.separate_points(p1, p2)
-    assert witness is not None
-    assert moebius.qset_contains(p1, witness) != moebius.qset_contains(p2, witness)
+    np.testing.assert_array_equal(witness, -np.diag([1.0, 0.0]))
+    assert _separates(p1, p2, witness)
 
 
 def test_separate_points_a_witness():
     p1 = PairRep(e=np.zeros((2, 2)), a=np.diag([0.0, 1.0]))
     p2 = PairRep(e=np.zeros((2, 2)), a=np.diag([0.0, 2.0]))
-    witness = moebius.separate_points(p1, p2)
-    assert moebius.qset_contains(p1, witness) != moebius.qset_contains(p2, witness)
+    # alpha = 0 both ways: -A1 lies in Q2 as A2 >= A1, while -A2 leaves Q1
+    np.testing.assert_array_equal(moebius.separate_points(p1, p2), -p1.a)
+    np.testing.assert_array_equal(moebius.separate_points(p2, p1), -p2.a)
+    assert not _separates(p1, p2, -p1.a)
+    assert _separates(p2, p1, -p2.a)
+
+
+def test_separate_points_nested_ranges_separate_only_in_the_reversed_order(rng):
+    # range E1 = span(e1) lies inside range E2 = span(e1, e2): M = (1-E2) E1 (1-E2) = 0,
+    # so the first order gives -A1, which Q2 holds since A2 - (1-E2) A1 (1-E2) = diag(0, 0, 1)
+    u = random_unitary(rng, 3)
+    frame = lambda m: u @ np.diag(m) @ u.conj().T
+    p1 = PairRep(e=frame([1.0, 0.0, 0.0]), a=frame([0.0, 3.0, 1.0]))
+    p2 = PairRep(e=frame([1.0, 1.0, 0.0]), a=frame([0.0, 0.0, 2.0]))
+    forward = moebius.separate_points(p1, p2)
+    np.testing.assert_allclose(forward, -p1.a, rtol=0, atol=1e-14)
+    assert not _separates(p1, p2, forward)
+    assert _separates(p2, p1, moebius.separate_points(p2, p1))
 
 
 def test_separate_points_random_pairs(rng):
-    found = 0
-    for _ in range(40):
-        p1 = moebius.pair_encode(moebius.random_zpoint(rng, 3))
-        p2 = moebius.pair_encode(moebius.random_zpoint(rng, 3))
-        if p1.close_to(p2, tol=1e-8):
-            continue
-        witness = moebius.separate_points(p1, p2)
-        assert witness is not None
-        found += 1
-    assert found >= 30
+    pairs = moebius.pair_encode(moebius.random_zpoint(rng, 3, size=80))
+    p1, p2 = pairs[0::2], pairs[1::2]
+    distinct = ~p1.close_to(p2, tol=1e-8)
+    assert distinct.sum() >= 30
+    forward, backward = moebius.separate_points(p1, p2), moebius.separate_points(p2, p1)
+    for t in np.flatnonzero(distinct):
+        assert _separates(p1[t], p2[t], forward[t]) or _separates(p2[t], p1[t], backward[t])
 
 
 def test_boxplus_rejects_mismatched_shapes():

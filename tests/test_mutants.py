@@ -14,12 +14,21 @@ import textwrap
 
 import pytest
 
-from whlab import fibers, groupoid, suites, toeplitz
+from whlab import fibers, groupoid, moebius, suites, toeplitz
 
 SEEDS = range(3)
 
 MUTANTS = [
     pytest.param(None, None, None, "groupoid.algebra", "pass", id="unpatched"),
+    # the point-separation witness -A_p + alpha E_p without its alpha E_p term
+    pytest.param(
+        moebius.separate_points,
+        "-p.a + alpha[..., None, None] * p.e",
+        "-p.a",
+        "moebius.separate_points",
+        "fail",
+        id="separation-witness-without-projection",
+    ),
     # the crossed-product twist: alpha inside convolve, involute and shift_R
     pytest.param(
         groupoid.convolve,

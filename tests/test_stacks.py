@@ -18,7 +18,7 @@ import pytest
 
 from frames import clusters, line_merge
 from whlab import fibers, jordan, moebius, spectra, suites
-from whlab.errors import DomainError, InputValidationError, NumericalError, WitnessNotFoundError
+from whlab.errors import DomainError, InputValidationError, NumericalError
 from whlab.fell import INF
 from whlab.jordan import ConeClass
 from whlab.moebius import PairRep
@@ -235,6 +235,7 @@ def test_unitary_guard_rejects_a_defect_that_is_not_a_number():
 
 
 ZEROS3 = np.zeros((3, 2, 2))  # a stack of three 2 x 2 zeros
+ZEROS4 = np.zeros((4, 2, 2))
 
 
 @pytest.mark.parametrize(
@@ -248,23 +249,12 @@ ZEROS3 = np.zeros((3, 2, 2))  # a stack of three 2 x 2 zeros
         pytest.param(lambda: moebius.moebius_contraction(ZEROS3, np.zeros((2, 3, 2, 2))), id="contraction-ranks"),
         pytest.param(lambda: PairRep(e=ZEROS3, a=np.zeros((2, 2))), id="PairRep-stack"),
         pytest.param(lambda: moebius.qset_contains(PairRep(ZEROS3, ZEROS3), np.zeros((4, 2, 2))), id="qset_contains"),
-        pytest.param(lambda: moebius.separate_points(PairRep(ZEROS3, ZEROS3), PairRep(ZEROS3, ZEROS3)), id="separate"),
+        pytest.param(lambda: moebius.separate_points(PairRep(ZEROS3, ZEROS3), PairRep(ZEROS4, ZEROS4)), id="separate"),
     ],
 )
 def test_shape_mismatches_raise_instead_of_broadcasting(call):
     with pytest.raises(InputValidationError, match="dimension mismatch"):
         call()
-
-
-def test_separate_points_keeps_the_first_witness_in_probe_order():
-    # E1 = diag(1, 0), A1 = 0 against E2 = 0, A2 = diag(0, 1).  The probe
-    # -2^-8 E1 (third in the sweep; the second, 2^-8 E2, is zero and skipped)
-    # lies in Q1 but not in Q2, and so does -A2, last in the sweep
-    p1 = PairRep(np.diag([1.0, 0.0]), np.zeros((2, 2)))
-    p2 = PairRep(np.zeros((2, 2)), np.diag([0.0, 1.0]))
-    assert moebius.qset_contains(p1, -p2.a) != moebius.qset_contains(p2, -p2.a)
-    witness = moebius.separate_points(p1, p2)
-    np.testing.assert_array_equal(witness, -(2.0**-8) * np.diag([1.0, 0.0]))
 
 
 def test_stacked_error_paths_keep_single_behaviour(monkeypatch):
@@ -320,40 +310,53 @@ def test_stacked_classify_matches_single_calls_in_every_class():
     assert jordan.classify(diagonal, np.eye(2)) is ConeClass.INTERIOR
 
 
-def _separate_points_all_probes(p1, p2):
-    """The probe sweep judging all 70 probes and masking the zero ones by
-    their operator norm, as separate_points did before it dropped them."""
-    if p1.close_to(p2, tol=spectra.DEFAULT_TOL * 10):
-        return None
-    dim = p1.dim
-    scaled = moebius.PROBE_SCALES[:, None, None, None] * np.array([p1.e, p2.e])
-    probes = np.concatenate([scaled.reshape(-1, dim, dim), [-p1.a, -p2.a]])
-    nonzero = spectra.operator_norm(probes) != 0.0
-    probes = 0.5 * (probes + probes.conj().swapaxes(-1, -2))
-    separates = nonzero & (moebius.qset_contains(p1, probes) != moebius.qset_contains(p2, probes))
-    if not separates.any():
-        raise WitnessNotFoundError("probe sweep exhausted without a separating witness")
-    return probes[np.argmax(separates)]
+def _edge_pairs(rng, dim):
+    """Random pairs, every other one with the eigenvalue -1 planted, then the
+    pairs (0, A) with A random and (I, 0)."""
+    pairs = moebius.pair_encode(moebius.random_zpoint(rng, dim, size=10, boundary=np.arange(10) % 2 == 0))
+    e = np.concatenate([pairs.e, [np.zeros((dim, dim)), np.eye(dim)]])
+    a = np.concatenate([pairs.a, [random_positive(rng, dim), np.zeros((dim, dim))]])
+    return PairRep(e, a)
 
 
-@pytest.mark.parametrize("dim", range(1, 5))
-def test_separate_points_matches_the_all_probe_sweep(dim):
-    pairs = moebius.pair_encode(moebius.random_zpoint(np.random.default_rng(40 + dim), dim, size=80))
-    projection_witnesses = 0
-    for p1, p2 in zip(pairs[0::2], pairs[1::2]):
-        try:
-            expected = _separate_points_all_probes(p1, p2)
-        except WitnessNotFoundError:
-            with pytest.raises(WitnessNotFoundError):
-                moebius.separate_points(p1, p2)
-            continue
-        witness = moebius.separate_points(p1, p2)
-        if expected is None:
-            assert witness is None
-        else:
-            np.testing.assert_array_equal(witness, expected)
-            projection_witnesses += not any(np.array_equal(witness, -p.a) for p in (p1, p2))
-    assert projection_witnesses  # the scaled-E part of the sweep decided some pairs
+@pytest.mark.parametrize("dim", DIMS)
+def test_separate_points_witness_lies_in_its_own_qset_and_separates_distinct_pairs(dim):
+    pairs = _edge_pairs(np.random.default_rng(40 + dim), dim)
+    first, second = (index.ravel() for index in np.indices((12, 12)))  # every ordered pair, equal ones included
+    p, q = pairs[first], pairs[second]
+    witness = moebius.separate_points(p, q)
+    for t, b in enumerate(witness):
+        # brute force, one eigvalsh per pair: A_p + (1-E_p) B (1-E_p) = A_p - A_p up to rounding in ||B||
+        comp = np.eye(dim) - p.e[t]
+        lam = np.linalg.eigvalsh(p.a[t] + comp @ b @ comp)[0]
+        assert lam >= -1e-13 * (1.0 + np.linalg.norm(b))
+    # each distinct pair is separated in one order or the other, an equal one in neither; at
+    # small d some drawn pairs coincide, say two with E = I
+    separates = (moebius.qset_contains(p, witness) & ~moebius.qset_contains(q, witness)).reshape(12, 12)
+    np.testing.assert_array_equal(separates | separates.T, ~p.close_to(q, tol=1e-8).reshape(12, 12))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_stacked_separate_points_matches_single_calls(dim):
+    pairs = _edge_pairs(np.random.default_rng(60 + dim), dim)
+    p, q = pairs[:6], pairs[6:]
+    stacked = moebius.separate_points(p, q)
+    singles = [moebius.separate_points(p[t], q[t]) for t in range(6)]
+    # alpha reads a top eigenvector of M, which a repeated top eigenvalue leaves free: there the
+    # witnesses may differ, and only their verdicts must agree
+    comp = np.eye(dim) - q.e
+    mu = np.linalg.eigvalsh(comp @ p.e @ comp)
+    top_gap = np.diff(mu, axis=-1, prepend=-np.inf)[:, -1]
+    simple = (mu[:, -1] <= spectra.DEFAULT_TOL) | (top_gap > 1e-6)
+    for t in np.flatnonzero(simple):
+        np.testing.assert_allclose(stacked[t], singles[t], rtol=0, atol=1e-13 * (1.0 + np.linalg.norm(singles[t])))
+    for pairs_of_side in (p, q):
+        assert moebius.qset_contains(pairs_of_side, stacked).tolist() == [
+            moebius.qset_contains(pairs_of_side[t], singles[t]) for t in range(6)
+        ]
+    # one pair goes with a stack as a stack of its copies
+    copies = PairRep(np.broadcast_to(p.e[0], q.e.shape), np.broadcast_to(p.a[0], q.a.shape))
+    np.testing.assert_allclose(moebius.separate_points(p[0], q), moebius.separate_points(copies, q), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 import inspect
 import math
 
+import numpy as np
 import pytest
 
-from whlab import suites
+from whlab import moebius, suites
 from whlab.errors import InputValidationError
 
 
@@ -85,6 +86,18 @@ def test_stacked_draw_drops_skipped_trials_and_sums_tallies():
     case = suites.Case("demo.skip", draw, "{0} bad, {1} tallied", "count")
     result = suites.run_case(case, suites.SuiteConfig(suite="demo", dim=2, trials=3))
     assert (result.status, result.draws, result.details) == ("fail", 4, "0 bad, 6 tallied")
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_rotated_pairs_separate_in_every_frame(dim):
+    # E1 against E2 rotated by 0.1 and by 0.01, 50 random frames per angle: (E1, A1) against
+    # (E2, A2) is separated in the given order, since range E1 is not inside range E2
+    rng = np.random.default_rng(dim)
+    for firsts, seconds in (suites._rotated_pairs(rng, dim) for _ in range(50)):
+        witness = moebius.separate_points(firsts, seconds)
+        assert moebius.qset_contains(firsts, witness).all()
+        assert not moebius.qset_contains(seconds, witness).any()
+        assert suites._unseparated(firsts, seconds) == [False, False]
 
 
 @pytest.mark.parametrize("kind, good", [("bounded", 0.0), ("margin", 1.0), ("mutant", 1.0), ("count", 0)])
